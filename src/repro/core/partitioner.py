@@ -264,9 +264,10 @@ class TemporalPartitioner:
         warm-starting LP kernel
         (:class:`~repro.ilp.incremental.IncrementalLPSolver`) at the
         head of the ``"bnb"`` backend's LP chain — HiGHS with
-        change-bounds + dual-simplex warm starts when ``highspy`` is
-        importable, an equivalent bounds-mutating ``linprog`` path
-        otherwise — with the stateless backends behind it as fallbacks.
+        change-bounds + dual-simplex warm starts through SciPy's
+        vendored bindings (or ``highspy``), an equivalent
+        bounds-mutating ``linprog`` path when neither loads — with the
+        stateless backends behind it as fallbacks.
         ``"scipy"`` keeps the historical per-call
         :func:`~repro.ilp.scipy_backend.solve_lp_scipy` chain.
         ``plain_search`` and an explicit ``lp_backend_chain`` both

@@ -100,9 +100,18 @@ def make_slot_prober(
     }
     budget = spec.mobility.latency_bound
     ones = np.ones(len(subsets))
+    # The same few demand vectors recur at node after node, and the LP
+    # below is a deterministic function of ``d``, so memoizing it is
+    # exact.  Entries are bounded by the distinct per-type operation
+    # counts a partition can hold — a handful of floats each.
+    steps_memo: "Dict[bytes, float]" = {}
 
     def min_steps(d: "np.ndarray") -> float:
         """LP lower bound on steps needed for demand vector ``d``."""
+        key = d.tobytes()
+        steps = steps_memo.get(key)
+        if steps is not None:
+            return steps
         result = linprog(
             c=ones,
             A_ub=-cap,
@@ -111,8 +120,11 @@ def make_slot_prober(
             method="highs",
         )
         if result.status == 2:  # pragma: no cover - every type is coverable
-            return math.inf
-        return float(result.fun)
+            steps = math.inf
+        else:
+            steps = float(result.fun)
+        steps_memo[key] = steps
+        return steps
 
     def prober(lb: "np.ndarray", ub: "np.ndarray") -> bool:
         total = 0

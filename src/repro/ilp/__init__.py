@@ -15,8 +15,8 @@ plays that role here, fully in-repo:
   ``scipy.optimize.linprog`` (HiGHS);
 * :mod:`~repro.ilp.incremental` — the persistent-model LP kernel for
   the branch-and-bound hot loop: compile once, mutate bounds per node,
-  warm-start HiGHS via ``highspy`` when importable, LRU-cache repeated
-  node solves;
+  warm-start HiGHS through SciPy's vendored bindings (or ``highspy``),
+  LRU-cache repeated node solves;
 * :mod:`~repro.ilp.branch_bound` — a branch-and-bound engine with
   pluggable :mod:`~repro.ilp.branching` rules, including the paper's
   heuristic (branch on ``y`` in topological priority order, 1-branch

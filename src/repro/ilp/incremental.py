@@ -9,13 +9,16 @@ that:
 
 * **Persistent model** — :class:`IncrementalLPSolver` binds to one
   compiled :class:`~repro.ilp.standard_form.StandardForm` and keeps
-  every derived buffer alive across calls.  With ``highspy``
-  importable, the HiGHS model is built *once* and each node mutates
-  column bounds only, so HiGHS's dual simplex warm-starts from the
-  parent basis (the classic B&B re-solve trick); without it, the
-  kernel falls back transparently to ``scipy.optimize.linprog`` fed a
-  preallocated ``(n, 2)`` bounds array — nothing new is required to
-  run.
+  every derived buffer alive across calls.  The HiGHS model is built
+  *once* and each node mutates column bounds only, so HiGHS's dual
+  simplex warm-starts from the parent basis (the classic B&B re-solve
+  trick).  The bindings come from a standalone ``highspy`` when one is
+  installed and otherwise from the copy SciPy vendors as
+  ``scipy.optimize._highspy._core``, so no new dependency is needed.
+  A version guard checks every binding method the kernel calls; if
+  none passes, the kernel falls back transparently to
+  ``scipy.optimize.linprog`` fed a preallocated ``(n, 2)`` bounds
+  array, and records why.
 * **Node-solve LRU cache** — results are memoized by a fingerprint of
   the effective bounds, so retries, rescue dives, chaos second-opinion
   re-solves, and checkpoint-resume replays never pay for the same LP
@@ -42,6 +45,7 @@ warm-start hits, and cache hit rate for the
 from __future__ import annotations
 
 from collections import OrderedDict
+from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -58,26 +62,95 @@ from repro.ilp.standard_form import StandardForm
 #: tens of megabytes even on the Table-4 models.
 DEFAULT_CACHE_SIZE = 1024
 
-_highspy = None
-_highspy_checked = False
+#: Module-level names the kernel takes from a HiGHS binding ...
+_REQUIRED_NAMES = (
+    "Highs", "HighsLp", "MatrixFormat", "HighsStatus", "HighsModelStatus",
+)
+#: ... and every ``Highs`` method it calls.
+_REQUIRED_METHODS = (
+    "setOptionValue", "passModel", "changeColsBounds", "run",
+    "getSolution", "getModelStatus", "getInfo",
+)
 
 
-def have_highspy() -> bool:
-    """Whether the optional ``highspy`` warm-start backend is importable."""
-    return _load_highspy() is not None
+def _import_highspy():
+    import highspy  # noqa: PLC0415
+
+    return highspy
+
+
+def _vendored_highs():
+    """SciPy's bundled HiGHS bindings, under the ``highspy`` names."""
+    from scipy.optimize._highspy import _core  # noqa: PLC0415
+
+    return SimpleNamespace(
+        Highs=_core._Highs,
+        HighsLp=_core.HighsLp,
+        MatrixFormat=_core.MatrixFormat,
+        HighsStatus=_core.HighsStatus,
+        HighsModelStatus=_core.HighsModelStatus,
+    )
+
+
+#: Candidate bindings in preference order: a standalone ``highspy``
+#: install, then the copy SciPy vendors (scipy 1.17 ships it).
+_HIGHS_SOURCES = (
+    ("highspy", _import_highspy),
+    ("scipy.optimize._highspy", _vendored_highs),
+)
+
+#: ``(binding or None, reason it is None)`` once probed; None before.
+_binding: "Optional[Tuple[object, Optional[str]]]" = None
+
+
+def _missing_api(module) -> "Optional[str]":
+    """The first required name ``module`` lacks, or None if complete."""
+    for name in _REQUIRED_NAMES:
+        if not hasattr(module, name):
+            return name
+    for name in _REQUIRED_METHODS:
+        if not hasattr(module.Highs, name):
+            return f"Highs.{name}"
+    return None
+
+
+def _probe_highs() -> "Tuple[object, Optional[str]]":
+    reasons = []
+    for source, load in _HIGHS_SOURCES:
+        try:
+            module = load()
+        except Exception as exc:
+            reasons.append(f"{source}: {exc}")
+            continue
+        missing = _missing_api(module)
+        if missing is None:
+            return module, None
+        reasons.append(f"{source} lacks {missing}")
+    return None, "no usable HiGHS binding (" + "; ".join(reasons) + ")"
 
 
 def _load_highspy():
-    global _highspy, _highspy_checked
-    if not _highspy_checked:
-        _highspy_checked = True
-        try:  # pragma: no cover - exercised only where highspy exists
-            import highspy  # noqa: PLC0415
+    """The first HiGHS binding that passes the version guard, or None.
 
-            _highspy = highspy
-        except Exception:
-            _highspy = None
-    return _highspy
+    Probed once per process.  A binding missing any attribute the
+    kernel calls is skipped, so an incompatible scipy or ``highspy``
+    release demotes the kernel to ``linprog`` rather than failing
+    mid-search; :func:`_highs_unavailable_reason` says why.
+    """
+    global _binding
+    if _binding is None:
+        _binding = _probe_highs()
+    return _binding[0]
+
+
+def _highs_unavailable_reason() -> "Optional[str]":
+    _load_highspy()
+    return _binding[1]
+
+
+def have_highspy() -> bool:
+    """Whether a warm-start HiGHS binding (standalone or vendored) loads."""
+    return _load_highspy() is not None
 
 
 class IncrementalLPSolver:
@@ -93,9 +166,10 @@ class IncrementalLPSolver:
     cache_size:
         LRU node-solve cache capacity; 0 disables caching.
     use_highs:
-        Force (True) or forbid (False) the ``highspy`` path; ``None``
-        (default) auto-detects and falls back to ``linprog`` when the
-        import or model build fails.
+        Force (True) or forbid (False) the HiGHS warm-start path;
+        ``None`` (default) auto-detects and falls back to ``linprog``
+        when no binding passes the version guard or the model build
+        fails, recording why in ``kernel_telemetry()["demoted"]``.
     """
 
     def __init__(
@@ -108,8 +182,8 @@ class IncrementalLPSolver:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         if use_highs is True and _load_highspy() is None:
             raise SolverError(
-                "use_highs=True but highspy is not importable; install it "
-                "or let use_highs=None auto-detect the linprog fallback"
+                f"use_highs=True but {_highs_unavailable_reason()}; let "
+                "use_highs=None auto-detect the linprog fallback"
             )
         self.cache_size = int(cache_size)
         self._use_highs = use_highs
@@ -152,19 +226,22 @@ class IncrementalLPSolver:
         self._highs = None
         self._have_basis = False
         self.rebinds += 1
-        if self._use_highs is not False and _load_highspy() is not None:
-            try:  # pragma: no cover - needs highspy
-                self._build_highs_model(form)
-            except Exception as exc:  # pragma: no cover - needs highspy
-                self._highs = None
-                self._demoted_reason = f"highs model build failed: {exc}"
+        if self._use_highs is not False:
+            if _load_highspy() is None:
+                self._demoted_reason = _highs_unavailable_reason()
+            else:
+                try:
+                    self._build_highs_model(form)
+                except Exception as exc:
+                    self._highs = None
+                    self._demoted_reason = f"highs model build failed: {exc}"
         if self._use_highs is True and self._highs is None:
             raise SolverError(
-                "use_highs=True but highspy is unavailable"
+                "use_highs=True but HiGHS is unavailable"
                 + (f" ({self._demoted_reason})" if self._demoted_reason else "")
             )
 
-    def _build_highs_model(self, form: StandardForm) -> None:  # pragma: no cover
+    def _build_highs_model(self, form: StandardForm) -> None:
         """Compile ``form`` into a persistent HiGHS model (once).
 
         Inequalities get ``(-inf, b_ub]`` row bounds, equalities
@@ -245,7 +322,7 @@ class IncrementalLPSolver:
 
     def _solve(self, lb: "np.ndarray", ub: "np.ndarray") -> LPResult:
         self.lp_solves += 1
-        if self._highs is not None:  # pragma: no cover - needs highspy
+        if self._highs is not None:
             try:
                 return self._solve_highs(lb, ub)
             except SolverError:
@@ -296,7 +373,7 @@ class IncrementalLPSolver:
             f"linprog failed with status {result.status}: {result.message}"
         )
 
-    def _solve_highs(self, lb, ub) -> LPResult:  # pragma: no cover - needs highspy
+    def _solve_highs(self, lb, ub) -> LPResult:
         """Mutate column bounds on the persistent model and re-run.
 
         HiGHS retains the previous optimal basis on the model, so the
@@ -404,7 +481,7 @@ def _linprog_reduced_costs(result) -> "Optional[np.ndarray]":
     return np.asarray(lower, dtype=float) + np.asarray(upper, dtype=float)
 
 
-def _stack_rows(form: StandardForm):  # pragma: no cover - needs highspy
+def _stack_rows(form: StandardForm):
     """Stack a_ub / a_eq into one rowwise CSR triple plus row bounds."""
     from scipy import sparse
 

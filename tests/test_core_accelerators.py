@@ -112,6 +112,36 @@ class TestSlotProber:
                     ub[space.y[(task, q)].index] = 0.0
         assert prober(lb, ub) is False
 
+    def test_min_steps_lp_is_memoized_per_demand(
+        self, forced_split_graph, monkeypatch
+    ):
+        """A repeated demand vector reuses its LP bound: same verdict, no LP."""
+        import repro.core.probe as probe_mod
+
+        calls = []
+        real_linprog = probe_mod.linprog
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(probe_mod, "linprog", counting_linprog)
+        dev = FPGADevice("tight", capacity=125, alpha=0.7)
+        spec = make_spec(
+            forced_split_graph, mix="1A+1M", device=dev,
+            memory_size=10, n_partitions=3, relaxation=0,
+        )
+        model, space = build_model(spec)
+        prober = make_slot_prober(spec, space)
+        lb = np.array([v.lb for v in model.variables])
+        ub = np.array([v.ub for v in model.variables])
+        for task, p in (("t1", 1), ("t2", 2)):
+            lb[space.y[(task, p)].index] = 1.0
+        first = prober(lb, ub)
+        assert len(calls) == 2  # one LP per distinct partition demand
+        assert prober(lb.copy(), ub) is first
+        assert len(calls) == 2
+
 
 class TestLeafSolver:
     def fixed_bounds(self, spec, space, model, assignment):
