@@ -34,7 +34,7 @@ Usage::
     python scripts/bench_solver.py --workers 4 --min-scaling 2.5  # >=4 cores
     python scripts/bench_solver.py --quick --audit                # certify rows
     python scripts/bench_solver.py --quick --audit --audit-workers 4
-    python scripts/bench_solver.py --tables t3,t4 --ablation      # cuts gate
+    python scripts/bench_solver.py --tables t3,t4 --ablation      # heuristics gate
 
 Exit status is non-zero when any deterministic field drifts or any
 row's nodes/sec regresses more than ``--tolerance`` below the
@@ -93,7 +93,6 @@ def bench_row(
     kernel: str,
     time_limit_s: float,
     workers: int = 1,
-    cuts: bool = False,
     heuristics: bool = False,
 ) -> dict:
     """One row under one kernel -> measured record."""
@@ -103,7 +102,6 @@ def bench_row(
         time_limit_s=time_limit_s,
         lp_kernel=kernel,
         workers=workers,
-        cuts=cuts,
         heuristics=heuristics,
     )
     elapsed = time.perf_counter() - start
@@ -118,6 +116,7 @@ def bench_row(
         "nodes_explored": nodes,
         "lp_solves": lp_solves,
         "wall_time_s": round(wall, 4),
+        "end_to_end_s": round(elapsed, 4),
         "nodes_per_s": round(nodes / wall, 2) if wall > 0 else None,
         "lp_ms_per_node": (
             round(1000.0 * lp_time_s / lp_solves, 4) if lp_solves else None
@@ -138,48 +137,26 @@ def bench_row(
             "worker_crashes": parallel_block.get("worker_crashes"),
             "incumbent_broadcasts": parallel_block.get("incumbent_broadcasts"),
         }
-    if cuts or heuristics:
-        cuts_block = solve.get("cuts") or {}
+    if heuristics:
         heur_block = solve.get("heuristics") or {}
-        record["cuts_added"] = int(cuts_block.get("total") or 0)
-        record["root_gap_closed_pct"] = _root_gap_closed_pct(
-            cuts_block, record["objective"]
-        )
         record["heuristic_incumbents"] = int(
             heur_block.get("dive_incumbents") or 0
         ) + int(heur_block.get("polish_incumbents") or 0)
     return record
 
 
-def _root_gap_closed_pct(cuts_block: dict, objective) -> "float | None":
-    """Share of the root LP -> optimum gap closed by the cut loop.
-
-    None when the row has no finite optimum or the cut loop never
-    solved the root LP; 0.0 when the root relaxation was already tight
-    (no gap to close).
-    """
-    before = cuts_block.get("root_obj_before")
-    after = cuts_block.get("root_obj_after")
-    if objective is None or before is None or after is None:
-        return None
-    gap = float(objective) - float(before)
-    if gap <= 1e-9:
-        return 0.0
-    return round(100.0 * (float(after) - float(before)) / gap, 2)
-
-
 def run_ablation_bench(
     tables, time_limit_s: float, tolerance: float,
 ) -> "tuple[dict, list, list]":
-    """Cuts/heuristics ablation mode: (rows, hard failures, notes).
+    """Heuristics ablation mode: (rows, hard failures, notes).
 
     Every row runs twice under the incremental kernel — plain, then
-    with root cutting planes and primal heuristics enabled.  The
-    enabled run must reach the *identical* status and objective (the
-    features may only speed the search up, never change the answer),
-    and on Table 3/4 rows that solve to optimality it must explore
-    strictly fewer nodes — the whole point of cutting the tree before
-    searching it.  Aggregate wall time across the sweep must not
+    with the primal heuristics enabled.  The enabled run must reach
+    the *identical* status and objective (the heuristics may only
+    speed the search up, never change the answer), and on Table 3/4
+    rows that solve to optimality it must explore strictly fewer
+    nodes.  Aggregate end-to-end time (the whole ``run_row`` call,
+    presolve and model build included) across the sweep must not
     regress beyond ``tolerance``.
     """
     rows, failures, notes = {}, [], []
@@ -187,20 +164,18 @@ def run_ablation_bench(
     for table in tables:
         for row in table_rows(table):
             off_key = f"{row.key}:off"
-            on_key = f"{row.key}:cuts+heur"
+            on_key = f"{row.key}:heur"
             print(f"  bench {off_key} ...", flush=True)
             off = bench_row(row, "incremental", time_limit_s)
             print(f"  bench {on_key} ...", flush=True)
-            on = bench_row(
-                row, "incremental", time_limit_s, cuts=True, heuristics=True
-            )
+            on = bench_row(row, "incremental", time_limit_s, heuristics=True)
             rows[off_key], rows[on_key] = off, on
-            off_time += off["wall_time_s"]
-            on_time += on["wall_time_s"]
+            off_time += off["end_to_end_s"]
+            on_time += on["end_to_end_s"]
             for field in ("status", "objective"):
                 if on.get(field) != off.get(field):
                     failures.append(
-                        f"{on_key}: {field} changed under cuts+heuristics "
+                        f"{on_key}: {field} changed under heuristics "
                         f"(off {off.get(field)!r}, on {on.get(field)!r})"
                     )
             if table in ("t3", "t4") and off["status"] == "optimal":
@@ -212,29 +187,26 @@ def run_ablation_bench(
                     )
     if off_time > 0 and on_time > off_time * (1.0 + tolerance):
         failures.append(
-            f"aggregate wall time regressed >{tolerance:.0%} with "
-            f"cuts+heuristics on ({off_time:.2f}s -> {on_time:.2f}s)"
+            f"aggregate end-to-end time regressed >{tolerance:.0%} with "
+            f"heuristics on ({off_time:.2f}s -> {on_time:.2f}s)"
         )
     else:
         notes.append(
-            f"aggregate wall time {off_time:.2f}s plain -> "
-            f"{on_time:.2f}s with cuts+heuristics"
+            f"aggregate end-to-end time {off_time:.2f}s plain -> "
+            f"{on_time:.2f}s with heuristics"
         )
     return rows, failures, notes
 
 
 def print_ablation_rows(rows: dict) -> None:
     width = max(len(k) for k in rows)
-    print(f"{'row':<{width}}  {'status':<10} {'nodes':>7} {'wall s':>8} "
-          f"{'cuts':>5} {'gap%':>6} {'heur inc':>8}")
+    print(f"{'row':<{width}}  {'status':<10} {'nodes':>7} {'e2e s':>8} "
+          f"{'heur inc':>8}")
     for key, record in rows.items():
-        gap = record.get("root_gap_closed_pct")
         print(
             f"{key:<{width}}  {record['status']:<10} "
             f"{record['nodes_explored']:>7} "
-            f"{record['wall_time_s']:>8} "
-            f"{record.get('cuts_added', '-'):>5} "
-            f"{gap if gap is not None else '-':>6} "
+            f"{record['end_to_end_s']:>8} "
             f"{record.get('heuristic_incumbents', '-'):>8}"
         )
 
@@ -476,8 +448,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--ablation", action="store_true",
-        help="cuts/heuristics ablation mode: bench each row plain and "
-             "with --cuts --heuristics; identical optima and strictly "
+        help="heuristics ablation mode: bench each row plain and "
+             "with --heuristics; identical optima and strictly "
              "fewer nodes on optimal t3/t4 rows are hard gates",
     )
     parser.add_argument(
@@ -518,7 +490,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.json}")
         if args.update_baseline:
             # Merge into the committed baseline: ablation keys
-            # (":off"/":cuts+heur") never collide with the per-kernel
+            # (":off"/":heur") never collide with the per-kernel
             # keys the default compare mode reads.
             merged = {}
             if args.baseline.exists():
@@ -539,7 +511,7 @@ def main(argv=None) -> int:
             for failure in failures:
                 print(f"  {failure}", file=sys.stderr)
             return 1
-        print(f"\nOK: cuts+heuristics ablation gates hold "
+        print(f"\nOK: heuristics ablation gates hold "
               f"({len(rows)} measurements)")
         return 0
 

@@ -109,16 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
              "round-robin — reproduces the single-worker node sequence",
     )
     parser.add_argument(
-        "--cuts", action="store_true", dest="cuts", default=False,
-        help="run the root cutting-plane loop (cover, clique, "
-             "implied-bound) before the tree search; each cut is "
-             "exact-validated before acceptance (requires --backend bnb)",
-    )
-    parser.add_argument(
-        "--no-cuts", action="store_false", dest="cuts",
-        help="disable the root cutting-plane loop (the default)",
-    )
-    parser.add_argument(
         "--heuristics", action="store_true",
         help="enable the primal heuristics (LP diving + incumbent "
              "polishing); every heuristic point is audited with "
@@ -202,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--proof", metavar="FILE",
-        help="append a repro.bnb_proof certificate log of the "
-        "branch-and-bound tree to FILE (schema v2 when --cuts adds "
-        "rows); verify it afterwards with 'repro-tps audit FILE' "
+        help="append a repro.bnb_proof/v1 certificate log of the "
+        "branch-and-bound tree to FILE; verify it afterwards with "
+        "'repro-tps audit FILE' "
         "(requires --backend bnb)",
     )
     return parser
@@ -779,7 +769,6 @@ def main(argv: "Optional[list]" = None) -> int:
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         proof_path=args.proof,
-        cuts=args.cuts,
         heuristics=args.heuristics,
         lp_kernel=args.lp_kernel,
         workers=args.workers,

@@ -241,16 +241,6 @@ class TemporalPartitioner:
         the heuristic baselines instead of raising/returning empty
         (see module docstring).  When False, solver faults raise as
         before (the cross-check suites want the crash).
-    cuts:
-        When True (``bnb`` backend only), run the root cutting-plane
-        loop (:mod:`repro.ilp.cuts`) before the tree search: knapsack
-        cover, conflict-clique, and implied-bound cuts are separated
-        against the root LP in rounds, each exact-validated by the
-        independent checker before acceptance, and appended to the
-        model every layer of the stack sees.  In proof mode the cuts
-        ride into the log as typed ``cut`` records (schema
-        ``repro.bnb_proof/v2``) that ``repro audit`` re-proves.  The
-        ``solve.cuts`` telemetry block reports what was added.
     heuristics:
         When True (``bnb`` backend only), enable the primal heuristics
         (:mod:`repro.ilp.heuristics`): LP-guided diving at the root and
@@ -316,7 +306,6 @@ class TemporalPartitioner:
         checkpoint_every: int = 256,
         proof_path: "Optional[str]" = None,
         degrade: bool = True,
-        cuts: bool = False,
         heuristics: bool = False,
         lp_kernel: str = "incremental",
         workers: int = 1,
@@ -343,9 +332,9 @@ class TemporalPartitioner:
                 "workers > 1 requires backend='bnb' "
                 "(the milp backend is a single HiGHS call)"
             )
-        if (cuts or heuristics) and backend != "bnb":
+        if heuristics and backend != "bnb":
             raise ReproError(
-                "cuts/heuristics require backend='bnb' (the milp "
+                "heuristics require backend='bnb' (the milp "
                 "backend is a single opaque HiGHS call)"
             )
         if workers > 1 and lp_backend_chain is not None:
@@ -376,7 +365,6 @@ class TemporalPartitioner:
         self.checkpoint_every = checkpoint_every
         self.proof_path = proof_path
         self.degrade = degrade
-        self.cuts = cuts
         self.heuristics = heuristics
         self.lp_kernel = lp_kernel
         self.workers = workers
@@ -615,7 +603,6 @@ class TemporalPartitioner:
             checkpoint_path=self.checkpoint_path,
             checkpoint_every=self.checkpoint_every,
             reduced_cost_fixing=not self.plain_search,
-            cuts=self.cuts,
             heuristics=self.heuristics,
             incumbent_auditor=make_incumbent_auditor(spec, space),
             proof_path=self.proof_path,

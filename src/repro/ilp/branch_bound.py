@@ -204,20 +204,6 @@ class BranchAndBoundConfig:
         unchanged.  Requires the LP backend to attach
         ``LPResult.reduced_costs``; silently inert otherwise.  Fixings
         are counted in ``SolveStats.vars_fixed_reduced_cost``.
-    cuts:
-        Run the root cutting-plane loop (:mod:`repro.ilp.cuts`) at
-        construction time: cover, clique and implied-bound cuts are
-        separated against the root LP's fractional point in rounds
-        until tail-off, each exact-validated before acceptance, and
-        the *extended* standard form is what the whole search (warm
-        starts, reduced-cost fixing, node cache, checkpoints, leaf
-        sub-solves, proof logs) then operates on.  The loop's
-        telemetry lands in ``SolveStats.cuts``.
-    cut_rounds / cut_max_per_round / cut_min_violation / cut_tailoff:
-        Cut-loop knobs: maximum separation rounds, accepted cuts per
-        round, minimum violation for a candidate to be considered, and
-        the relative root-objective improvement below which the loop
-        stops early.
     heuristics:
         Enable the in-tree primal heuristics
         (:mod:`repro.ilp.heuristics`): LP-guided diving at the root
@@ -271,11 +257,6 @@ class BranchAndBoundConfig:
     checkpoint_path: "Optional[str]" = None
     checkpoint_every: int = 256
     reduced_cost_fixing: bool = False
-    cuts: bool = False
-    cut_rounds: int = 8
-    cut_max_per_round: int = 64
-    cut_min_violation: float = 1e-4
-    cut_tailoff: float = 1e-5
     heuristics: bool = False
     dive_every: int = 512
     dive_max_lp: int = 64
@@ -347,27 +328,6 @@ class BranchAndBound:
             model = self._run_presolve(model)
         self.model = model
         self.form: StandardForm = compile_standard_form(model)
-        # Root cutting planes (repro.ilp.cuts): the *base* compiled
-        # form is kept for proof headers (its fingerprint binds the
-        # artifact to the formulation) while everything the search
-        # touches — warm starts, rc fixing, checkpoints, leaf
-        # sub-solves — uses the extended form.  Re-running the loop in
-        # __init__ is deterministic, so a resumed solver reproduces
-        # the same extension (and the same checkpoint fingerprint).
-        self.base_form: StandardForm = self.form
-        self._cut_rows: "List[object]" = []
-        self._cut_stats: "Optional[Dict[str, object]]" = None
-        if self.config.cuts:
-            from repro.ilp.cuts import run_root_cut_loop
-
-            self.form, self._cut_rows, self._cut_stats = run_root_cut_loop(
-                self.base_form,
-                self.config.lp_backend,
-                rounds=self.config.cut_rounds,
-                max_per_round=self.config.cut_max_per_round,
-                min_violation=self.config.cut_min_violation,
-                tailoff=self.config.cut_tailoff,
-            )
         self._int_indices = np.array(model.integer_indices(), dtype=int)
         self._group0: "List[int]" = [
             v.index
@@ -607,16 +567,8 @@ class BranchAndBound:
             objective_is_integral=self.config.objective_is_integral,
             int_tol=self.config.int_tol,
             resume=self._resume_payload is not None,
-            base_form=self.base_form if self._cut_rows else None,
-            cut_records=self.cut_proof_records(),
         )
         self._owns_proof = True
-
-    def cut_proof_records(self) -> "List[Dict[str, object]]":
-        """The (unsealed) ``cut`` proof records of this solver's cuts."""
-        return [
-            row.proof_record(i) for i, row in enumerate(self._cut_rows)
-        ]
 
     def _close_proof(self) -> None:
         if self._proof is not None and self._owns_proof:
@@ -1369,8 +1321,6 @@ class BranchAndBound:
         stats = self._stats
         stats.wall_time_s = self._elapsed_base + (time.monotonic() - self._start)
         stats.resilience = self._resilience_block()
-        if self._cut_stats is not None:
-            stats.cuts = dict(self._cut_stats)
         if self.config.heuristics:
             stats.heuristics = dict(self._heur)
         kernel_fn = getattr(self.config.lp_backend, "kernel_telemetry", None)

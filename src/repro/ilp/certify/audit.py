@@ -5,7 +5,8 @@ Imports only :mod:`repro.ilp.certify.records` and
 here to an LP backend, numpy, or the solver that wrote the log.
 
 Exit status: 0 CERTIFIED, 1 CERTIFIED-WITH-FORFEITURES, 2 REFUTED,
-3 the log could not be read at all.
+3 no verdict reached: the log could not be read at all, or it is in a
+retired schema (UNSUPPORTED; v2 logs carried root cut records).
 """
 
 from __future__ import annotations
@@ -15,7 +16,11 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.ilp.certify.checker import AuditReport, audit_proof
+from repro.ilp.certify.checker import (
+    VERDICT_UNSUPPORTED,
+    AuditReport,
+    audit_proof,
+)
 
 
 def build_audit_parser() -> argparse.ArgumentParser:
@@ -25,7 +30,9 @@ def build_audit_parser() -> argparse.ArgumentParser:
         "log with exact rational arithmetic (no LP solver) and report "
         "CERTIFIED / CERTIFIED-WITH-FORFEITURES / REFUTED.  Exit "
         "status: 0 certified, 1 certified with forfeited subtrees, "
-        "2 refuted, 3 unreadable log.",
+        "2 refuted, 3 no verdict reached: the log is unreadable, or "
+        "UNSUPPORTED (a retired schema such as repro.bnb_proof/v2, "
+        "whose cut records are no longer verified).",
     )
     parser.add_argument("proof", help="path to the proof log (JSONL)")
     parser.add_argument(
@@ -53,7 +60,12 @@ def _print_report(report: AuditReport) -> None:
     print(f"verdict: {report.verdict}")
     if report.reason is not None:
         where = f" (line {report.line})" if report.line is not None else ""
-        print(f"  first failing record{where}: {report.reason}")
+        label = (
+            "not verified"
+            if report.verdict == VERDICT_UNSUPPORTED
+            else "first failing record"
+        )
+        print(f"  {label}{where}: {report.reason}")
     if report.claimed_status is not None:
         objective = (
             "-"

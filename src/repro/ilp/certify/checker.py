@@ -25,15 +25,6 @@ re-derived from first principles:
   (SOS1 propagation) must be implied by a recorded constraint row via
   exact interval arithmetic; every reduced-cost clip must match a
   certified fix.  At the end of the log no subtree may remain open.
-* **Cut rows** (schema v2): each ``cut`` record's derivation
-  certificate is re-proven against the form extended by every earlier
-  cut — a cover's members must exactly overrun their capacity row, a
-  clique's every pair must be forbidden by a justifying row, an
-  implied bound must follow from exact row interval arithmetic with
-  the trigger variable fixed — and only then is the row appended to
-  the working form all later certificates are checked against.  An
-  unverifiable cut record refutes the log (the writer drops such cuts
-  honestly instead of recording them).
 * **The incumbent**: every claimed integer-feasible point is checked
   against the embedded form (bounds, integrality, residuals, exact
   objective), and the final claimed objective must match the best
@@ -50,7 +41,8 @@ otherwise ``D >= z* - 1e-6`` (certification up to tolerance).
 Subtrees closed without proof (``forfeit`` records, uncertified
 leaves) downgrade the verdict to CERTIFIED-WITH-FORFEITURES and are
 enumerated; any claim that fails re-verification is REFUTED with the
-first failing record.
+first failing record.  A log in a retired schema (v2, which carried
+root cut records) gets UNSUPPORTED: no verdict is reached.
 """
 
 from __future__ import annotations
@@ -64,7 +56,6 @@ from pathlib import Path
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -76,7 +67,6 @@ from typing import (
 
 from repro.ilp.certify.records import (
     KIND_BRANCH,
-    KIND_CUT,
     KIND_FORFEIT,
     KIND_HEADER,
     KIND_INCUMBENT,
@@ -86,7 +76,8 @@ from repro.ilp.certify.records import (
     KIND_RESULT,
     KIND_RESUME,
     KIND_ROOT,
-    PROOF_SCHEMAS,
+    PROOF_SCHEMA,
+    RETIRED_SCHEMAS,
     Record,
     RECORD_KINDS,
     read_proof_records,
@@ -96,6 +87,7 @@ from repro.ilp.certify.records import (
 VERDICT_CERTIFIED = "CERTIFIED"
 VERDICT_FORFEITURES = "CERTIFIED-WITH-FORFEITURES"
 VERDICT_REFUTED = "REFUTED"
+VERDICT_UNSUPPORTED = "UNSUPPORTED"
 
 #: Scaled tolerance for float-vs-exact comparisons (feasibility
 #: residuals, claimed-vs-certified objectives).  A rational constant —
@@ -460,318 +452,6 @@ def verify_point(
     return None
 
 
-# ----------------------------------------------------------------------
-# cut records (schema v2): exact re-derivation of root cutting planes
-
-
-def _parse_cut_coeffs(entry: Any, n: int) -> Dict[int, Fraction]:
-    """Parse a cut row's sparse coefficient vector."""
-    coeffs = parse_point(entry, n)
-    if not coeffs:
-        raise ProofCheckError("cut row has no coefficients")
-    for j, a in coeffs.items():
-        if not a:
-            raise ProofCheckError(f"cut row has a zero coefficient on x{j}")
-    return coeffs
-
-
-def _binary_members(form: ExactForm, entry: Any) -> List[int]:
-    """Parse a member list, requiring distinct integer 0-1 variables."""
-    if not isinstance(entry, list) or not entry:
-        raise ProofCheckError("cut certificate has no members")
-    members: List[int] = []
-    seen: Set[int] = set()
-    for raw in entry:
-        j = int(raw)
-        if j < 0 or j >= form.n:
-            raise ProofCheckError(f"cut member x{j} out of range")
-        if j in seen:
-            raise ProofCheckError(f"cut member x{j} repeated")
-        seen.add(j)
-        if not form.integrality[j]:
-            raise ProofCheckError(f"cut member x{j} is not integer")
-        lo, hi = form.lb[j], form.ub[j]
-        if lo is None or lo < 0 or hi is None or hi > 1:
-            raise ProofCheckError(f"cut member x{j} is not binary")
-        members.append(j)
-    return members
-
-
-def _row_activity_bound(
-    form: ExactForm,
-    matrix: ExactMatrix,
-    row: int,
-    fixed: Mapping[int, Fraction],
-    maximize: bool,
-) -> Fraction:
-    """Exact min (or max) activity of one row with some variables fixed.
-
-    Unfixed variables sit at the root bound that minimizes (maximizes)
-    their contribution; an infinite bound on a contributing variable
-    means the activity is unbounded and the certificate fails.
-    """
-    total = Fraction(0)
-    for j, a in matrix.row_entries(row):
-        if not a:
-            continue
-        value = fixed.get(j)
-        if value is not None:
-            total += a * value
-            continue
-        take_ub = (a > 0) == maximize
-        bound = form.ub[j] if take_ub else form.lb[j]
-        if bound is None:
-            raise ProofCheckError(
-                f"cut row {row} activity is unbounded over the root box"
-            )
-        total += a * bound
-    return total
-
-
-def _implied_upper_from_row(
-    form: ExactForm,
-    lb: List[Bound],
-    ub: List[Bound],
-    row_kind: str,
-    row: int,
-    var: int,
-) -> Fraction:
-    """Exact implied upper bound on ``x_var`` from one row over a box.
-
-    For a row ``sum_j a_j x_j (<=|=) rhs`` with ``a_var > 0`` every
-    point in the box satisfies ``x_var <= (rhs - minrest) / a_var``
-    where ``minrest`` is the other terms' minimum activity.
-    """
-    if row_kind == "eq":
-        matrix, rhs_vec = form.a_eq, form.b_eq
-    elif row_kind == "ub":
-        matrix, rhs_vec = form.a_ub, form.b_ub
-    else:
-        raise ProofCheckError(f"unknown cut row kind {row_kind!r}")
-    if row < 0 or row >= matrix.nrows:
-        raise ProofCheckError(f"cut row {row} out of range")
-    a_var: Optional[Fraction] = None
-    rest = Fraction(0)
-    for j, a in matrix.row_entries(row):
-        if j == var:
-            a_var = a
-            continue
-        if not a:
-            continue
-        bound = lb[j] if a > 0 else ub[j]
-        if bound is None:
-            raise ProofCheckError(
-                f"cut row {row} is unbounded over the box"
-            )
-        rest += a * bound
-    if a_var is None or a_var <= 0:
-        raise ProofCheckError(
-            f"cut row {row} has no positive coefficient on x{var}"
-        )
-    return (rhs_vec[row] - rest) / a_var
-
-
-def _verify_cover_cut(
-    form: ExactForm,
-    coeffs: Mapping[int, Fraction],
-    rhs: Fraction,
-    cert: Mapping[str, Any],
-) -> Optional[str]:
-    """Cover cut ``sum_{j in S} x_j <= |S| - 1``.
-
-    Sound iff setting every member to 1 provably overruns the cited
-    capacity row even with all other variables at their most-forgiving
-    bounds — then no integer-feasible point has all members at 1, and
-    binary members give the cardinality bound.
-    """
-    members = _binary_members(form, cert.get("members"))
-    if len(members) < 2:
-        return "cover needs at least two members"
-    row = int(cert["row"])
-    if row < 0 or row >= form.a_ub.nrows:
-        return f"cover row {row} out of range"
-    if rhs != len(members) - 1:
-        return "cover rhs is not |members| - 1"
-    if set(coeffs) != set(members) or any(coeffs[j] != 1 for j in members):
-        return "cover coefficients are not unit on its members"
-    fixed = {j: Fraction(1) for j in members}
-    minact = _row_activity_bound(form, form.a_ub, row, fixed, maximize=False)
-    if not minact > form.b_ub[row]:
-        return "cover members do not overrun their capacity row"
-    return None
-
-
-def _pair_conflicts(
-    form: ExactForm, p: int, q: int, row_kind: str, row: int
-) -> bool:
-    """Whether one recorded row forbids ``x_p = x_q = 1``."""
-    if row_kind == "ub":
-        matrix, rhs_vec, is_eq = form.a_ub, form.b_ub, False
-    elif row_kind == "eq":
-        matrix, rhs_vec, is_eq = form.a_eq, form.b_eq, True
-    else:
-        raise ProofCheckError(f"unknown cut row kind {row_kind!r}")
-    if row < 0 or row >= matrix.nrows:
-        raise ProofCheckError(f"cut row {row} out of range")
-    fixed = {p: Fraction(1), q: Fraction(1)}
-    rhs = rhs_vec[row]
-    if _row_activity_bound(form, matrix, row, fixed, maximize=False) > rhs:
-        return True
-    if is_eq:
-        if _row_activity_bound(form, matrix, row, fixed, maximize=True) < rhs:
-            return True
-    return False
-
-
-def _verify_clique_cut(
-    form: ExactForm,
-    coeffs: Mapping[int, Fraction],
-    rhs: Fraction,
-    cert: Mapping[str, Any],
-) -> Optional[str]:
-    """Clique cut ``sum_{j in Q} x_j <= 1``.
-
-    Sound iff *every* unordered pair of members is forbidden from
-    being simultaneously 1 by some recorded row (exact interval
-    arithmetic with the pair fixed to 1).
-    """
-    members = _binary_members(form, cert.get("members"))
-    if len(members) < 2:
-        return "clique needs at least two members"
-    if rhs != 1:
-        return "clique rhs is not 1"
-    if set(coeffs) != set(members) or any(coeffs[j] != 1 for j in members):
-        return "clique coefficients are not unit on its members"
-    pairs = cert.get("pairs")
-    if not isinstance(pairs, list):
-        return "clique certificate has no pair justifications"
-    member_set = set(members)
-    justified: Set[FrozenSet[int]] = set()
-    for entry in pairs:
-        p, q = int(entry[0]), int(entry[1])
-        row_kind, row = str(entry[2]), int(entry[3])
-        if p not in member_set or q not in member_set or p == q:
-            return "clique pair is not two distinct members"
-        if not _pair_conflicts(form, p, q, row_kind, row):
-            return f"row {row} does not forbid x{p} and x{q} together"
-        justified.add(frozenset((p, q)))
-    for i, p in enumerate(members):
-        for q in members[i + 1:]:
-            if frozenset((p, q)) not in justified:
-                return f"clique pair x{p}, x{q} has no justifying row"
-    return None
-
-
-def _verify_implied_bound_cut(
-    form: ExactForm,
-    coeffs: Mapping[int, Fraction],
-    rhs: Fraction,
-    cert: Mapping[str, Any],
-) -> Optional[str]:
-    """Implied-bound cut ``z + (lo0 - hi1) y <= lo0`` for binary ``y``.
-
-    The generalized Glover-product tightening (the paper's eq. 28-32
-    family, derived on demand): with ``y = 0`` the cited ``row0`` (or
-    the root bound) must imply ``z <= lo0``, with ``y = 1`` the cited
-    ``row1`` must imply ``z <= hi1``.  Either branch condition may be
-    vacuous when the root bounds already pin ``y`` — the cut is then
-    trivially valid on the live branch.
-    """
-    z = int(cert["z"])
-    y = int(cert["y"])
-    if z < 0 or z >= form.n or y < 0 or y >= form.n or z == y:
-        return "implied-bound cut variables out of range"
-    ylo, yhi = form.lb[y], form.ub[y]
-    if (
-        not form.integrality[y]
-        or ylo is None or ylo < 0
-        or yhi is None or yhi > 1
-    ):
-        return f"implied-bound trigger x{y} is not binary"
-    lo0 = _fr(cert["lo0"])
-    hi1 = _fr(cert["hi1"])
-    if lo0 == hi1:
-        return "implied-bound cut with equal branch bounds is vacuous"
-    if rhs != lo0:
-        return "implied-bound rhs does not match lo0"
-    if set(coeffs) != {z, y} or coeffs[z] != 1 or coeffs[y] != lo0 - hi1:
-        return "implied-bound coefficients do not match the certificate"
-    for branch, target, key in ((0, lo0, "row0"), (1, hi1, "row1")):
-        entry = cert.get(key)
-        if entry is None:
-            upper: Bound = form.ub[z]
-            if upper is None:
-                return (
-                    f"x{z} has no finite upper bound on the "
-                    f"y={branch} branch"
-                )
-        else:
-            row_kind, row = str(entry[0]), int(entry[1])
-            lb2: List[Bound] = list(form.lb)
-            ub2: List[Bound] = list(form.ub)
-            lb2[y] = Fraction(branch)
-            ub2[y] = Fraction(branch)
-            upper = _implied_upper_from_row(form, lb2, ub2, row_kind, row, z)
-        if upper > target:
-            return (
-                f"the y={branch} branch does not imply the recorded "
-                f"bound on x{z}"
-            )
-    return None
-
-
-def verify_cut_record(
-    form: ExactForm, record: Mapping[str, Any]
-) -> Optional[str]:
-    """Re-derive one ``cut`` record's validity from its certificate.
-
-    ``form`` is the *working* exact form — the base form extended by
-    every earlier verified cut, so certificates may cite prior cut
-    rows.  Returns ``None`` when the recorded row is proven satisfied
-    by every integer-feasible point, else the failure reason.  Never
-    raises on malformed input.  The writer pre-validates candidate
-    cuts through this same function, so generation and audit can never
-    disagree on validity.
-    """
-    try:
-        coeffs = _parse_cut_coeffs(record.get("coeffs"), form.n)
-        rhs = _fr(record.get("rhs"))
-        cert = record.get("cert")
-        if not isinstance(cert, Mapping):
-            return "cut record carries no certificate"
-        family = record.get("family")
-        if family == "cover":
-            return _verify_cover_cut(form, coeffs, rhs, cert)
-        if family == "clique":
-            return _verify_clique_cut(form, coeffs, rhs, cert)
-        if family == "implied_bound":
-            return _verify_implied_bound_cut(form, coeffs, rhs, cert)
-        return f"unknown cut family {family!r}"
-    except ProofCheckError as exc:
-        return exc.reason
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        return f"malformed cut record ({type(exc).__name__}: {exc})"
-
-
-def append_cut_row(form: ExactForm, record: Mapping[str, Any]) -> None:
-    """Append a verified cut to the working form's inequality system.
-
-    Coefficients go in sorted column order — the same layout the
-    solver's :func:`~repro.ilp.cuts.extend_standard_form` uses, so row
-    indices and row contents agree between solver and checker.  The
-    form's ``raw`` payload is untouched: the fingerprint stays the
-    base form's.
-    """
-    coeffs = _parse_cut_coeffs(record.get("coeffs"), form.n)
-    matrix = form.a_ub
-    for j in sorted(coeffs):
-        matrix.indices.append(j)
-        matrix.data.append(coeffs[j])
-    matrix.indptr.append(len(matrix.data))
-    matrix.nrows += 1
-    form.b_ub.append(_fr(record.get("rhs")))
-
-
 @dataclass
 class ForfeitEntry:
     """One unproven subtree surfaced by the audit."""
@@ -804,6 +484,8 @@ class AuditReport:
             return 0
         if self.verdict == VERDICT_FORFEITURES:
             return 1
+        if self.verdict == VERDICT_UNSUPPORTED:
+            return 3
         return 2
 
     def as_dict(self) -> Dict[str, Any]:
@@ -947,8 +629,6 @@ class _Replayer:
             self._on_resume(record)
         elif kind == KIND_RESULT:
             self.pending_result = record
-        elif kind == KIND_CUT:
-            raise ProofCheckError("cut record outside the header cut block")
         elif kind == KIND_HEADER:
             raise ProofCheckError("duplicate header record")
         else:
@@ -1304,7 +984,14 @@ def audit_proof(
     header_line, header = read.records[0]
     if header.get("kind") != KIND_HEADER:
         return refuted("first record is not a header", header_line)
-    if header.get("schema") not in PROOF_SCHEMAS:
+    if header.get("schema") in RETIRED_SCHEMAS:
+        return AuditReport(
+            verdict=VERDICT_UNSUPPORTED,
+            reason=RETIRED_SCHEMAS[header["schema"]],
+            line=header_line,
+            torn_tail=read.torn_tail,
+        )
+    if header.get("schema") != PROOF_SCHEMA:
         return refuted(
             f"unknown proof schema {header.get('schema')!r}", header_line
         )
@@ -1324,34 +1011,6 @@ def audit_proof(
             "fingerprint does not match the expected formulation",
             header_line,
         )
-
-    # Cut block (schema v2): re-prove each cut against the form built
-    # so far, then extend the working form with it — every later
-    # certificate (duals over cut rows included) is checked against
-    # the extended system.  The fingerprint above covered the *base*
-    # form, so tightening never masquerades as the original model.
-    raw_ncuts = header.get("cuts", 0)
-    if (
-        isinstance(raw_ncuts, bool)
-        or not isinstance(raw_ncuts, int)
-        or raw_ncuts < 0
-    ):
-        return refuted("malformed header cut count", header_line)
-    ncuts = raw_ncuts
-    if ncuts > len(read.records) - 1:
-        return refuted("cut block truncated", header_line)
-    for i in range(ncuts):
-        cut_line, cut_record = read.records[1 + i]
-        if cut_record.get("kind") != KIND_CUT:
-            return refuted(
-                "cut block interrupted by a non-cut record", cut_line
-            )
-        if cut_record.get("index") != i:
-            return refuted("cut records out of order", cut_line)
-        cut_reason = verify_cut_record(form, cut_record)
-        if cut_reason is not None:
-            return refuted(f"invalid cut: {cut_reason}", cut_line)
-        append_cut_row(form, cut_record)
 
     replayer = _Replayer(form, header)
 
@@ -1381,7 +1040,7 @@ def audit_proof(
             z_star = exact_obj
     replayer.set_incumbent(z_star)
 
-    for lineno, record in read.records[1 + ncuts:]:
+    for lineno, record in read.records[1:]:
         try:
             replayer.handle(record)
         except ProofCheckError as exc:

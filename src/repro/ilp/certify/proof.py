@@ -44,7 +44,6 @@ from repro.ilp.certify.checker import (
     FEAS_TOL,
     Bound,
     ExactForm,
-    append_cut_row,
     dual_bound,
     exact_objective,
     parse_dual_vector,
@@ -63,8 +62,6 @@ from repro.ilp.certify.records import (
     KIND_RESUME,
     KIND_ROOT,
     PROOF_SCHEMA,
-    PROOF_SCHEMA_V2,
-    PROOF_SCHEMAS,
     Record,
     read_proof_records,
     seal_record,
@@ -152,23 +149,10 @@ class ProofSink:
         *,
         objective_is_integral: bool,
         int_tol: float,
-        base_form: Optional[StandardForm] = None,
-        cut_records: Sequence[Record] = (),
     ) -> None:
-        """``form`` is what the solver actually searches (cut rows
-        included).  When root cuts were added, ``base_form`` is the
-        pre-cut compiled form the header embeds (its fingerprint binds
-        the artifact to the formulation) and ``cut_records`` are the
-        already-validated ``cut`` records that rebuild the extension —
-        the exact form used for every certificate check here is base +
-        cuts, matching the checker's replay."""
         self.form = form
-        self.base_form = base_form if base_form is not None else form
-        self.cut_records: List[Record] = [dict(r) for r in cut_records]
-        self.form_json = form_to_json(self.base_form)
+        self.form_json = form_to_json(form)
         self.exact = ExactForm.from_header(self.form_json)
-        for cut_record in self.cut_records:
-            append_cut_row(self.exact, cut_record)
         self.obj_integral = objective_is_integral
         self.int_tol = float(int_tol)
         self.counts: Dict[str, int] = {}
@@ -654,8 +638,6 @@ class ProofWriter(ProofSink):
         int_tol: float,
         mode: str = "sequential",
         resume: bool = False,
-        base_form: Optional[StandardForm] = None,
-        cut_records: Sequence[Record] = (),
     ) -> None:
         """``resume=True`` appends to an existing same-fingerprint log
         (refusing a foreign one, truncating a torn tail); otherwise any
@@ -664,14 +646,9 @@ class ProofWriter(ProofSink):
             form,
             objective_is_integral=objective_is_integral,
             int_tol=int_tol,
-            base_form=base_form,
-            cut_records=cut_records,
         )
         self.path = Path(path)
-        # The header fingerprint binds the artifact to the *base*
-        # formulation the header embeds; cut rows are re-proven from
-        # their own records at audit time.
-        self.fingerprint = form_fingerprint(self.base_form)
+        self.fingerprint = form_fingerprint(form)
         self.resume_epoch = 0
         self.continued = (
             resume and self.path.exists() and self.path.stat().st_size > 0
@@ -693,22 +670,14 @@ class ProofWriter(ProofSink):
         if not self.continued:
             header: Record = {
                 "kind": KIND_HEADER,
-                # Cut-less artifacts stay on v1 so older checkers keep
-                # reading them; the cut block bumps the schema.
-                "schema": (
-                    PROOF_SCHEMA_V2 if self.cut_records else PROOF_SCHEMA
-                ),
+                "schema": PROOF_SCHEMA,
                 "fingerprint": self.fingerprint,
                 "form": self.form_json,
                 "objective_is_integral": self.obj_integral,
                 "int_tol": self.int_tol,
                 "mode": mode,
             }
-            if self.cut_records:
-                header["cuts"] = len(self.cut_records)
             self._write(header)
-            for cut_record in self.cut_records:
-                self._write(dict(cut_record))
 
     def _disk_error(self, exc: OSError, verb: str) -> ProofWriteError:
         """Disk trouble with the proof log, as a :class:`~repro.errors.
@@ -730,18 +699,12 @@ class ProofWriter(ProofSink):
         header = read.records[0][1]
         if (
             header.get("kind") != KIND_HEADER
-            or header.get("schema") not in PROOF_SCHEMAS
+            or header.get("schema") != PROOF_SCHEMA
             or header.get("fingerprint") != self.fingerprint
         ):
             raise ProofLogMismatch(
                 f"{self.path} was written for a different formulation "
                 "(fingerprint mismatch) - refusing to append"
-            )
-        if header.get("cuts", 0) != len(self.cut_records):
-            raise ProofLogMismatch(
-                f"{self.path} was written with a different cut block "
-                f"({header.get('cuts', 0)} cuts recorded, "
-                f"{len(self.cut_records)} in this run) - refusing to append"
             )
         self.resume_epoch = sum(
             1 for _, rec in read.records if rec.get("kind") == KIND_RESUME

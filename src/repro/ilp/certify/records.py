@@ -13,15 +13,6 @@ Record kinds
     rhs vectors, bounds, integrality) so the checker can re-verify
     every certificate with exact rational arithmetic — and recompute
     the fingerprint to bind the embedded form to the artifact.
-``cut``
-    One root cutting plane (schema v2): the added ``a_ub`` row's
-    coefficients and rhs plus a *derivation certificate* (cover
-    violation witness, clique pairwise-conflict row justification, or
-    implied-bound row references) from which the checker re-proves the
-    row is satisfied by every integer-feasible point of the base form.
-    All ``cut`` records sit immediately after the header, in index
-    order; the verified rows extend the embedded form before any tree
-    record is replayed.
 ``root``
     The root LP's dual vectors, justifying later reduced-cost fixes.
 ``rc_fix``
@@ -62,20 +53,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-#: Artifact schema identifier; bump on any layout change.  v1 logs
-#: carry no cut records; v2 adds a ``cuts`` header count and that many
-#: ``cut`` records immediately after the header.  The writer emits v1
-#: whenever no cuts were added, so cut-less artifacts stay readable by
-#: older checkers.
+#: Artifact schema identifier; bump on any layout change.
 PROOF_SCHEMA = "repro.bnb_proof/v1"
-PROOF_SCHEMA_V1 = PROOF_SCHEMA
-PROOF_SCHEMA_V2 = "repro.bnb_proof/v2"
 
-#: Every schema the checker accepts.
-PROOF_SCHEMAS = frozenset({PROOF_SCHEMA_V1, PROOF_SCHEMA_V2})
+#: Schemas older writers emitted that the checker no longer verifies,
+#: with the reason it reports (an UNSUPPORTED verdict, not REFUTED:
+#: the log is not shown wrong, only out of the checker's reach).
+RETIRED_SCHEMAS: Dict[str, str] = {
+    "repro.bnb_proof/v2": "cut records (schema v2) are no longer supported",
+}
 
 KIND_HEADER = "header"
-KIND_CUT = "cut"
 KIND_ROOT = "root"
 KIND_RC_FIX = "rc_fix"
 KIND_BRANCH = "branch"
@@ -90,7 +78,6 @@ KIND_RESULT = "result"
 RECORD_KINDS = frozenset(
     {
         KIND_HEADER,
-        KIND_CUT,
         KIND_ROOT,
         KIND_RC_FIX,
         KIND_BRANCH,

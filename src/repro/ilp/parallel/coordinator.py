@@ -70,9 +70,7 @@ _SHIPPED_CONFIG_FIELDS = (
     "subsolve_time_limit_s",
     "lp_failure_limit",
     "reduced_cost_fixing",
-    # Heuristics run independently in each worker; "cuts" is deliberately
-    # absent — workers install the coordinator's serialized cut rows from
-    # the init payload instead of re-running the root separation loop.
+    # Heuristics run independently in each worker.
     "heuristics",
     "dive_every",
     "dive_max_lp",
@@ -233,10 +231,6 @@ class ParallelBranchAndBound(BranchAndBound):
             "root_lp": root_lp_to_json(
                 self._root_lp, self.form.lb, self.form.ub
             ),
-            # Root cutting planes travel as serialized rows; the shipped
-            # fingerprint is over the *extended* form, so the worker's
-            # post-install fingerprint check validates the installation.
-            "cuts": [row.as_dict() for row in self._cut_rows],
         }
         if self._proof is not None:
             # Workers build a ProofBuffer over their rebuilt form; the

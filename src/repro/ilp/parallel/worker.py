@@ -116,16 +116,6 @@ class Worker:
         solver = BranchAndBound(
             context["model"], rule=context.get("rule"), config=config
         )
-        cut_rows = payload.get("cuts") or []
-        if cut_rows:
-            # Install the coordinator's root cuts verbatim instead of
-            # re-running the separation loop: the shipped fingerprint is
-            # over the extended form, so the check below proves the
-            # installed rows match the coordinator's bit for bit.
-            from repro.ilp.cuts import extend_standard_form
-
-            solver.base_form = solver.form
-            solver.form = extend_standard_form(solver.form, cut_rows)
         actual = form_fingerprint(solver.form)
         expected = payload["fingerprint"]
         if actual != expected:

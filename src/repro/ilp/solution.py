@@ -184,7 +184,6 @@ class SolveStats:
     kernel: "Optional[Dict[str, object]]" = None
     parallel: "Optional[Dict[str, object]]" = None
     proof: "Optional[Dict[str, object]]" = None
-    cuts: "Optional[Dict[str, object]]" = None
     heuristics: "Optional[Dict[str, object]]" = None
 
     @property
@@ -234,7 +233,6 @@ class SolveStats:
             "kernel": self.kernel,
             "parallel": self.parallel,
             "proof": self.proof,
-            "cuts": self.cuts,
             "heuristics": self.heuristics,
         }
 

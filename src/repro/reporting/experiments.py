@@ -124,7 +124,6 @@ def run_row(
     workers: int = 1,
     parallel_replay: bool = False,
     proof_path: "Optional[str]" = None,
-    cuts: bool = False,
     heuristics: bool = False,
 ) -> "Dict[str, object]":
     """Execute one experiment row and return a measured-result dict.
@@ -143,10 +142,9 @@ def run_row(
     ``parallel_replay=True`` selects the deterministic-replay
     dispatch mode.  ``proof_path`` writes a ``repro.bnb_proof/v1``
     certificate log of the branch-and-bound tree for independent
-    verification with ``repro audit`` (bnb backend only; schema v2
-    when cuts are on).  ``cuts``/``heuristics`` enable the root
-    cutting-plane loop and the primal heuristics — the tree-size
-    ablation benchmark measures both.
+    verification with ``repro audit`` (bnb backend only).
+    ``heuristics`` enables the primal heuristics — the tree-size
+    ablation benchmark measures them.
     The returned dict carries both the measurement and the paper's
     reported values, ready for
     :func:`repro.reporting.tables.render_rows`.
@@ -172,7 +170,6 @@ def run_row(
         workers=workers,
         parallel_replay=parallel_replay,
         proof_path=proof_path,
-        cuts=cuts,
         heuristics=heuristics,
     )
     start = time.monotonic()

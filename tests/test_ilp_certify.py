@@ -473,6 +473,18 @@ class TestAuditCli:
         assert "verdict: CERTIFIED" in out
         assert "verdict: REFUTED" in out
 
+    def test_retired_v2_schema_is_unsupported(self, tmp_path, capsys):
+        _, path = _certified_log(tmp_path)
+        records = _load_records(path)
+        records[0]["schema"] = "repro.bnb_proof/v2"
+        records[0]["cuts"] = 0
+        records[0] = _reseal(records[0])
+        _dump_records(path, records)
+        assert audit_main([str(path)]) == 3
+        out = capsys.readouterr().out
+        assert "verdict: UNSUPPORTED" in out
+        assert "cut records (schema v2) are no longer supported" in out
+
     def test_json_report(self, tmp_path, capsys):
         _, path = _certified_log(tmp_path)
         assert audit_main([str(path), "--json"]) == 0
