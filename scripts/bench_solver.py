@@ -2,9 +2,8 @@
 """Solver performance benchmark: nodes/sec and LP-ms/node per table row.
 
 Runs the paper's Table 1-4 experiment rows through the branch and bound
-under each LP kernel (``incremental`` — the persistent warm-starting
-model — and the historical per-call ``scipy`` backend) and reports, per
-row and kernel:
+(every node LP on the persistent warm-starting ``incremental`` kernel)
+and reports, per row:
 
 * deterministic solve signature — status, objective, nodes explored,
   LP solves (must match the committed baseline exactly; any drift
@@ -80,7 +79,6 @@ def load_baseline(path: Path) -> "dict | None":
         print(f"baseline schema mismatch in {path}", file=sys.stderr)
         return None
     return baseline
-KERNELS = ("incremental", "scipy")
 
 #: Fields that must match the baseline bit-for-bit: any drift means
 #: the *search* changed (different tree, different answer), which a
@@ -90,17 +88,15 @@ DETERMINISTIC_FIELDS = ("status", "objective", "nodes_explored", "lp_solves")
 
 def bench_row(
     row,
-    kernel: str,
     time_limit_s: float,
     workers: int = 1,
     heuristics: bool = False,
 ) -> dict:
-    """One row under one kernel -> measured record."""
+    """One row -> measured record."""
     start = time.perf_counter()
     result = run_row(
         row,
         time_limit_s=time_limit_s,
-        lp_kernel=kernel,
         workers=workers,
         heuristics=heuristics,
     )
@@ -126,7 +122,6 @@ def bench_row(
     if kernel_block:
         record["kernel"] = {
             "name": kernel_block.get("name"),
-            "cache_hit_rate": kernel_block.get("cache_hit_rate"),
             "warm_start_hits": kernel_block.get("warm_start_hits"),
         }
     parallel_block = solve.get("parallel")
@@ -150,14 +145,14 @@ def run_ablation_bench(
 ) -> "tuple[dict, list, list]":
     """Heuristics ablation mode: (rows, hard failures, notes).
 
-    Every row runs twice under the incremental kernel — plain, then
-    with the primal heuristics enabled.  The enabled run must reach
-    the *identical* status and objective (the heuristics may only
-    speed the search up, never change the answer), and on Table 3/4
-    rows that solve to optimality it must explore strictly fewer
-    nodes.  Aggregate end-to-end time (the whole ``run_row`` call,
-    presolve and model build included) across the sweep must not
-    regress beyond ``tolerance``.
+    Every row runs twice — plain, then with the primal heuristics
+    enabled.  The enabled run must reach the *identical* status and
+    objective (the heuristics may only speed the search up, never
+    change the answer), and on Table 3/4 rows that solve to
+    optimality it must explore strictly fewer nodes.  Aggregate
+    end-to-end time (the whole ``run_row`` call, presolve and model
+    build included) across the sweep must not regress beyond
+    ``tolerance``.
     """
     rows, failures, notes = {}, [], []
     off_time = on_time = 0.0
@@ -166,9 +161,9 @@ def run_ablation_bench(
             off_key = f"{row.key}:off"
             on_key = f"{row.key}:heur"
             print(f"  bench {off_key} ...", flush=True)
-            off = bench_row(row, "incremental", time_limit_s)
+            off = bench_row(row, time_limit_s)
             print(f"  bench {on_key} ...", flush=True)
-            on = bench_row(row, "incremental", time_limit_s, heuristics=True)
+            on = bench_row(row, time_limit_s, heuristics=True)
             rows[off_key], rows[on_key] = off, on
             off_time += off["end_to_end_s"]
             on_time += on["end_to_end_s"]
@@ -215,10 +210,9 @@ def run_bench(tables, time_limit_s: float) -> dict:
     rows = {}
     for table in tables:
         for row in table_rows(table):
-            for kernel in KERNELS:
-                key = f"{row.key}:{kernel}"
-                print(f"  bench {key} ...", flush=True)
-                rows[key] = bench_row(row, kernel, time_limit_s)
+            key = f"{row.key}:incremental"
+            print(f"  bench {key} ...", flush=True)
+            rows[key] = bench_row(row, time_limit_s)
     return rows
 
 
@@ -244,9 +238,9 @@ def run_scaling_bench(
             seq_key = f"{row.key}:w1"
             par_key = f"{row.key}:w{workers}"
             print(f"  bench {seq_key} ...", flush=True)
-            seq = bench_row(row, "incremental", time_limit_s)
+            seq = bench_row(row, time_limit_s)
             print(f"  bench {par_key} ...", flush=True)
-            par = bench_row(row, "incremental", time_limit_s, workers=workers)
+            par = bench_row(row, time_limit_s, workers=workers)
             rows[seq_key], rows[par_key] = seq, par
             seq_nodes += seq["nodes_explored"]
             seq_time += seq["wall_time_s"]
@@ -295,7 +289,7 @@ def run_audit_bench(
 ) -> "tuple[dict, list]":
     """Certification mode: (rows, hard failures).
 
-    Re-runs each table row under each kernel with proof logging on and
+    Re-runs each table row with proof logging on and
     verifies the log with the independent exact-arithmetic checker
     (:func:`repro.ilp.certify.audit_proof`).  Any row that solves to
     optimality must audit ``CERTIFIED`` — a weaker verdict means the
@@ -315,47 +309,45 @@ def run_audit_bench(
     with tempfile.TemporaryDirectory() as tmp:
         for table in tables:
             for row in table_rows(table):
-                for kernel in KERNELS:
-                    verdicts = {}
-                    for count in worker_counts:
-                        key = f"{row.key}:{kernel}:w{count}"
-                        proof = Path(tmp) / f"{key.replace(':', '-')}.jsonl"
-                        print(f"  audit {key} ...", flush=True)
-                        result = run_row(
-                            row,
-                            time_limit_s=time_limit_s,
-                            lp_kernel=kernel,
-                            workers=count,
-                            proof_path=str(proof),
-                        )
-                        report = audit_proof(str(proof))
-                        verdicts[count] = report.verdict
-                        rows[key] = {
-                            "status": result["status"],
-                            "objective": result["objective"],
-                            "verdict": report.verdict,
-                            "reason": report.reason,
-                        }
-                        if (
-                            result["status"] == "optimal"
-                            and report.verdict != "CERTIFIED"
-                        ):
-                            failures.append(
-                                f"{key}: optimal solve audited "
-                                f"{report.verdict} ({report.reason})"
-                            )
-                        base = base_rows.get(f"{row.key}:{kernel}")
-                        if base and result["status"] != base.get("status"):
-                            failures.append(
-                                f"{key}: status {result['status']!r} "
-                                f"diverged from baseline "
-                                f"{base.get('status')!r}"
-                            )
-                    if len(set(verdicts.values())) > 1:
+                verdicts = {}
+                for count in worker_counts:
+                    key = f"{row.key}:w{count}"
+                    proof = Path(tmp) / f"{key.replace(':', '-')}.jsonl"
+                    print(f"  audit {key} ...", flush=True)
+                    result = run_row(
+                        row,
+                        time_limit_s=time_limit_s,
+                        workers=count,
+                        proof_path=str(proof),
+                    )
+                    report = audit_proof(str(proof))
+                    verdicts[count] = report.verdict
+                    rows[key] = {
+                        "status": result["status"],
+                        "objective": result["objective"],
+                        "verdict": report.verdict,
+                        "reason": report.reason,
+                    }
+                    if (
+                        result["status"] == "optimal"
+                        and report.verdict != "CERTIFIED"
+                    ):
                         failures.append(
-                            f"{row.key}:{kernel}: verdict differs across "
-                            f"worker counts: {verdicts}"
+                            f"{key}: optimal solve audited "
+                            f"{report.verdict} ({report.reason})"
                         )
+                    base = base_rows.get(f"{row.key}:incremental")
+                    if base and result["status"] != base.get("status"):
+                        failures.append(
+                            f"{key}: status {result['status']!r} "
+                            f"diverged from baseline "
+                            f"{base.get('status')!r}"
+                        )
+                if len(set(verdicts.values())) > 1:
+                    failures.append(
+                        f"{row.key}: verdict differs across "
+                        f"worker counts: {verdicts}"
+                    )
     return rows, failures
 
 
@@ -490,7 +482,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.json}")
         if args.update_baseline:
             # Merge into the committed baseline: ablation keys
-            # (":off"/":heur") never collide with the per-kernel
+            # (":off"/":heur") never collide with the ":incremental"
             # keys the default compare mode reads.
             merged = {}
             if args.baseline.exists():

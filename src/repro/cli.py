@@ -94,11 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="solver backend (in-repo branch and bound, or SciPy HiGHS)",
     )
     parser.add_argument(
-        "--lp-kernel", default="incremental", choices=["incremental", "scipy"],
-        help="bnb LP relaxation kernel: persistent warm-starting model "
-             "(default) or the historical per-call scipy backend",
-    )
-    parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="branch-and-bound worker processes (default 1 = in-process "
              "search; N>1 shards the frontier across spawned workers)",
@@ -770,7 +765,6 @@ def main(argv: "Optional[list]" = None) -> int:
         checkpoint_every=args.checkpoint_every,
         proof_path=args.proof,
         heuristics=args.heuristics,
-        lp_kernel=args.lp_kernel,
         workers=args.workers,
         parallel_replay=args.parallel_replay,
     )

@@ -5,7 +5,7 @@ the slot-counting node prober, the compact leaf solver, the resilient
 LP chain — none of which pickle.  When
 :class:`~repro.core.partitioner.TemporalPartitioner` runs with
 ``workers > 1`` it therefore ships only the *ingredients*
-(:class:`~repro.core.spec.ProblemSpec`, formulation options, kernel
+(:class:`~repro.core.spec.ProblemSpec`, formulation options, resilience
 and chaos settings: all plain data) and this module's
 :func:`build_worker_context` rebuilds the identical context inside
 each worker interpreter.  Determinism end to end — ``build_model``,
@@ -30,7 +30,6 @@ from repro.ilp.scipy_backend import solve_lp_scipy
 
 
 def make_lp_backend(
-    lp_kernel: str = "incremental",
     resilient: bool = True,
     chaos: "Optional[FaultPlan]" = None,
     plain_search: bool = False,
@@ -49,14 +48,11 @@ def make_lp_backend(
     fault injection with infeasible double-checking.
     """
     use_resilient = resilient and not plain_search
-    use_kernel = lp_kernel == "incremental" and not plain_search
     if not use_resilient and chaos is None and chain is None:
-        if use_kernel:
-            return IncrementalLPSolver()
-        return solve_lp_scipy
+        return solve_lp_scipy if plain_search else IncrementalLPSolver()
     if chain is None:
         chain = default_backend_chain()
-        if use_kernel:
+        if not plain_search:
             chain = [("incremental", IncrementalLPSolver())] + chain
     chain = list(chain)
     if chaos is not None:
@@ -107,8 +103,7 @@ def build_worker_context(args: "Dict[str, object]") -> "Dict[str, object]":
 
     ``args`` (all picklable): ``spec`` (ProblemSpec), ``options``
     (FormulationOptions), ``rule`` (branching-rule instance),
-    ``plain_search``, ``presolve``, ``resilient``, ``lp_kernel``,
-    ``chaos`` — the exact knobs
+    ``plain_search``, ``presolve``, ``resilient``, ``chaos`` — the exact knobs
     :meth:`TemporalPartitioner._solve` used on the coordinator side.
     """
     from repro.core.formulation import build_model
@@ -141,7 +136,6 @@ def build_worker_context(args: "Dict[str, object]") -> "Dict[str, object]":
         "model": model,
         "rule": args.get("rule"),
         "lp_backend": make_lp_backend(
-            lp_kernel=args.get("lp_kernel", "incremental"),
             resilient=bool(args.get("resilient", True)),
             chaos=args.get("chaos"),
             plain_search=plain_search,

@@ -140,7 +140,7 @@ class PartitionOutcome:
     def telemetry(self) -> "Dict[str, object]":
         """Per-run solve-telemetry record (see DESIGN.md for the schema)."""
         return {
-            "schema": "repro.solve_telemetry/v7",
+            "schema": "repro.solve_telemetry/v8",
             "graph": self.spec.graph.name,
             "n_partitions": self.spec.n_partitions,
             "relaxation": self.spec.relaxation,
@@ -249,21 +249,6 @@ class TemporalPartitioner:
         :func:`~repro.core.verify.verify_design`) before it may become
         the incumbent; the ``solve.heuristics`` telemetry block counts
         dives, polishes, and audit rejections.
-    lp_kernel:
-        ``"incremental"`` (default) puts the persistent-model
-        warm-starting LP kernel
-        (:class:`~repro.ilp.incremental.IncrementalLPSolver`) at the
-        head of the ``"bnb"`` backend's LP chain — HiGHS with
-        change-bounds + dual-simplex warm starts through SciPy's
-        vendored bindings (or ``highspy``), an equivalent
-        bounds-mutating ``linprog`` path when neither loads — with the
-        stateless backends behind it as fallbacks.
-        ``"scipy"`` keeps the historical per-call
-        :func:`~repro.ilp.scipy_backend.solve_lp_scipy` chain.
-        ``plain_search`` and an explicit ``lp_backend_chain`` both
-        override this.  Fault-free results are identical either way
-        (property-tested); only speed and ``solve.kernel`` telemetry
-        differ.
     workers:
         ``> 1`` shards the branch-and-bound frontier across that many
         spawn-isolated worker processes
@@ -307,17 +292,12 @@ class TemporalPartitioner:
         proof_path: "Optional[str]" = None,
         degrade: bool = True,
         heuristics: bool = False,
-        lp_kernel: str = "incremental",
         workers: int = 1,
         parallel_replay: bool = False,
         parallel: "Optional[object]" = None,
     ) -> None:
         if backend not in ("bnb", "milp"):
             raise ReproError(f"unknown backend {backend!r}; use 'bnb' or 'milp'")
-        if lp_kernel not in ("incremental", "scipy"):
-            raise ReproError(
-                f"unknown lp_kernel {lp_kernel!r}; use 'incremental' or 'scipy'"
-            )
         if parallel is not None:
             workers = parallel.workers
         if workers < 1:
@@ -341,7 +321,7 @@ class TemporalPartitioner:
             raise ReproError(
                 "workers > 1 cannot ship a custom lp_backend_chain to "
                 "worker processes (backend chains are closures); use "
-                "lp_kernel/resilient/chaos, which workers rebuild locally"
+                "resilient/chaos, which workers rebuild locally"
             )
         self.library = library if library is not None else default_library()
         self.device = device if device is not None else device_catalog()["xc4010"]
@@ -366,7 +346,6 @@ class TemporalPartitioner:
         self.proof_path = proof_path
         self.degrade = degrade
         self.heuristics = heuristics
-        self.lp_kernel = lp_kernel
         self.workers = workers
         self.parallel_replay = parallel_replay
         self.parallel = parallel
@@ -566,7 +545,6 @@ class TemporalPartitioner:
         from repro.core.parallel_support import make_lp_backend
 
         return make_lp_backend(
-            lp_kernel=self.lp_kernel,
             resilient=self.resilient,
             chaos=self.chaos,
             plain_search=self.plain_search,
@@ -631,7 +609,7 @@ class TemporalPartitioner:
         """Sequential solver, or the parallel coordinator for workers>1.
 
         The coordinator ships only picklable ingredients (spec,
-        options, rule, kernel/chaos knobs); each worker rebuilds the
+        options, rule, resilience/chaos knobs); each worker rebuilds the
         model, prober, leaf solver, and LP stack from them via
         :func:`repro.core.parallel_support.build_worker_context`, and
         the model fingerprint certifies the rebuild matched.
@@ -659,7 +637,6 @@ class TemporalPartitioner:
                 "plain_search": self.plain_search,
                 "presolve": self.presolve and not self.plain_search,
                 "resilient": self.resilient,
-                "lp_kernel": self.lp_kernel,
                 "chaos": self.chaos,
             },
         )

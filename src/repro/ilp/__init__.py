@@ -16,7 +16,7 @@ plays that role here, fully in-repo:
 * :mod:`~repro.ilp.incremental` — the persistent-model LP kernel for
   the branch-and-bound hot loop: compile once, mutate bounds per node,
   warm-start HiGHS through SciPy's vendored bindings (or ``highspy``),
-  LRU-cache repeated node solves;
+  falling back to ``solve_lp_scipy`` when no binding loads;
 * :mod:`~repro.ilp.branch_bound` — a branch-and-bound engine with
   pluggable :mod:`~repro.ilp.branching` rules, including the paper's
   heuristic (branch on ``y`` in topological priority order, 1-branch

@@ -33,6 +33,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from repro.ilp.scipy_backend import _row_marginals
 from repro.ilp.standard_form import StandardForm
 
 #: Phase-1 optima below this are treated as "actually feasible" —
@@ -97,20 +98,8 @@ def extract_farkas(
     if result.fun <= _PHASE1_TOL:
         return None
 
-    y_ub = np.zeros(m_ub)
-    y_eq = np.zeros(m_eq)
-    ineqlin = getattr(result, "ineqlin", None)
-    if m_ub:
-        marginals = getattr(ineqlin, "marginals", None)
-        if marginals is None:
-            return None
-        y_ub = np.asarray(marginals, dtype=float)
-    eqlin = getattr(result, "eqlin", None)
-    if m_eq:
-        marginals = getattr(eqlin, "marginals", None)
-        if marginals is None:
-            return None
-        y_eq = np.asarray(marginals, dtype=float)
-    if not (np.all(np.isfinite(y_ub)) and np.all(np.isfinite(y_eq))):
+    y_ub = _row_marginals(result, "ineqlin", m_ub)
+    y_eq = _row_marginals(result, "eqlin", m_eq)
+    if y_ub is None or y_eq is None:
         return None
     return y_ub, y_eq

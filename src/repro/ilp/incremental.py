@@ -16,14 +16,9 @@ that:
   installed and otherwise from the copy SciPy vendors as
   ``scipy.optimize._highspy._core``, so no new dependency is needed.
   A version guard checks every binding method the kernel calls; if
-  none passes, the kernel falls back transparently to
-  ``scipy.optimize.linprog`` fed a preallocated ``(n, 2)`` bounds
-  array, and records why.
-* **Node-solve LRU cache** — results are memoized by a fingerprint of
-  the effective bounds, so retries, rescue dives, chaos second-opinion
-  re-solves, and checkpoint-resume replays never pay for the same LP
-  twice.  Only terminal verdicts (OPTIMAL / INFEASIBLE / UNBOUNDED)
-  are cached; faults always re-execute.
+  none passes, the kernel solves each node through
+  :func:`~repro.ilp.scipy_backend.solve_lp_scipy` instead, and records
+  why.
 * **Array-backed results** — values come back as a
   :class:`~repro.ilp.solution.ValueVector` over the solver's own
   vector (no per-node ``{idx: float}`` allocation), and OPTIMAL
@@ -37,30 +32,22 @@ that:
 The kernel is a drop-in LP backend (same
 ``(form, lb_override, ub_override) -> LPResult`` contract), so it
 slots into :class:`~repro.ilp.resilience.ResilientLPBackend` chains
-unchanged.  :meth:`kernel_telemetry` reports the kernel name,
-warm-start hits, and cache hit rate for the
-``repro.solve_telemetry/v7`` artifact.
+unchanged.  :meth:`kernel_telemetry` reports the kernel name, call
+counts and warm-start hits for the ``repro.solve_telemetry/v8``
+artifact.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import SolverError, TransientSolverError
-from repro.ilp.scipy_backend import _row_marginals
+from repro.ilp.scipy_backend import solve_lp_scipy
 from repro.ilp.solution import LPResult, SolveStatus, ValueVector
 from repro.ilp.standard_form import StandardForm
-
-#: Default node-solve cache capacity (entries, not bytes).  A cached
-#: entry costs roughly ``3 * 8 * num_vars`` bytes (two bound snapshots
-#: in the key plus the value vector), so the default stays in the
-#: tens of megabytes even on the Table-4 models.
-DEFAULT_CACHE_SIZE = 1024
 
 #: Module-level names the kernel takes from a HiGHS binding ...
 _REQUIRED_NAMES = (
@@ -134,7 +121,7 @@ def _load_highspy():
 
     Probed once per process.  A binding missing any attribute the
     kernel calls is skipped, so an incompatible scipy or ``highspy``
-    release demotes the kernel to ``linprog`` rather than failing
+    release demotes the kernel to ``solve_lp_scipy`` rather than failing
     mid-search; :func:`_highs_unavailable_reason` says why.
     """
     global _binding
@@ -154,42 +141,22 @@ def have_highspy() -> bool:
 
 
 class IncrementalLPSolver:
-    """Persistent-model, warm-started, caching LP relaxation solver.
+    """Persistent-model, warm-started LP relaxation solver.
 
     Parameters
     ----------
     form:
         Standard form to bind to immediately; when omitted, the kernel
         binds lazily on the first call (and transparently re-binds if a
-        different form is ever passed — each bind resets the model,
-        buffers, and cache).
-    cache_size:
-        LRU node-solve cache capacity; 0 disables caching.
-    use_highs:
-        Force (True) or forbid (False) the HiGHS warm-start path;
-        ``None`` (default) auto-detects and falls back to ``linprog``
-        when no binding passes the version guard or the model build
-        fails, recording why in ``kernel_telemetry()["demoted"]``.
+        different form is ever passed — each bind resets the model and
+        its basis).  When no HiGHS binding passes the version guard or
+        the model build fails, every node goes to
+        :func:`~repro.ilp.scipy_backend.solve_lp_scipy` and
+        ``kernel_telemetry()["demoted"]`` records why.
     """
 
-    def __init__(
-        self,
-        form: "Optional[StandardForm]" = None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        use_highs: "Optional[bool]" = None,
-    ) -> None:
-        if cache_size < 0:
-            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
-        if use_highs is True and _load_highspy() is None:
-            raise SolverError(
-                f"use_highs=True but {_highs_unavailable_reason()}; let "
-                "use_highs=None auto-detect the linprog fallback"
-            )
-        self.cache_size = int(cache_size)
-        self._use_highs = use_highs
+    def __init__(self, form: "Optional[StandardForm]" = None) -> None:
         self._form: "Optional[StandardForm]" = None
-        self._bounds_buf: "Optional[np.ndarray]" = None
-        self._cache: "OrderedDict[Tuple[bytes, bytes], LPResult]" = OrderedDict()
         self._highs = None
         self._highs_cols: "Optional[np.ndarray]" = None
         self._have_basis = False
@@ -197,9 +164,6 @@ class IncrementalLPSolver:
         # Telemetry counters.
         self.calls = 0
         self.lp_solves = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
         self.warm_start_hits = 0
         self.rebinds = 0
         if form is not None:
@@ -221,25 +185,16 @@ class IncrementalLPSolver:
     def _bind(self, form: StandardForm) -> None:
         """(Re)compile per-form state; called once per model in practice."""
         self._form = form
-        self._bounds_buf = np.empty((form.num_vars, 2), dtype=float)
-        self._cache.clear()
         self._highs = None
         self._have_basis = False
         self.rebinds += 1
-        if self._use_highs is not False:
-            if _load_highspy() is None:
-                self._demoted_reason = _highs_unavailable_reason()
-            else:
-                try:
-                    self._build_highs_model(form)
-                except Exception as exc:
-                    self._highs = None
-                    self._demoted_reason = f"highs model build failed: {exc}"
-        if self._use_highs is True and self._highs is None:
-            raise SolverError(
-                "use_highs=True but HiGHS is unavailable"
-                + (f" ({self._demoted_reason})" if self._demoted_reason else "")
-            )
+        if _load_highspy() is None:
+            self._demoted_reason = _highs_unavailable_reason()
+            return
+        try:
+            self._build_highs_model(form)
+        except Exception as exc:
+            self._demoted_reason = f"highs model build failed: {exc}"
 
     def _build_highs_model(self, form: StandardForm) -> None:
         """Compile ``form`` into a persistent HiGHS model (once).
@@ -293,34 +248,8 @@ class IncrementalLPSolver:
         lb = form.lb if lb_override is None else lb_override
         ub = form.ub if ub_override is None else ub_override
         if np.any(lb > ub + 1e-12):
-            # Contradictory fixation: provably infeasible, no LP needed
-            # (and no cache entry — the check is cheaper than a lookup).
+            # Contradictory fixation: provably infeasible, no LP needed.
             return LPResult(status=SolveStatus.INFEASIBLE)
-
-        key: "Optional[Tuple[bytes, bytes]]" = None
-        if self.cache_size:
-            key = (
-                np.ascontiguousarray(lb, dtype=float).tobytes(),
-                np.ascontiguousarray(ub, dtype=float).tobytes(),
-            )
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-
-        result = self._solve(lb, ub)
-        if key is not None:
-            self._cache[key] = result
-            if len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-                self.cache_evictions += 1
-        return result
-
-    # ------------------------------------------------------------------
-
-    def _solve(self, lb: "np.ndarray", ub: "np.ndarray") -> LPResult:
         self.lp_solves += 1
         if self._highs is not None:
             try:
@@ -333,45 +262,7 @@ class IncrementalLPSolver:
                 self._highs = None
                 self._have_basis = False
                 self._demoted_reason = f"highs solve failed: {exc}"
-        return self._solve_linprog(lb, ub)
-
-    def _solve_linprog(self, lb: "np.ndarray", ub: "np.ndarray") -> LPResult:
-        """The dependency-free path: linprog on the persistent buffers."""
-        form = self._form
-        assert form is not None and self._bounds_buf is not None
-        self._bounds_buf[:, 0] = lb
-        self._bounds_buf[:, 1] = ub
-        result = linprog(
-            c=form.c,
-            A_ub=form.a_ub if form.a_ub.shape[0] else None,
-            b_ub=form.b_ub if form.a_ub.shape[0] else None,
-            A_eq=form.a_eq if form.a_eq.shape[0] else None,
-            b_eq=form.b_eq if form.a_eq.shape[0] else None,
-            bounds=self._bounds_buf,
-            method="highs",
-        )
-        if result.status == 0:
-            return LPResult(
-                status=SolveStatus.OPTIMAL,
-                objective=float(result.fun),
-                values=ValueVector(result.x),
-                reduced_costs=_linprog_reduced_costs(result),
-                dual_ub=_row_marginals(result, "ineqlin", form.b_ub.shape[0]),
-                dual_eq=_row_marginals(result, "eqlin", form.b_eq.shape[0]),
-            )
-        if result.status == 2:
-            return LPResult(status=SolveStatus.INFEASIBLE)
-        if result.status == 3:
-            return LPResult(status=SolveStatus.UNBOUNDED)
-        if result.status in (1, 4):
-            raise TransientSolverError(
-                f"linprog failed with status {result.status}: {result.message}",
-                backend=self.kernel_name,
-                raw_status=int(result.status),
-            )
-        raise SolverError(
-            f"linprog failed with status {result.status}: {result.message}"
-        )
+        return solve_lp_scipy(form, lb, ub)
 
     def _solve_highs(self, lb, ub) -> LPResult:
         """Mutate column bounds on the persistent model and re-run.
@@ -444,41 +335,16 @@ class IncrementalLPSolver:
     # ------------------------------------------------------------------
 
     def kernel_telemetry(self) -> "Dict[str, object]":
-        """Counters for the ``solve.kernel`` telemetry block (v4)."""
-        lookups = self.cache_hits + self.cache_misses
+        """Counters for the ``solve.kernel`` telemetry block (v8)."""
         return {
             "name": self.kernel_name,
             "highs": self._highs is not None,
             "calls": self.calls,
             "lp_solves": self.lp_solves,
-            "cache_size": self.cache_size,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "cache_hit_rate": (self.cache_hits / lookups) if lookups else 0.0,
             "warm_start_hits": self.warm_start_hits,
             "rebinds": self.rebinds,
             "demoted": self._demoted_reason,
         }
-
-
-def _linprog_reduced_costs(result) -> "Optional[np.ndarray]":
-    """Reduced costs from a ``linprog(method='highs')`` result.
-
-    HiGHS reports the variable-bound duals split by side
-    (``lower.marginals`` >= 0 for at-lower variables,
-    ``upper.marginals`` <= 0 for at-upper); at most one side is nonzero
-    per variable, so their sum is the signed reduced cost.  Older scipy
-    builds without marginals just yield ``None`` (fixing is skipped).
-    """
-    try:
-        lower = result.lower.marginals
-        upper = result.upper.marginals
-    except AttributeError:
-        return None
-    if lower is None or upper is None:
-        return None
-    return np.asarray(lower, dtype=float) + np.asarray(upper, dtype=float)
 
 
 def _stack_rows(form: StandardForm):

@@ -17,7 +17,7 @@ A builder is any ``f(args) -> dict`` returning:
 * ``"lp_backend"`` — LP backend callable;
 * ``"node_prober"`` / ``"leaf_solver"`` — the per-problem closures.
 
-:func:`plain_context` is the generic builder (pickled model, named
+:func:`plain_context` is the generic builder (pickled model, incremental
 kernel, optional fault injection); the temporal-partitioning builder
 lives in :mod:`repro.core.parallel_support` next to the closures it
 rebuilds.
@@ -53,24 +53,16 @@ def resolve_builder(module: str, name: str):
 
 
 def plain_context(args: "Dict[str, object]") -> "Dict[str, object]":
-    """Generic builder: pickled model + named kernel (+ chaos faults).
+    """Generic builder: pickled model + incremental kernel (+ chaos faults).
 
     ``args`` keys: ``model`` (Model, required), ``rule`` (optional),
-    ``lp_kernel`` (``"incremental"`` | ``"scipy"``, default
-    incremental), ``fault_plan`` (optional
+    ``fault_plan`` (optional
     :class:`~repro.ilp.resilience.FaultPlan` wrapping the backend with
     seeded fault injection — the chaos tests' hook).
     """
     from repro.ilp.incremental import IncrementalLPSolver
-    from repro.ilp.scipy_backend import solve_lp_scipy
 
-    kernel = args.get("lp_kernel", "incremental")
-    if kernel == "incremental":
-        backend = IncrementalLPSolver()
-    elif kernel == "scipy":
-        backend = solve_lp_scipy
-    else:
-        raise SolverError(f"unknown worker lp_kernel {kernel!r}")
+    backend = IncrementalLPSolver()
     fault_plan = args.get("fault_plan")
     if fault_plan is not None:
         from repro.ilp.resilience import FaultInjectingBackend

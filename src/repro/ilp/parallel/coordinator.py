@@ -309,10 +309,11 @@ class ParallelBranchAndBound(BranchAndBound):
         handle.alive = False
         handle.crashed = True
         self._ptelemetry["worker_crashes"] += 1
+        if self._watchdog is not None:
+            # Unwatch first: it waits out an in-flight kill's flag.
+            self._watchdog.unwatch(handle.rank)
         if handle.flags.get("watchdog_killed"):
             self._ptelemetry["chunks_timed_out"] += 1
-        if self._watchdog is not None:
-            self._watchdog.unwatch(handle.rank)
         if handle.in_flight_nodes:
             # At-least-once: the chunk goes back to the pool untouched.
             self._stack.extend(handle.in_flight_nodes)

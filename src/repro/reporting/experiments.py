@@ -120,7 +120,6 @@ def run_row(
     presolve: bool = True,
     resilient: bool = True,
     chaos=None,
-    lp_kernel: str = "incremental",
     workers: int = 1,
     parallel_replay: bool = False,
     proof_path: "Optional[str]" = None,
@@ -166,7 +165,6 @@ def run_row(
         presolve=presolve,
         resilient=resilient,
         chaos=chaos,
-        lp_kernel=lp_kernel,
         workers=workers,
         parallel_replay=parallel_replay,
         proof_path=proof_path,

@@ -25,6 +25,14 @@ issued **and** its wait status must be the kill signal (or still
 pending).  A clean exit code observed after the kill attempt means the
 worker finished first and the flag stays unset, letting the reaper
 classify the job from the worker's own result.
+
+Watchdog kill/reap race
+-----------------------
+The kill runs on the watchdog thread, and the flag is only known once
+its ``wait()`` returns.  A reaper on another thread can see the
+SIGKILLed worker exit first.  :meth:`Watchdog.unwatch` therefore blocks
+until any in-flight kill of that key has settled its flag; a reaper
+that unwatches before it reads the flag always reads the final value.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def worker_env(extra: "Optional[Dict[str, str]]" = None) -> "Dict[str, str]":
@@ -101,7 +109,8 @@ class Watchdog(threading.Thread):
     For each watched process the caller provides a mutable ``flags``
     dict; ``flags["watchdog_killed"]`` is set to True only when the
     kill *confirmably* terminated a still-running worker (see module
-    docstring for the clean-exit race this guards against).
+    docstring for the clean-exit race this guards against).  Call
+    :meth:`unwatch` before reading the flag.
     """
 
     #: How long to wait for a killed process to be reapable before
@@ -116,6 +125,7 @@ class Watchdog(threading.Thread):
         self._interval_s = interval_s
         self._lock = threading.Lock()
         self._watched: "Dict[object, Tuple[subprocess.Popen[Any], float, Dict[str, bool]]]" = {}
+        self._killing: "Dict[object, threading.Event]" = {}
         self._stop = threading.Event()
 
     def watch(self, key: object, proc: "subprocess.Popen[Any]",
@@ -125,8 +135,17 @@ class Watchdog(threading.Thread):
             self._watched[key] = (proc, deadline, flags)
 
     def unwatch(self, key: object) -> None:
+        """Stop watching ``key``; returns once any kill of it has settled.
+
+        An in-flight kill sets ``flags["watchdog_killed"]`` only after
+        the killed process is reaped, so this waits for that before
+        returning.
+        """
         with self._lock:
             self._watched.pop(key, None)
+            killing = self._killing.get(key)
+        if killing is not None:
+            killing.wait()
 
     def stop(self) -> None:
         self._stop.set()
@@ -146,10 +165,25 @@ class Watchdog(threading.Thread):
                 for key, (proc, deadline, flags) in self._watched.items()
                 if now > deadline
             ]
-        for key, proc, flags in expired:
-            self._kill_expired(proc, flags)
-            self.unwatch(key)
+            for key, _, _ in expired:
+                del self._watched[key]
+                self._killing[key] = threading.Event()
+        try:
+            for key, proc, flags in expired:
+                self._kill_expired(proc, flags)
+                self._settle([key])
+        finally:
+            # Never leave an unwatch() waiting on a kill that raised.
+            self._settle([key for key, _, _ in expired])
         return [key for key, _, _ in expired]
+
+    def _settle(self, keys: "Iterable[object]") -> None:
+        """Release every unwatch() waiting on the kills of ``keys``."""
+        with self._lock:
+            settled = [self._killing.pop(key) for key in keys
+                       if key in self._killing]
+        for event in settled:
+            event.set()
 
     def _kill_expired(self, proc: "subprocess.Popen[Any]",
                       flags: "Dict[str, bool]") -> None:

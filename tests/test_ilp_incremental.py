@@ -1,9 +1,10 @@
 """Tests for the incremental warm-starting LP kernel and its plumbing.
 
 Covers the kernel itself (equivalence with the stateless scipy backend
-over random LPs and random branching-style bound overrides, node-solve
-cache correctness, rebind-on-new-form, the warm-started HiGHS path and
-its version guard), the array-backed
+over random LPs and random branching-style bound overrides,
+rebind-on-new-form, the warm-started HiGHS path, its version guard and
+the ``solve_lp_scipy`` fallback, re-solving on a resilient retry), the
+array-backed
 :class:`~repro.ilp.solution.ValueVector` result values, reduced-cost
 variable fixing in the branch and bound (same proven optima with the
 acceleration on and off), the simplex tableau size guard, and the
@@ -21,13 +22,9 @@ from repro.errors import SolverError
 from repro.ilp import incremental
 from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.expr import lin_sum
-from repro.ilp.incremental import (
-    DEFAULT_CACHE_SIZE,
-    IncrementalLPSolver,
-    have_highspy,
-)
+from repro.ilp.incremental import IncrementalLPSolver, have_highspy
 from repro.ilp.model import Model
-from repro.ilp.resilience import ResilientLPBackend
+from repro.ilp.resilience import ResilientLPBackend, validate_lp_result
 from repro.ilp.scipy_backend import solve_lp_scipy
 from repro.ilp.simplex import solve_lp_simplex
 from repro.ilp.solution import (
@@ -103,7 +100,7 @@ def test_property_incremental_matches_scipy(problem):
     form = compile_standard_form(
         build_lp_model(c, rows, rhs, senses, ubs)
     )
-    kernel = IncrementalLPSolver(cache_size=0)  # no cache: every solve live
+    kernel = IncrementalLPSolver()
 
     # Root solve plus each branching override, like B&B nodes would.
     nodes = [(form.lb.copy(), form.ub.copy())]
@@ -137,29 +134,6 @@ class TestIncrementalKernel:
             )
         )
 
-    def test_cache_hit_returns_identical_result(self):
-        form = self._form()
-        kernel = IncrementalLPSolver()
-        first = kernel(form, form.lb, form.ub)
-        second = kernel(form, form.lb.copy(), form.ub.copy())
-        assert second is first  # frozen LPResult: safe to share
-        assert kernel.lp_solves == 1
-        assert kernel.cache_hits == 1
-        assert kernel.cache_misses == 1
-
-    def test_eviction_re_solves(self):
-        form = self._form()
-        kernel = IncrementalLPSolver(cache_size=1)
-        base = kernel(form, form.lb, form.ub)
-        lb = form.lb.copy()
-        lb[0] = 1.0
-        kernel(form, lb, form.ub)  # evicts the base entry
-        assert kernel.cache_evictions == 1
-        again = kernel(form, form.lb, form.ub)  # must re-solve, not hit
-        assert kernel.lp_solves == 3
-        assert again is not base
-        assert again.objective == pytest.approx(base.objective, abs=1e-9)
-
     def test_contradictory_bounds_short_circuit(self):
         form = self._form()
         kernel = IncrementalLPSolver()
@@ -179,23 +153,39 @@ class TestIncrementalKernel:
         b = kernel(form_b)
         assert kernel.rebinds == 2
         assert a.objective != pytest.approx(b.objective)
-        # Returning to a previous form rebinds again (cache was reset).
+        # Returning to a previous form rebinds again.
         kernel(form_a)
         assert kernel.rebinds == 3
 
-    def test_use_highs_without_highspy_raises(self, monkeypatch):
-        # The loader finds no binding: forcing HiGHS is a typed error.
+    def test_without_binding_solves_through_scipy(self, monkeypatch):
+        # The loader finds no binding: every node goes to solve_lp_scipy.
+        form = self._form()
         monkeypatch.setattr(
             incremental, "_binding", (None, "no usable HiGHS binding (stub)")
         )
+        calls = []
+
+        def spy(form, lb=None, ub=None):
+            calls.append((lb, ub))
+            return solve_lp_scipy(form, lb, ub)
+
+        monkeypatch.setattr(incremental, "solve_lp_scipy", spy)
         assert not have_highspy()
-        with pytest.raises(SolverError, match="no usable HiGHS binding"):
-            IncrementalLPSolver(use_highs=True)
+        kernel = IncrementalLPSolver()
+        result = kernel(form)
+        reference = solve_lp_scipy(form)
+        telemetry = kernel.kernel_telemetry()
+        assert len(calls) == 1
+        assert telemetry["name"] == "incremental-linprog"
+        assert telemetry["demoted"] == "no usable HiGHS binding (stub)"
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(reference.objective, abs=1e-9)
+        assert result.dual_ub is not None and result.dual_eq is not None
 
     def test_highs_kernel_warm_starts_every_resolve(self):
         """SciPy's vendored HiGHS drives the kernel; re-solves run warm."""
         form = self._form()
-        kernel = IncrementalLPSolver(cache_size=0)
+        kernel = IncrementalLPSolver()
         root = kernel(form)
         for var in range(form.num_vars):
             ub = form.ub.copy()
@@ -237,17 +227,38 @@ class TestIncrementalKernel:
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(warm.objective, abs=1e-9)
 
+    def test_mid_run_highs_failure_demotes_to_scipy(self, monkeypatch):
+        """A binding fault re-solves the node through solve_lp_scipy."""
+        form = self._form()
+        kernel = IncrementalLPSolver(form)
+
+        def crash(lb, ub):
+            raise RuntimeError("binding fault")
+
+        monkeypatch.setattr(kernel, "_solve_highs", crash)
+        result = kernel(form)
+        reference = solve_lp_scipy(form)
+        telemetry = kernel.kernel_telemetry()
+        assert telemetry["name"] == "incremental-linprog"
+        assert telemetry["demoted"] == "highs solve failed: binding fault"
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(reference.objective, abs=1e-9)
+        assert result.dual_ub is not None and result.dual_eq is not None
+
     def test_kernel_telemetry_block(self):
         form = self._form()
         kernel = IncrementalLPSolver()
         kernel(form)
         kernel(form)
         telemetry = kernel.kernel_telemetry()
+        assert set(telemetry) == {
+            "name", "highs", "calls", "lp_solves", "warm_start_hits",
+            "rebinds", "demoted",
+        }
         assert telemetry["name"] in ("incremental-highs", "incremental-linprog")
         assert telemetry["calls"] == 2
-        assert telemetry["lp_solves"] == 1
-        assert telemetry["cache_hit_rate"] == pytest.approx(0.5)
-        assert telemetry["cache_size"] == DEFAULT_CACHE_SIZE
+        assert telemetry["lp_solves"] == 2
+        assert telemetry["rebinds"] == 1
 
     def test_optimal_results_carry_reduced_costs(self):
         form = self._form()
@@ -392,49 +403,38 @@ class TestKernelIntegration:
         assert result.status is SolveStatus.OPTIMAL
         assert backend.fallbacks == 1
 
-
-class TestCacheHitProfile:
-    """Pin the node-cache hit profile documented in DESIGN.md §11.
-
-    A strict DFS with monotone bound tightening never presents the
-    same (lb, ub) box twice within one search, so a clean in-process
-    run must report exactly zero cache hits — `cache_hit_rate: 0.0`
-    in telemetry is the designed steady state, not a defect.  The
-    cache pays off only when identical boxes are *re*-presented:
-    retries, chaos second opinions, and checkpoint-resume replays.
-    """
-
-    def _model(self):
-        return build_lp_model(
-            [-1, -1, -1], [[2, 2, 3]], [5], ["<="], [1, 1, 1], integer=True
-        )
-
-    def test_plain_bnb_run_never_hits_the_cache(self):
-        kernel = IncrementalLPSolver()
-        config = BranchAndBoundConfig(
-            objective_is_integral=True, lp_backend=kernel,
-        )
-        result = BranchAndBound(self._model(), config=config).solve()
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.stats.nodes_explored > 1
-        assert kernel.cache_hits == 0
-        assert kernel.kernel_telemetry()["cache_hit_rate"] == 0.0
-
-    def test_replaying_solved_boxes_hits(self):
-        """Retry/replay paths re-present identical boxes and must hit."""
-        kernel = IncrementalLPSolver()
+    def test_validation_retry_re_solves_on_the_kernel(self, monkeypatch):
+        """A retry after a failed validation gets a fresh kernel solve."""
         form = compile_standard_form(self._model())
-        boxes = [(form.lb.copy(), form.ub.copy())]
-        for var in range(form.num_vars):
-            lb, ub = form.lb.copy(), form.ub.copy()
-            ub[var] = 0.0
-            boxes.append((lb, ub))
-        for lb, ub in boxes:
-            kernel(form, lb, ub)
-        assert kernel.cache_hits == 0  # all distinct: DFS-like first pass
-        for lb, ub in boxes:
-            kernel(form, lb, ub)
-        assert kernel.cache_hits == len(boxes)
+        kernel = IncrementalLPSolver(form)
+        real = kernel._solve_highs
+        bad = []
+
+        def corrupt_once(lb, ub):
+            result = real(lb, ub)
+            if not bad:
+                # Wrong objective for the returned point: fails validation.
+                bad.append(result)
+                return LPResult(
+                    status=SolveStatus.OPTIMAL,
+                    objective=result.objective - 1.0,
+                    values=result.values,
+                )
+            return result
+
+        monkeypatch.setattr(kernel, "_solve_highs", corrupt_once)
+        backend = ResilientLPBackend(
+            backends=[
+                ("incremental", kernel),
+                ("scipy-highs", solve_lp_scipy),
+            ],
+            sleep=lambda _s: None,
+        )
+        result = backend(form)
+        assert kernel.lp_solves == 2
+        assert backend.validation_failures == 1
+        assert validate_lp_result(result, form, form.lb, form.ub) is None
+        assert backend.fallbacks == 0
 
 
 class TestSimplexSizeGuard:

@@ -4,7 +4,9 @@ The load-bearing case is the watchdog kill/clean-exit race: a worker
 that exits cleanly between the deadline sweep's liveness check and the
 SIGKILL must keep its own outcome — ``watchdog_killed`` stays False —
 instead of being misclassified TIMEOUT (the PR 4 bug set the flag
-before confirming the kill).
+before confirming the kill).  Its twin is the kill/reap race: a reaper
+that sees the SIGKILLed worker exit before the watchdog thread has set
+the flag must still read True, so ``unwatch`` waits for the kill.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -126,6 +130,84 @@ class TestWatchdogRace:
         dog.watch("job", proc, deadline=0.0, flags={})
         dog.unwatch("job")
         assert dog.sweep(now=1.0) == []
+
+    def test_unwatch_waits_for_the_in_flight_kill(self):
+        """A reaper that unwatches mid-kill reads the settled flag."""
+        in_wait = threading.Event()
+        release = threading.Event()
+
+        class BlockingPopen(StubPopen):
+            def wait(self, timeout=None):
+                in_wait.set()
+                release.wait()
+                return -signal.SIGKILL
+
+        proc = BlockingPopen(poll_sequence=[None])
+        dog = Watchdog()
+        flags = {"watchdog_killed": False}
+        dog.watch("job", proc, deadline=0.0, flags=flags)
+        seen = []
+
+        def reap():
+            dog.unwatch("job")
+            seen.append(flags["watchdog_killed"])
+
+        sweeper = threading.Thread(target=dog.sweep, args=(1.0,), daemon=True)
+        reaper = threading.Thread(target=reap, daemon=True)
+        sweeper.start()
+        try:
+            assert in_wait.wait(timeout=10)
+            reaper.start()
+            reaper.join(timeout=0.2)
+            assert seen == []
+        finally:
+            release.set()
+            sweeper.join(timeout=10)
+        reaper.join(timeout=10)
+        assert not sweeper.is_alive() and not reaper.is_alive()
+        assert seen == [True]
+
+    def test_concurrent_reapers_all_read_the_kill(self):
+        """Many kills in one sweep, each reaped on its own thread."""
+
+        class SlowKillPopen(StubPopen):
+            def wait(self, timeout=None):
+                time.sleep(0.001)
+                return -signal.SIGKILL
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            dog = Watchdog()
+            flags = {key: {"watchdog_killed": False} for key in range(16)}
+            for key, flag in flags.items():
+                dog.watch(key, SlowKillPopen(poll_sequence=[None]),
+                          deadline=0.0, flags=flag)
+            seen = {}
+
+            def reap(key):
+                dog.unwatch(key)
+                seen[key] = flags[key]["watchdog_killed"]
+
+            sweeper = threading.Thread(target=dog.sweep, args=(1.0,),
+                                       daemon=True)
+            reapers = [threading.Thread(target=reap, args=(key,), daemon=True)
+                       for key in flags]
+            sweeper.start()
+            for reaper in reapers:
+                reaper.start()
+            sweeper.join(timeout=30)
+            for reaper in reapers:
+                reaper.join(timeout=30)
+            assert not sweeper.is_alive()
+            assert not any(reaper.is_alive() for reaper in reapers)
+        finally:
+            sys.setswitchinterval(old_interval)
+        # A reaper that unwatched before the sweep took its key sees
+        # no kill at all; every other one must see the settled flag.
+        for key, value in seen.items():
+            assert value == flags[key]["watchdog_killed"]
+        assert len(seen) == len(flags)
 
 
 class TestWorkerEnv:
