@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Iterator, Optional, Tuple
 
 from repro.artifacts import fsio
+from repro.faultplan import SeededFaultPlan, SeededInjector
 
 #: Every I/O fault class the injector knows, in documentation order.
 IO_FAULT_KINDS: "Tuple[str, ...]" = (
@@ -67,50 +67,21 @@ _OP_FOR_KIND = {
     "tmp-litter": "replace",
 }
 
-#: Fault-log entries kept per injector (bounded like the LP chaos log).
-_LOG_CAP = 1000
-
 
 @dataclass(frozen=True)
-class IOFaultPlan:
+class IOFaultPlan(SeededFaultPlan):
     """What to inject at the filesystem seam, how often, seeded.
 
-    Mirrors :class:`repro.ilp.resilience.faults.FaultPlan` so the two
-    chaos layers read the same from the CLI and from tests: ``kinds``
-    drawn uniformly per faulted operation, ``rate`` in ``[0, 1]``,
-    ``limit`` capping total injections (``None`` = unlimited).
+    The fields are those of :class:`~repro.faultplan.SeededFaultPlan`
+    (shared with the LP chaos layer's
+    :class:`~repro.ilp.resilience.faults.FaultPlan`), over
+    :data:`IO_FAULT_KINDS`.
     """
 
     kinds: "Tuple[str, ...]" = ("enospc",)
-    rate: float = 0.25
-    seed: int = 0
-    limit: "Optional[int]" = None
 
-    def __post_init__(self) -> None:
-        unknown = [k for k in self.kinds if k not in IO_FAULT_KINDS]
-        if unknown:
-            raise ValueError(
-                f"unknown I/O fault kind(s) {unknown}; "
-                f"choose from {IO_FAULT_KINDS}"
-            )
-        if not self.kinds:
-            raise ValueError("IOFaultPlan.kinds must name at least one class")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(
-                f"IOFaultPlan.rate must be in [0, 1], got {self.rate}"
-            )
-
-    @classmethod
-    def from_cli(
-        cls,
-        kinds: str,
-        rate: float,
-        seed: int,
-        limit: "Optional[int]" = None,
-    ) -> "IOFaultPlan":
-        """Parse the CLI's comma-separated ``--chaos-io`` notation."""
-        names = tuple(k.strip() for k in kinds.split(",") if k.strip())
-        return cls(kinds=names, rate=rate, seed=seed, limit=limit)
+    KNOWN_KINDS = IO_FAULT_KINDS
+    KIND_LABEL = "I/O fault"
 
 
 @dataclass
@@ -121,11 +92,8 @@ class IOFaultRecord:
     kind: str
     path: str
 
-    def as_dict(self) -> "Dict[str, object]":
-        return {"op": self.op, "kind": self.kind, "path": self.path}
 
-
-class FaultyFS(fsio.FileOps):
+class FaultyFS(SeededInjector, fsio.FileOps):
     """A :class:`~repro.artifacts.fsio.FileOps` that fails on purpose.
 
     Each seam operation draws from the plan's RNG *before* delegating,
@@ -133,40 +101,28 @@ class FaultyFS(fsio.FileOps):
     count)`` — identical across runs regardless of what the faults do
     to the consumer.  Only fault kinds matching the operation can fire
     on it; the RNG still advances on every candidate operation so the
-    sequence stays aligned.
+    sequence stays aligned.  :meth:`telemetry` has the LP chaos
+    block's shape, with ``ops`` in place of ``calls``.
     """
+
+    COUNT_KEY = "ops"
 
     def __init__(
         self,
         plan: "Optional[IOFaultPlan]" = None,
         inner: "Optional[fsio.FileOps]" = None,
     ) -> None:
-        self.plan = plan if plan is not None else IOFaultPlan()
+        super().__init__(plan if plan is not None else IOFaultPlan())
         self.inner = inner if inner is not None else fsio.FileOps()
         self.ops = 0
-        self.injected = 0
-        self.log: "List[IOFaultRecord]" = []
-        self._rng = random.Random(self.plan.seed)
 
     # ------------------------------------------------------------------
 
     def _draw(self, op: str) -> "Optional[str]":
         """This operation's fault kind (or None), advancing the RNG."""
         self.ops += 1
-        roll = self._rng.random()
-        kind = self._rng.choice(self.plan.kinds)
-        if self.plan.limit is not None and self.injected >= self.plan.limit:
-            return None
-        if roll >= self.plan.rate or _OP_FOR_KIND[kind] != op:
-            return None
-        return kind
-
-    def _record(self, kind: str, path: "str | Path") -> None:
-        self.injected += 1
-        if len(self.log) < _LOG_CAP:
-            self.log.append(
-                IOFaultRecord(op=self.ops, kind=kind, path=str(path))
-            )
+        kind = self._roll()
+        return kind if kind is not None and _OP_FOR_KIND[kind] == op else None
 
     # -- faulted operations --------------------------------------------
 
@@ -175,7 +131,7 @@ class FaultyFS(fsio.FileOps):
         if kind is None:
             return self.inner.write(handle, data)
         path = getattr(handle, "name", "<handle>")
-        self._record(kind, path)
+        self._record(IOFaultRecord(self.ops, kind, str(path)))
         if kind == "enospc":
             raise OSError(errno.ENOSPC, "No space left on device (injected)")
         # Persist a strict prefix: cut at an RNG-chosen byte so torn
@@ -192,14 +148,15 @@ class FaultyFS(fsio.FileOps):
         if kind is None:
             self.inner.fsync(handle)
             return
-        self._record(kind, getattr(handle, "name", "<handle>"))
+        path = getattr(handle, "name", "<handle>")
+        self._record(IOFaultRecord(self.ops, kind, str(path)))
         raise OSError(errno.EIO, "fsync failed (injected)")
 
     def read_bytes(self, path: "str | Path") -> bytes:
         kind = self._draw("read")
         if kind is None:
             return self.inner.read_bytes(path)
-        self._record(kind, path)
+        self._record(IOFaultRecord(self.ops, kind, str(path)))
         if kind == "eio-read":
             raise OSError(errno.EIO, "read failed (injected)")
         data = bytearray(self.inner.read_bytes(path))
@@ -213,7 +170,7 @@ class FaultyFS(fsio.FileOps):
         if kind is None:
             self.inner.replace(src, dst)
             return
-        self._record(kind, dst)
+        self._record(IOFaultRecord(self.ops, kind, str(dst)))
         if kind == "rename-fail":
             raise OSError(errno.EIO, "rename failed (injected)")
         # tmp-litter: the rename succeeds, but debris from "an earlier
@@ -221,24 +178,6 @@ class FaultyFS(fsio.FileOps):
         litter = Path(dst).with_name(Path(dst).name + ".stale.tmp")
         litter.write_bytes(b'{"litter":')
         self.inner.replace(src, dst)
-
-    # ------------------------------------------------------------------
-
-    def telemetry(self) -> "Dict[str, object]":
-        """Injection counters, same shape as the LP chaos block."""
-        by_kind: "Dict[str, int]" = {}
-        for record in self.log:
-            by_kind[record.kind] = by_kind.get(record.kind, 0) + 1
-        return {
-            "ops": self.ops,
-            "injected": self.injected,
-            "by_kind": by_kind,
-            "plan": {
-                "kinds": list(self.plan.kinds),
-                "rate": self.plan.rate,
-                "seed": self.plan.seed,
-            },
-        }
 
 
 @contextlib.contextmanager

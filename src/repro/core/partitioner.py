@@ -140,7 +140,7 @@ class PartitionOutcome:
     def telemetry(self) -> "Dict[str, object]":
         """Per-run solve-telemetry record (see DESIGN.md for the schema)."""
         return {
-            "schema": "repro.solve_telemetry/v8",
+            "schema": "repro.solve_telemetry/v9",
             "graph": self.spec.graph.name,
             "n_partitions": self.spec.n_partitions,
             "relaxation": self.spec.relaxation,
@@ -244,10 +244,10 @@ class TemporalPartitioner:
     heuristics:
         When True (``bnb`` backend only), enable the primal heuristics
         (:mod:`repro.ilp.heuristics`): LP-guided diving at the root and
-        every ``dive_every`` nodes, plus 1-opt incumbent polishing.
-        Every heuristic point is audited (decode +
-        :func:`~repro.core.verify.verify_design`) before it may become
-        the incumbent; the ``solve.heuristics`` telemetry block counts
+        every :data:`~repro.ilp.branch_bound.DIVE_EVERY` nodes, plus
+        1-opt incumbent polishing.  Every heuristic point is audited
+        (decode + :func:`~repro.core.verify.verify_design`) before it
+        may become the incumbent; the ``solve.heuristics`` telemetry block counts
         dives, polishes, and audit rejections.
     workers:
         ``> 1`` shards the branch-and-bound frontier across that many

@@ -47,14 +47,12 @@ callbacks (``on_node``, ``on_incumbent``) expose the same events live.
 Deadline expiry is a first-class outcome, not an error path.  Each open
 node carries the LP bound it inherited from its parent, so at any
 moment the minimum over the open set is a *proven* global lower bound.
-On ``time_limit_s`` exhaustion the solver returns the incumbent with
-status FEASIBLE plus that bound and the relative gap; if the deadline
-fires before any incumbent exists, a bounded **rescue dive**
-(``rescue_on_deadline``) keeps popping preferred nodes — limited by
-``rescue_node_budget``, not by the clock — until a first feasible
-solution is in hand, so even a ``time_limit_s=0`` run on a feasible
-model yields a usable answer.  Only a rescue that also exhausts its
-node budget empty-handed returns a bare TIMEOUT.
+The limits hold: the search stops at the first node boundary past
+``time_limit_s`` or ``node_limit``, and no leaf sub-solve is given
+more time than remains.  With an incumbent in hand a limit stop
+returns status FEASIBLE plus that bound and the relative gap; with
+none it returns a bare TIMEOUT or NODE_LIMIT, which the partitioner
+degrades to its heuristic baselines.
 
 Resilience
 ----------
@@ -105,6 +103,13 @@ from repro.ilp.solution import (
 )
 from repro.ilp.standard_form import StandardForm, compile_standard_form
 
+#: Time limit of one leaf sub-solve; a time-limited search caps it
+#: further at the time that remains.
+SUBSOLVE_TIME_LIMIT_S = 30.0
+
+#: Node interval between LP-guided dives (the root always dives).
+DIVE_EVERY = 512
+
 
 @dataclass
 class BranchAndBoundConfig:
@@ -137,8 +142,6 @@ class BranchAndBoundConfig:
         objective for the incumbent to be optimal for that leaf; the
         temporal-partitioning formulation satisfies this by
         construction.
-    subsolve_time_limit_s:
-        Time limit per leaf sub-solve call.
     node_prober:
         Optional ``f(lb, ub) -> bool`` called on every node before its
         LP; returning True *proves* the node infeasible and prunes it.
@@ -160,14 +163,6 @@ class BranchAndBoundConfig:
         improves.
     callback_every:
         Node-callback decimation factor (1 = every node).
-    rescue_on_deadline:
-        When the deadline fires before any incumbent exists, keep
-        diving (preferred branches first) for up to
-        ``rescue_node_budget`` more nodes to secure a first feasible
-        solution.  Node-bounded, not time-bounded — the point is a
-        usable answer, not punctuality to the microsecond.
-    rescue_node_budget:
-        Maximum extra nodes the rescue dive may explore.
     presolve:
         Run the static presolve pass (:mod:`repro.ilp.analysis`) over
         the model before compiling the standard form: bound
@@ -207,15 +202,11 @@ class BranchAndBoundConfig:
     heuristics:
         Enable the in-tree primal heuristics
         (:mod:`repro.ilp.heuristics`): LP-guided diving at the root
-        and every ``dive_every`` nodes, and 1-opt incumbent polishing
-        whenever the incumbent improves.  Heuristic incumbents feed
-        the ordinary incumbent machinery (so bound pruning and
-        reduced-cost fixing fire earlier) and are audited before
-        adoption; counters land in ``SolveStats.heuristics``.
-    dive_every:
-        Node interval between dives (the root always dives).
-    dive_max_lp / polish_max_lp:
-        LP-call budgets per dive / per polishing pass.
+        and every :data:`DIVE_EVERY` nodes, and 1-opt incumbent
+        polishing whenever the incumbent improves.  Heuristic
+        incumbents feed the ordinary incumbent machinery (so bound
+        pruning and reduced-cost fixing fire earlier) and are audited
+        before adoption; counters land in ``SolveStats.heuristics``.
     incumbent_auditor:
         Optional ``f(values: Dict[int, float]) -> bool`` run on every
         *heuristic* incumbent before adoption (the partitioner plugs
@@ -243,14 +234,11 @@ class BranchAndBoundConfig:
     lp_backend: Callable[..., LPResult] = solve_lp_scipy
     propagate_sos1: bool = False
     leaf_subsolve: bool = False
-    subsolve_time_limit_s: float = 30.0
     node_prober: "Optional[Callable]" = None
     leaf_solver: "Optional[Callable]" = None
     on_node: "Optional[Callable[[NodeEvent], None]]" = None
     on_incumbent: "Optional[Callable[[IncumbentEvent], None]]" = None
     callback_every: int = 1
-    rescue_on_deadline: bool = True
-    rescue_node_budget: int = 64
     presolve: bool = False
     presolve_options: "Optional[object]" = None
     lp_failure_limit: int = 64
@@ -258,9 +246,6 @@ class BranchAndBoundConfig:
     checkpoint_every: int = 256
     reduced_cost_fixing: bool = False
     heuristics: bool = False
-    dive_every: int = 512
-    dive_max_lp: int = 64
-    polish_max_lp: int = 64
     incumbent_auditor: "Optional[Callable[[Dict[int, float]], bool]]" = None
     proof_path: "Optional[str]" = None
     proof_sink: "Optional[object]" = None
@@ -410,8 +395,7 @@ class BranchAndBound:
         * INFEASIBLE — tree exhausted without any integer solution;
         * FEASIBLE — a limit expired but an incumbent (with a proven
           bound and gap) is attached;
-        * TIMEOUT / NODE_LIMIT — the limit expired with no incumbent
-          (for deadlines: even after the rescue dive, if enabled).
+        * TIMEOUT / NODE_LIMIT — the limit expired with no incumbent.
         """
         short_circuit = self._prepare_run()
         if short_circuit is not None:
@@ -419,40 +403,36 @@ class BranchAndBound:
 
         limit_status: "Optional[SolveStatus]" = None
         while self._stack:
-            if self._lp_failure_abort:
-                limit_status = SolveStatus.ERROR
-                break
-            if self._out_of_time():
-                limit_status = SolveStatus.TIMEOUT
-                break
-            if (
-                self.config.node_limit is not None
-                and self._stats.nodes_explored >= self.config.node_limit
-            ):
-                limit_status = SolveStatus.NODE_LIMIT
+            limit_status = self._limit_status()
+            if limit_status is not None:
                 break
             self._process_node(self._stack.pop())
             self._maybe_checkpoint()
 
         return self._finish_run(limit_status)
 
+    def _limit_status(self) -> "Optional[SolveStatus]":
+        """The stop rule every search loop checks before each node.
+
+        ERROR once LP failures passed ``lp_failure_limit``, TIMEOUT once
+        ``time_limit_s`` is spent, NODE_LIMIT once ``node_limit`` nodes
+        were explored; ``None`` while the search may go on.
+        """
+        if self._lp_failure_abort:
+            return SolveStatus.ERROR
+        if self._time_remaining() <= 0.0:
+            return SolveStatus.TIMEOUT
+        node_limit = self.config.node_limit
+        if node_limit is not None and self._stats.nodes_explored >= node_limit:
+            return SolveStatus.NODE_LIMIT
+        return None
+
     def _finish_run(
         self, limit_status: "Optional[SolveStatus]"
     ) -> MilpResult:
         """Endgame shared by :meth:`solve` and the parallel coordinator:
-        the no-incumbent rescue dive, final-checkpoint persistence (or
-        stale-checkpoint removal), and result assembly."""
-        if (
-            limit_status is SolveStatus.TIMEOUT
-            and self._incumbent_values is None
-            and self.config.rescue_on_deadline
-        ):
-            self._rescue_dive()
-            if not self._stack:
-                # The rescue finished the whole tree: the deadline is
-                # moot and the normal exhaustion semantics apply.
-                limit_status = None
-
+        final-checkpoint persistence (or stale-checkpoint removal) and
+        result assembly."""
         if limit_status is not None and self.config.checkpoint_path:
             # The stop a checkpoint exists for: persist the final
             # frontier so a restart continues instead of redoing.
@@ -629,12 +609,10 @@ class BranchAndBound:
     # ------------------------------------------------------------------
     # node processing
 
-    def _process_node(self, node: _Node, rescue: bool = False) -> None:
+    def _process_node(self, node: _Node) -> None:
         """Explore one node: prune, update the incumbent, or branch."""
         stats = self._stats
         stats.nodes_explored += 1
-        if rescue:
-            stats.rescue_nodes += 1
         stats.max_depth = max(stats.max_depth, node.depth)
 
         try:
@@ -740,7 +718,7 @@ class BranchAndBound:
 
             if self.config.heuristics and (
                 node.depth == 0
-                or stats.nodes_explored % max(1, self.config.dive_every) == 0
+                or stats.nodes_explored % DIVE_EVERY == 0
             ):
                 if self._try_dive(node, lp):
                     # The dive's incumbent closed this very node: its
@@ -813,25 +791,6 @@ class BranchAndBound:
             self._push_children(node, decision, lp.values, lp.objective)
         finally:
             self._emit_node_event(node)
-
-    def _rescue_dive(self) -> None:
-        """Deadline fired empty-handed: dive for a first incumbent.
-
-        Continues the normal depth-first search (preferred branches are
-        already on top of the LIFO stack) but bounded by *nodes* rather
-        than the already-spent clock, stopping the moment any incumbent
-        exists.  Keeps the result contract honest: a feasible model
-        with an absurdly small ``time_limit_s`` still yields a usable
-        answer plus a finite proven gap.
-        """
-        budget = self.config.rescue_node_budget
-        while (
-            self._stack
-            and self._incumbent_values is None
-            and self._stats.rescue_nodes < budget
-            and not self._lp_failure_abort
-        ):
-            self._process_node(self._stack.pop(), rescue=True)
 
     # ------------------------------------------------------------------
     # primal heuristics (repro.ilp.heuristics)
@@ -1522,17 +1481,16 @@ class BranchAndBound:
 
         Returns ``("optimal", (obj, values))``, ``("infeasible", None)``
         or ``("timeout", None)`` — the caller falls back to in-tree
-        branching on a timeout so the search stays exact.
+        branching on a timeout so the search stays exact.  The budget
+        never exceeds the time that remains; with none left no solver
+        is called at all.
         """
         from repro.ilp.milp_backend import solve_milp_scipy
 
+        budget = min(SUBSOLVE_TIME_LIMIT_S, self._time_remaining())
+        if budget <= 0.0:
+            return "timeout", None
         self._stats.leaf_subsolve_calls += 1
-        budget = self.config.subsolve_time_limit_s
-        if self.config.time_limit_s is not None:
-            remaining = self.config.time_limit_s - (
-                time.monotonic() - self._start
-            )
-            budget = max(0.1, min(budget, remaining))
         if self.config.leaf_solver is not None:
             return self.config.leaf_solver(node.lb, node.ub, budget)
         sub_form = StandardForm(
@@ -1555,9 +1513,12 @@ class BranchAndBound:
     # ------------------------------------------------------------------
     # helpers
 
-    def _out_of_time(self) -> bool:
+    def _time_remaining(self) -> float:
+        """Seconds left of ``time_limit_s`` in this run (inf if unset)."""
         limit = self.config.time_limit_s
-        return limit is not None and (time.monotonic() - self._start) >= limit
+        if limit is None:
+            return math.inf
+        return limit - (time.monotonic() - self._start)
 
     def _prune_threshold(self, incumbent_obj: float) -> float:
         """LP bounds at or above this value cannot improve the incumbent."""

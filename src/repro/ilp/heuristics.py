@@ -15,7 +15,7 @@ division of labor that makes the tree search itself fast.
     the most fractional branching variable to its nearest integer
     (zeroing registered SOS1 peers on a 1-fix), re-solve, repeat.  A
     dead end backtracks depth-first through the untried sides of
-    earlier fixes.  Bounded by ``dive_max_lp`` LP/leaf calls and
+    earlier fixes.  Bounded by :data:`DIVE_MAX_LP` LP/leaf calls and
     pruned as soon as a dive LP bound can no longer beat the
     incumbent.
 ``polish_incumbent``
@@ -24,7 +24,7 @@ division of labor that makes the tree search itself fast.
     every other branching variable pinned at its incumbent value.  An
     LP probe lower-bounds each move (cheap reject); survivors are
     completed exactly by the leaf solver.  Bounded by
-    ``polish_max_lp`` LP/leaf calls; returns the best
+    :data:`POLISH_MAX_LP` LP/leaf calls; returns the best
     strictly-improving reassignment.
 
 Neither heuristic ever closes a node — they only feed the shared
@@ -46,6 +46,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.ilp.branch_bound import BranchAndBound, _Node
+
+#: LP/leaf-call budget of one dive.
+DIVE_MAX_LP = 64
+
+#: LP/leaf-call budget of one polishing pass.
+POLISH_MAX_LP = 64
 
 
 def _fractionality(value: float) -> float:
@@ -118,7 +124,7 @@ def lp_dive(
     config = solver.config
     heur = solver._heur
     heur["dives"] += 1
-    budget = max(1, config.dive_max_lp)
+    budget = DIVE_MAX_LP
     use_group0 = bool(config.leaf_subsolve and solver._group0)
     # Depth-first with one untried alternative per fixing level: a dead
     # end backtracks to the most recent level whose other side is still
@@ -194,7 +200,7 @@ def polish_incumbent(
     config = solver.config
     heur = solver._heur
     heur["polish_calls"] += 1
-    budget = max(1, config.polish_max_lp)
+    budget = POLISH_MAX_LP
     use_leaf = bool(config.leaf_subsolve and solver._group0)
     # Branching variables pinned at their incumbent values; each move
     # edits exactly one SOS1 group on top of this template.  Without a

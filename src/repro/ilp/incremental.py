@@ -33,7 +33,7 @@ The kernel is a drop-in LP backend (same
 ``(form, lb_override, ub_override) -> LPResult`` contract), so it
 slots into :class:`~repro.ilp.resilience.ResilientLPBackend` chains
 unchanged.  :meth:`kernel_telemetry` reports the kernel name, call
-counts and warm-start hits for the ``repro.solve_telemetry/v8``
+counts and warm-start hits for the ``repro.solve_telemetry/v9``
 artifact.
 """
 
@@ -335,7 +335,7 @@ class IncrementalLPSolver:
     # ------------------------------------------------------------------
 
     def kernel_telemetry(self) -> "Dict[str, object]":
-        """Counters for the ``solve.kernel`` telemetry block (v8)."""
+        """Counters for the ``solve.kernel`` telemetry block (v9)."""
         return {
             "name": self.kernel_name,
             "highs": self._highs is not None,

@@ -4,7 +4,7 @@
 replaces only the middle of :meth:`solve`: after the shared
 ``_prepare_run`` rampup it dispatches frontier chunks to a fleet of
 spawn-isolated workers, and on completion funnels into the shared
-``_finish_run`` — so status semantics, rescue dives, checkpoint
+``_finish_run`` — so the stop rule, status semantics, checkpoint
 persistence, and telemetry assembly are literally the sequential
 code paths, not reimplementations.
 
@@ -61,20 +61,16 @@ from repro.runner.substrate import Watchdog, spawn_worker, worker_env
 
 #: Config fields shipped verbatim to workers (everything else in the
 #: worker's config is either rebuilt by the context builder or owned
-#: by the coordinator — clock, checkpoints, rescue).
+#: by the coordinator — clock, checkpoints).
 _SHIPPED_CONFIG_FIELDS = (
     "int_tol",
     "objective_is_integral",
     "propagate_sos1",
     "leaf_subsolve",
-    "subsolve_time_limit_s",
     "lp_failure_limit",
     "reduced_cost_fixing",
     # Heuristics run independently in each worker.
     "heuristics",
-    "dive_every",
-    "dive_max_lp",
-    "polish_max_lp",
 )
 
 #: How long to wait for a worker's ready handshake before declaring it
@@ -193,15 +189,9 @@ class ParallelBranchAndBound(BranchAndBound):
         target = 2 * self.parallel.workers
         budget = max(self.parallel.rampup_nodes, 1)
         while self._stack and len(self._stack) < target:
-            if self._lp_failure_abort:
-                return SolveStatus.ERROR
-            if self._out_of_time():
-                return SolveStatus.TIMEOUT
-            if (
-                self.config.node_limit is not None
-                and self._stats.nodes_explored >= self.config.node_limit
-            ):
-                return SolveStatus.NODE_LIMIT
+            limit_status = self._limit_status()
+            if limit_status is not None:
+                return limit_status
             if self._stats.nodes_explored >= budget:
                 break
             self._process_node(self._stack.pop())
@@ -371,18 +361,10 @@ class ParallelBranchAndBound(BranchAndBound):
         last_checkpoint_nodes = self._stats.nodes_explored
 
         while True:
-            if self._lp_failure_abort:
+            limit_status = self._limit_status()
+            if limit_status is not None:
                 self._requeue_all_in_flight()
-                return SolveStatus.ERROR
-            if self._out_of_time():
-                self._requeue_all_in_flight()
-                return SolveStatus.TIMEOUT
-            if (
-                self.config.node_limit is not None
-                and self._stats.nodes_explored >= self.config.node_limit
-            ):
-                self._requeue_all_in_flight()
-                return SolveStatus.NODE_LIMIT
+                return limit_status
 
             alive = [w for w in self._fleet if w.alive and w.ready]
             in_flight = [w for w in alive if w.in_flight is not None]
@@ -569,15 +551,9 @@ class ParallelBranchAndBound(BranchAndBound):
             return None
         start_nodes = self._stats.nodes_explored
         while self._stack:
-            if self._lp_failure_abort:
-                return SolveStatus.ERROR
-            if self._out_of_time():
-                return SolveStatus.TIMEOUT
-            if (
-                self.config.node_limit is not None
-                and self._stats.nodes_explored >= self.config.node_limit
-            ):
-                return SolveStatus.NODE_LIMIT
+            limit_status = self._limit_status()
+            if limit_status is not None:
+                return limit_status
             self._process_node(self._stack.pop())
             self._maybe_checkpoint()
         self._ptelemetry["inline_fallback_nodes"] = (

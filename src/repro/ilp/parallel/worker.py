@@ -105,10 +105,9 @@ class Worker:
             node_prober=context.get("node_prober"),
             leaf_solver=context.get("leaf_solver"),
             incumbent_auditor=context.get("incumbent_auditor"),
-            # The coordinator owns the clock, checkpoints, and rescue
-            # semantics; a worker only ever explores bounded chunks.
+            # The coordinator owns the clock and checkpoints; a worker
+            # only ever explores bounded chunks.
             time_limit_s=None,
-            rescue_on_deadline=False,
             presolve=False,
             checkpoint_path=None,
             **spec,

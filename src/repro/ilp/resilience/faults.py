@@ -33,12 +33,12 @@ objective equality with the fault-free solve.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import SolverError, TransientSolverError
+from repro.faultplan import SeededFaultPlan, SeededInjector
 from repro.ilp.solution import LPResult, SolveStatus
 
 #: Every fault class the injector knows, in documentation order.
@@ -46,32 +46,23 @@ FAULT_KINDS: "Tuple[str, ...]" = (
     "raise", "fatal", "slow", "nan", "infeasible", "perturb",
 )
 
-#: Fault-log entries kept per injector (bounded so week-long chaos
-#: soaks cannot eat memory).
-_LOG_CAP = 1000
-
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(SeededFaultPlan):
     """What to inject, how often, and where.
+
+    ``kinds``, ``rate``, ``seed`` and ``limit`` are those of
+    :class:`~repro.faultplan.SeededFaultPlan`, over
+    :data:`FAULT_KINDS`.
 
     Parameters
     ----------
-    kinds:
-        Fault classes to draw from (uniformly) on each injected call.
-    rate:
-        Probability in ``[0, 1]`` that any given call is faulted.
-    seed:
-        RNG seed; the full fault sequence is a pure function of it.
     slow_s:
         Delay injected by the ``slow`` class.
     perturb:
         How far the ``perturb`` class shifts the reported objective
         *down* (making the bound look better than it is — the
         dangerous direction for a minimization prune test).
-    limit:
-        Maximum number of injections (``None`` = unlimited); lets a
-        test fault exactly the first k calls.
     targets:
         ``"primary"`` faults only the first backend of the resilience
         chain (recovery via fallback must succeed); ``"all"`` faults
@@ -80,39 +71,21 @@ class FaultPlan:
     """
 
     kinds: "Tuple[str, ...]" = ("raise",)
-    rate: float = 0.25
-    seed: int = 0
     slow_s: float = 0.02
     perturb: float = 1.0
-    limit: "Optional[int]" = None
     targets: str = "primary"
 
+    KNOWN_KINDS = FAULT_KINDS
+
     def __post_init__(self) -> None:
-        unknown = [k for k in self.kinds if k not in FAULT_KINDS]
-        if unknown:
-            raise ValueError(
-                f"unknown fault kind(s) {unknown}; choose from {FAULT_KINDS}"
-            )
-        if not self.kinds:
-            raise ValueError("FaultPlan.kinds must name at least one class")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"FaultPlan.rate must be in [0, 1], got {self.rate}")
+        super().__post_init__()
         if self.targets not in ("primary", "all"):
             raise ValueError(
                 f"FaultPlan.targets must be 'primary' or 'all', got {self.targets!r}"
             )
 
-    @classmethod
-    def from_cli(
-        cls,
-        kinds: str,
-        rate: float,
-        seed: int,
-        targets: str = "primary",
-    ) -> "FaultPlan":
-        """Parse the CLI's comma-separated ``--chaos-faults`` notation."""
-        names = tuple(k.strip() for k in kinds.split(",") if k.strip())
-        return cls(kinds=names, rate=rate, seed=seed, targets=targets)
+    def describe(self) -> "Dict[str, object]":
+        return {**super().describe(), "targets": self.targets}
 
 
 @dataclass
@@ -122,57 +95,32 @@ class FaultRecord:
     call: int
     kind: str
 
-    def as_dict(self) -> "Dict[str, object]":
-        return {"call": self.call, "kind": self.kind}
 
-
-class FaultInjectingBackend:
+class FaultInjectingBackend(SeededInjector):
     """Wrap an LP backend callable with seeded fault injection.
 
     Drop-in compatible with the ``(form, lb_override, ub_override) ->
     LPResult`` backend contract.  Whether a call is faulted, and with
     which class, is decided by the plan's RNG *before* the inner solve,
     so the decision sequence is identical no matter how long each
-    underlying solve takes.
+    underlying solve takes.  :meth:`telemetry` feeds the
+    ``solve.resilience`` block.
     """
 
     def __init__(self, inner, plan: "Optional[FaultPlan]" = None,
                  name: str = "chaos") -> None:
+        super().__init__(plan if plan is not None else FaultPlan())
         self.inner = inner
-        self.plan = plan if plan is not None else FaultPlan()
         self.name = name
         self.calls = 0
-        self.injected = 0
-        self.log: "List[FaultRecord]" = []
-        self._rng = random.Random(self.plan.seed)
         self._sleep = time.sleep
-
-    # ------------------------------------------------------------------
-
-    def _draw(self) -> "Optional[str]":
-        """Decide this call's fault class (or None), advancing the RNG.
-
-        Both RNG draws happen unconditionally so the decision sequence
-        depends only on the seed and call count, not on earlier
-        outcomes like the injection limit.
-        """
-        roll = self._rng.random()
-        kind = self._rng.choice(self.plan.kinds)
-        if self.plan.limit is not None and self.injected >= self.plan.limit:
-            return None
-        return kind if roll < self.plan.rate else None
-
-    def _record(self, kind: str) -> None:
-        self.injected += 1
-        if len(self.log) < _LOG_CAP:
-            self.log.append(FaultRecord(call=self.calls, kind=kind))
 
     def __call__(self, form, lb_override=None, ub_override=None) -> LPResult:
         self.calls += 1
-        kind = self._draw()
+        kind = self._roll()
         if kind is None:
             return self.inner(form, lb_override, ub_override)
-        self._record(kind)
+        self._record(FaultRecord(call=self.calls, kind=kind))
         if kind == "raise":
             raise TransientSolverError(
                 f"injected transient fault (call {self.calls})",
@@ -206,22 +154,3 @@ class FaultInjectingBackend:
             objective=result.objective - self.plan.perturb,
             values=dict(result.values),
         )
-
-    # ------------------------------------------------------------------
-
-    def telemetry(self) -> "Dict[str, object]":
-        """Injection counters for the ``solve.resilience`` block."""
-        by_kind: "Dict[str, int]" = {}
-        for record in self.log:
-            by_kind[record.kind] = by_kind.get(record.kind, 0) + 1
-        return {
-            "calls": self.calls,
-            "injected": self.injected,
-            "by_kind": by_kind,
-            "plan": {
-                "kinds": list(self.plan.kinds),
-                "rate": self.plan.rate,
-                "seed": self.plan.seed,
-                "targets": self.plan.targets,
-            },
-        }

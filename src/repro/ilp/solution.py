@@ -171,7 +171,6 @@ class SolveStats:
     prober_hits: int = 0
     sos1_propagations: int = 0
     leaf_subsolve_calls: int = 0
-    rescue_nodes: int = 0
     max_depth: int = 0
     vars_fixed_reduced_cost: int = 0
     wall_time_s: float = 0.0
@@ -220,7 +219,6 @@ class SolveStats:
             "prober_hits": self.prober_hits,
             "sos1_propagations": self.sos1_propagations,
             "leaf_subsolve_calls": self.leaf_subsolve_calls,
-            "rescue_nodes": self.rescue_nodes,
             "max_depth": self.max_depth,
             "vars_fixed_reduced_cost": self.vars_fixed_reduced_cost,
             "wall_time_s": self.wall_time_s,
@@ -249,7 +247,7 @@ class SolveStats:
             "nodes_pruned_infeasible", "nodes_integral", "nodes_leaf_solved",
             "nodes_dropped", "lp_failures", "blind_branches",
             "incumbent_updates", "prober_hits", "sos1_propagations",
-            "leaf_subsolve_calls", "rescue_nodes", "max_depth",
+            "leaf_subsolve_calls", "max_depth",
             "vars_fixed_reduced_cost",
         ):
             if name in data:

@@ -127,7 +127,7 @@ class TestMain:
         )
         assert code == 0
         record = json.loads(telemetry_path.read_text())
-        assert record["schema"] == "repro.solve_telemetry/v8"
+        assert record["schema"] == "repro.solve_telemetry/v9"
         assert record["status"] == "optimal"
         assert record["solve"]["nodes_explored"] >= 1
 
@@ -141,8 +141,8 @@ class TestMain:
             "--time-limit", "0", "--plain-search", "--json",
         )
         payload = json.loads(out)
-        # The rescue dive either proves the answer or returns a
-        # gap-annotated incumbent; never an empty-handed crash.
+        # A zero limit returns a bare timeout; any incumbent comes
+        # with a gap.  Never a crash.
         assert payload["status"] in ("optimal", "feasible", "infeasible",
                                      "timeout")
         if payload["status"] == "feasible":

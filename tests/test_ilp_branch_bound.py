@@ -73,22 +73,11 @@ class TestBranchAndBound:
 
     def test_time_limit_without_rescue_returns_timeout(self):
         model = knapsack_model()
-        config = BranchAndBoundConfig(time_limit_s=0.0, rescue_on_deadline=False)
+        config = BranchAndBoundConfig(time_limit_s=0.0)
         result = BranchAndBound(model, config=config).solve()
         assert result.status is SolveStatus.TIMEOUT
         assert not result.has_solution
-
-    def test_time_limit_with_rescue_never_empty_handed(self):
-        # The knapsack root LP is integral, so the rescue dive both
-        # finds the incumbent and exhausts the tree: proven OPTIMAL
-        # despite the zero deadline.
-        model = knapsack_model()
-        config = BranchAndBoundConfig(time_limit_s=0.0)
-        result = BranchAndBound(model, config=config).solve()
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(-8.0)
-        assert result.stats.rescue_nodes >= 1
-        assert result.stats.stop_reason == "exhausted"
+        assert result.stats.nodes_explored == 0
 
     def test_integral_objective_pruning(self):
         config = BranchAndBoundConfig(objective_is_integral=True)

@@ -13,6 +13,12 @@ import json
 
 import pytest
 
+from repro.graph.generators import (
+    PAPER_TYPE_WEIGHTS,
+    RandomGraphConfig,
+    random_task_graph,
+)
+from repro.graph.io import task_graph_to_dict
 from repro.service.jobs import recover_journal
 from repro.service.server import ServiceConfig, SolveService
 
@@ -281,6 +287,37 @@ def test_deadline_budget_degrades_instead_of_hanging(tmp_path):
             _, metrics, _ = await _request(svc.port, "GET", "/metrics")
             # An unproven answer must never enter the cache.
             assert metrics["cache"]["entries"] == 0
+
+    asyncio.run(scenario())
+
+
+def test_clock_bound_job_degrades_instead_of_being_killed(tmp_path):
+    # A seeded 7-task spec whose default-config search is still
+    # empty-handed after several seconds.  Its 2 s budget gives the
+    # solver a 1.8 s limit and the watchdog/rlimit backstop 7 s: the
+    # solver's own limit must end the job, which the worker classifies
+    # DEGRADED (baseline design), never a watchdog/rlimit TIMEOUT.
+    graph = random_task_graph(
+        RandomGraphConfig(
+            n_tasks=7, n_ops=27, seed=676431975,
+            type_weights=dict(PAPER_TYPE_WEIGHTS), cluster_skew=0.5,
+        )
+    )
+    request = {
+        "spec": task_graph_to_dict(graph), "mix": "3A+2M+2S",
+        "n_partitions": 3, "relaxation": 2, "device": "265:0.7",
+        "memory": 25, "deadline_s": 2,
+    }
+
+    async def scenario():
+        async with _Service(tmp_path, workers=1) as svc:
+            status, doc, _ = await _request(
+                svc.port, "POST", "/v1/solve", request,
+            )
+            assert status == 200
+            assert doc["outcome"] == "DEGRADED"
+            assert doc["solve"]["status"] == "timeout"
+            assert doc["solve"]["degraded"]
 
     asyncio.run(scenario())
 

@@ -3,8 +3,10 @@
 Covers the contract the rest of the system builds on:
 
 * deadline expiry is an outcome, not an error — the incumbent comes
-  back with status FEASIBLE, a proven bound, and a finite gap (the
-  rescue dive guarantees this even for ``time_limit_s=0``);
+  back with status FEASIBLE, a proven bound, and a finite gap; with no
+  incumbent the result is a bare TIMEOUT;
+* the limit holds: no leaf sub-solve gets more time than remains, and
+  ``partition_spec`` returns close to its ``time_limit_s``;
 * the incumbent event log is monotone (objectives strictly improve,
   timestamps never go backwards) and ends at the returned objective;
 * the per-cause node counters reconcile exactly with nodes explored;
@@ -16,14 +18,22 @@ Covers the contract the rest of the system builds on:
 
 import json
 import math
+import time
 
 import pytest
 
 from repro.core.partitioner import TemporalPartitioner
+from repro.graph.generators import (
+    PAPER_TYPE_WEIGHTS,
+    RandomGraphConfig,
+    random_task_graph,
+)
 from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.expr import lin_sum
 from repro.ilp.model import Model
 from repro.ilp.solution import IncumbentEvent, NodeEvent, SolveStatus, relative_gap
+from repro.library.catalogs import mix_from_string
+from repro.reporting.experiments import reference_device, reference_memory
 from repro.reporting.export import save_telemetry, telemetry_to_dict
 
 
@@ -64,9 +74,21 @@ def assert_counters_reconcile(stats):
     )
 
 
+def deadline_after_first_incumbent(limit_s=0.5):
+    """A config whose ``on_incumbent`` callback spends the whole limit.
+
+    The first incumbent of :func:`two_incumbent_model` arrives after a
+    few LPs; sleeping ``limit_s`` there makes the deadline fire with
+    that incumbent in hand and one subtree still open.
+    """
+    return BranchAndBoundConfig(
+        time_limit_s=limit_s, on_incumbent=lambda event: time.sleep(limit_s)
+    )
+
+
 class TestDeadlineRobustness:
-    def test_zero_deadline_returns_incumbent_with_finite_gap(self):
-        config = BranchAndBoundConfig(time_limit_s=0.0)
+    def test_deadline_after_incumbent_returns_finite_gap(self):
+        config = deadline_after_first_incumbent()
         result = BranchAndBound(two_incumbent_model(), config=config).solve()
         assert result.status is SolveStatus.FEASIBLE
         assert result.has_solution
@@ -76,10 +98,9 @@ class TestDeadlineRobustness:
         assert result.gap is not None and math.isfinite(result.gap)
         assert result.gap == pytest.approx(relative_gap(-3.0, -5.5))
         assert result.stats.stop_reason == "time_limit"
-        assert result.stats.rescue_nodes >= 1
 
-    def test_zero_deadline_telemetry_populated(self):
-        config = BranchAndBoundConfig(time_limit_s=0.0)
+    def test_deadline_after_incumbent_telemetry_populated(self):
+        config = deadline_after_first_incumbent()
         result = BranchAndBound(two_incumbent_model(), config=config).solve()
         stats = result.stats
         assert stats.nodes_explored >= 1
@@ -90,18 +111,14 @@ class TestDeadlineRobustness:
         assert stats.gap == result.gap
         assert_counters_reconcile(stats)
 
-    def test_rescue_disabled_times_out_empty_handed(self):
-        config = BranchAndBoundConfig(time_limit_s=0.0, rescue_on_deadline=False)
+    def test_zero_deadline_times_out_empty_handed(self):
+        config = BranchAndBoundConfig(time_limit_s=0.0)
         result = BranchAndBound(two_incumbent_model(), config=config).solve()
         assert result.status is SolveStatus.TIMEOUT
         assert not result.has_solution
         assert result.gap is None
-
-    def test_rescue_budget_zero_times_out(self):
-        config = BranchAndBoundConfig(time_limit_s=0.0, rescue_node_budget=0)
-        result = BranchAndBound(two_incumbent_model(), config=config).solve()
-        assert result.status is SolveStatus.TIMEOUT
-        assert result.stats.rescue_nodes == 0
+        assert result.stats.nodes_explored == 0
+        assert result.stats.stop_reason == "time_limit"
 
     def test_optimal_run_has_zero_gap(self):
         result = BranchAndBound(two_incumbent_model()).solve()
@@ -216,7 +233,8 @@ class TestPipelinePropagation:
             assert outcome.bound is not None
             assert outcome.summary_row()["gap"] == outcome.gap
         else:
-            # The rescue dive finished the tree: a proven answer.
+            # No incumbent: plain search never degrades to the
+            # baselines, so the bare limit status comes back.
             assert outcome.status in (
                 SolveStatus.OPTIMAL,
                 SolveStatus.INFEASIBLE,
@@ -241,7 +259,7 @@ class TestPipelinePropagation:
         outcome = tp.partition(chain3_graph, "1A+1M+1S", n_partitions=2,
                                relaxation=2)
         record = telemetry_to_dict(outcome)
-        assert record["schema"] == "repro.solve_telemetry/v8"
+        assert record["schema"] == "repro.solve_telemetry/v9"
         assert record["status"] == "optimal"
         assert record["solve"]["nodes_explored"] >= 1
         assert record["solve"]["lp_calls"] >= 1
@@ -252,3 +270,83 @@ class TestPipelinePropagation:
         # saved payload; everything else round-trips exactly.
         assert saved.pop("digest")
         assert saved == json.loads(json.dumps(record))
+
+
+def leaf_tree_model(n_assign=4):
+    """A tree whose every group-0-fixed node needs a leaf sub-solve.
+
+    ``2z == 1`` keeps the binary ``z`` at 0.5 in every LP, so no node is
+    ever integral; the ``y`` row is integral but unfixed until the
+    search has pinned all of it, which makes each of the ``2**n_assign``
+    full assignments a leaf.
+    """
+    model = Model("leaf-tree")
+    ys = [
+        model.add_binary(f"y{i}", branch_group=0, branch_key=(i,))
+        for i in range(n_assign)
+    ]
+    z = model.add_binary("z", branch_group=1, branch_key=(0,))
+    model.add(2 * z == 1)
+    model.set_objective(lin_sum(-1 * y for y in ys))
+    return model
+
+
+#: Literal draw parameters (tasks, ops, N, L, mix, graph seed) of three
+#: seeded specs that do not finish inside one second.
+CLOCK_BOUND_SPECS = {
+    "gen03": (7, 27, 3, 2, "3A+2M+2S", 676431975),
+    "gen07": (5, 20, 2, 1, "3A+2M+2S", 1194700572),
+    "gen26": (7, 27, 3, 2, "2A+2M+1S", 1810144999),
+}
+
+
+class TestLimitsHold:
+    def test_leaf_budgets_never_exceed_the_time_left(self):
+        limit = 0.1
+        calls = []
+
+        def leaf_solver(lb, ub, budget):
+            calls.append((time.monotonic(), budget))
+            time.sleep(0.02)
+            return "infeasible", None
+
+        config = BranchAndBoundConfig(
+            time_limit_s=limit, leaf_subsolve=True, leaf_solver=leaf_solver
+        )
+        solver = BranchAndBound(leaf_tree_model(), config=config)
+        start = time.monotonic()
+        result = solver.solve()
+        assert calls
+        for called_at, budget in calls:
+            assert budget > 0.0
+            # At most the time left when the call was made.
+            assert called_at + budget <= start + limit + 0.01
+        assert result.status is SolveStatus.TIMEOUT
+        assert time.monotonic() - start < limit + 0.1
+
+    @pytest.mark.parametrize("key", sorted(CLOCK_BOUND_SPECS))
+    def test_partition_spec_returns_within_the_limit(self, key):
+        n_tasks, n_ops, n_parts, relax, mix, seed = CLOCK_BOUND_SPECS[key]
+        graph = random_task_graph(
+            RandomGraphConfig(
+                n_tasks=n_tasks,
+                n_ops=n_ops,
+                seed=seed,
+                type_weights=dict(PAPER_TYPE_WEIGHTS),
+                cluster_skew=0.5,
+            )
+        )
+        tp = TemporalPartitioner(
+            device=reference_device(), memory=reference_memory(),
+            time_limit_s=1.0,
+        )
+        spec = tp.make_spec(
+            graph, mix_from_string(mix), n_partitions=n_parts, relaxation=relax
+        )
+        start = time.monotonic()
+        outcome = tp.partition_spec(spec)
+        assert time.monotonic() - start < 2.0
+        # Empty-handed at the limit: degraded to the baselines.
+        assert outcome.status is SolveStatus.TIMEOUT
+        assert outcome.degraded
+        assert outcome.solve_stats.stop_reason == "time_limit"
