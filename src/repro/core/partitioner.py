@@ -140,7 +140,7 @@ class PartitionOutcome:
     def telemetry(self) -> "Dict[str, object]":
         """Per-run solve-telemetry record (see DESIGN.md for the schema)."""
         return {
-            "schema": "repro.solve_telemetry/v9",
+            "schema": "repro.solve_telemetry/v10",
             "graph": self.spec.graph.name,
             "n_partitions": self.spec.n_partitions,
             "relaxation": self.spec.relaxation,
@@ -570,7 +570,6 @@ class TemporalPartitioner:
             node_limit=self.node_limit,
             objective_is_integral=True,
             propagate_sos1=not self.plain_search,
-            leaf_subsolve=not self.plain_search,
             node_prober=prober,
             leaf_solver=leaf_solver,
             on_node=self.on_node,
@@ -580,7 +579,6 @@ class TemporalPartitioner:
             lp_backend=self._make_lp_backend(),
             checkpoint_path=self.checkpoint_path,
             checkpoint_every=self.checkpoint_every,
-            reduced_cost_fixing=not self.plain_search,
             heuristics=self.heuristics,
             incumbent_auditor=make_incumbent_auditor(spec, space),
             proof_path=self.proof_path,

@@ -25,12 +25,12 @@ turns them on):
 * **SOS1 propagation** (``propagate_sos1``) — when an up-branch sets a
   variable of a registered exactly-one group (a task's ``y[t, *]``
   row) to 1, its group peers' upper bounds drop to 0 in that child.
-* **Leaf sub-solve** (``leaf_subsolve``) — the formulation's objective
+* **Leaf sub-solve** (``leaf_solver``) — the formulation's objective
   is a function of the group-0 (``y``) variables alone, so once every
   group-0 variable is *bound-fixed* the node is a pure
-  scheduling-feasibility problem; it is decided exactly with one
-  HiGHS MILP call on the fixed-bounds model instead of by further
-  in-tree branching.  Nodes whose LP comes back group-0-integral but
+  scheduling-feasibility problem; it is decided exactly by one call to
+  the problem-specific leaf solver instead of by further in-tree
+  branching.  Nodes whose LP comes back group-0-integral but
   not bound-fixed are driven to fixation by branching on an unfixed
   group-0 variable (a valid space partition even at integral LP
   values).
@@ -65,9 +65,10 @@ and no wrong bound ever prunes.  A fully-fixed node whose LP fails is
 decided by the exact leaf sub-solve; only if that also fails is the
 node *dropped*, which forfeits the optimality proof (the final status
 honestly downgrades from OPTIMAL to FEASIBLE, or to ERROR when no
-incumbent exists).  ``lp_failure_limit`` bounds how much failure the
-search tolerates before aborting with stop reason ``lp_failure_limit``
-— the partitioner's cue to degrade to a heuristic baseline.
+incumbent exists).  :data:`LP_FAILURE_LIMIT` bounds how much failure
+the search tolerates before aborting with stop reason
+``lp_failure_limit`` — the partitioner's cue to degrade to a heuristic
+baseline.
 
 Checkpoint/resume: with ``checkpoint_path`` set, the open-node
 frontier, incumbent, and counters are serialized atomically every
@@ -110,6 +111,16 @@ SUBSOLVE_TIME_LIMIT_S = 30.0
 #: Node interval between LP-guided dives (the root always dives).
 DIVE_EVERY = 512
 
+#: How close to an integer an LP value must be to count as integral.
+INT_TOL = 1e-6
+
+#: Total LP backend failures (calls raising
+#: :class:`~repro.errors.SolverError`) tolerated before the search
+#: aborts with stop reason ``lp_failure_limit`` — the
+#: graceful-degradation cue.  Failures below the limit are survived by
+#: blind branching (see module docstring).
+LP_FAILURE_LIMIT = 64
+
 
 @dataclass
 class BranchAndBoundConfig:
@@ -124,9 +135,6 @@ class BranchAndBoundConfig:
     node_limit:
         Maximum number of explored nodes (safety valve for the
         deliberately-bad baselines).
-    int_tol:
-        How close to an integer an LP value must be to count as
-        integral.
     objective_is_integral:
         Enables the stronger "must improve by >= 1" pruning threshold.
     lp_backend:
@@ -136,12 +144,6 @@ class BranchAndBoundConfig:
     propagate_sos1:
         Fix SOS1 peers to 0 on up-branches (needs groups registered on
         the model; harmless otherwise).
-    leaf_subsolve:
-        Decide group-0-fixed leaves with one exact HiGHS MILP call (see
-        module docstring).  Requires group-0 variables to determine the
-        objective for the incumbent to be optimal for that leaf; the
-        temporal-partitioning formulation satisfies this by
-        construction.
     node_prober:
         Optional ``f(lb, ub) -> bool`` called on every node before its
         LP; returning True *proves* the node infeasible and prunes it.
@@ -150,9 +152,12 @@ class BranchAndBoundConfig:
     leaf_solver:
         Optional ``f(lb, ub, budget_s) -> (kind, payload)`` deciding a
         group-0-fixed leaf exactly with a problem-specific compact
-        model (:func:`repro.core.leafsolve.make_leaf_solver`); when
-        absent, leaves are decided by a HiGHS MILP call on the full
-        model with the node's bounds.
+        model (:func:`repro.core.leafsolve.make_leaf_solver`).  Given
+        one, the search stops branching once every group-0 variable is
+        bound-fixed and hands the node to it (see module docstring);
+        this requires the group-0 variables to determine the objective,
+        which the temporal-partitioning formulation does by
+        construction.  Without one every node is decided in the tree.
     on_node:
         Optional callback receiving a
         :class:`~repro.ilp.solution.NodeEvent` after every
@@ -176,37 +181,20 @@ class BranchAndBoundConfig:
     presolve_options:
         Override the :class:`~repro.ilp.analysis.PresolveOptions`;
         must keep ``eliminate=False`` (enforced).
-    lp_failure_limit:
-        Total LP backend failures (calls raising
-        :class:`~repro.errors.SolverError`) tolerated before the
-        search aborts with stop reason ``lp_failure_limit`` — the
-        graceful-degradation cue.  Failures below the limit are
-        survived by blind branching (see module docstring).
     checkpoint_path:
         When set, the search state is serialized (atomically) to this
         path every ``checkpoint_every`` explored nodes and on every
         limit stop, so a killed process can :meth:`~BranchAndBound.resume`.
     checkpoint_every:
         Node interval between periodic checkpoint saves.
-    reduced_cost_fixing:
-        Permanently tighten integer-variable bounds from the *root* LP's
-        reduced costs each time the incumbent improves: a variable
-        nonbasic at a root bound whose reduced cost proves any deviation
-        cannot beat the incumbent is fixed at that bound, and every
-        node explored afterwards is clipped to the tightened box.  This
-        never cuts off the optimal *objective* (only provably-not-better
-        or tied alternates), so OPTIMAL statuses and objectives are
-        unchanged.  Requires the LP backend to attach
-        ``LPResult.reduced_costs``; silently inert otherwise.  Fixings
-        are counted in ``SolveStats.vars_fixed_reduced_cost``.
     heuristics:
         Enable the in-tree primal heuristics
         (:mod:`repro.ilp.heuristics`): LP-guided diving at the root
         and every :data:`DIVE_EVERY` nodes, and 1-opt incumbent
         polishing whenever the incumbent improves.  Heuristic
         incumbents feed the ordinary incumbent machinery (so bound
-        pruning and reduced-cost fixing fire earlier) and are audited
-        before adoption; counters land in ``SolveStats.heuristics``.
+        pruning fires earlier) and are audited before adoption;
+        counters land in ``SolveStats.heuristics``.
     incumbent_auditor:
         Optional ``f(values: Dict[int, float]) -> bool`` run on every
         *heuristic* incumbent before adoption (the partitioner plugs
@@ -219,8 +207,8 @@ class BranchAndBoundConfig:
         :mod:`repro.ilp.certify`).  Proof mode disables the
         non-certifiable accelerations on this solver (node prober,
         leaf sub-solve) — their closures carry no LP dual evidence —
-        and only applies SOS1 propagations and reduced-cost fixes that
-        pre-validate in exact arithmetic.
+        and only applies SOS1 propagations that pre-validate in exact
+        arithmetic.
     proof_sink:
         Pre-built :class:`~repro.ilp.certify.proof.ProofSink` to emit
         into instead of opening ``proof_path`` (the parallel worker /
@@ -229,11 +217,9 @@ class BranchAndBoundConfig:
 
     time_limit_s: Optional[float] = None
     node_limit: Optional[int] = None
-    int_tol: float = 1e-6
     objective_is_integral: bool = False
     lp_backend: Callable[..., LPResult] = solve_lp_scipy
     propagate_sos1: bool = False
-    leaf_subsolve: bool = False
     node_prober: "Optional[Callable]" = None
     leaf_solver: "Optional[Callable]" = None
     on_node: "Optional[Callable[[NodeEvent], None]]" = None
@@ -241,10 +227,8 @@ class BranchAndBoundConfig:
     callback_every: int = 1
     presolve: bool = False
     presolve_options: "Optional[object]" = None
-    lp_failure_limit: int = 64
     checkpoint_path: "Optional[str]" = None
     checkpoint_every: int = 256
-    reduced_cost_fixing: bool = False
     heuristics: bool = False
     incumbent_auditor: "Optional[Callable[[Dict[int, float]], bool]]" = None
     proof_path: "Optional[str]" = None
@@ -343,11 +327,9 @@ class BranchAndBound:
         self._resumed = False
         self._resume_payload: "Optional[Dict[str, object]]" = None
         self._elapsed_base = 0.0
-        # Reduced-cost fixing state: root LP snapshot + the globally
-        # tightened bound box applied to every later node.
-        self._root_lp: "Optional[tuple]" = None
-        self._rc_lb: "Optional[np.ndarray]" = None
-        self._rc_ub: "Optional[np.ndarray]" = None
+        # Proven global lower bound for the polish gate: the root LP
+        # objective, or the restored frontier's least bound on resume.
+        self._root_bound: "Optional[float]" = None
         # Proof logging state (see repro.ilp.certify).
         self._proof: "Optional[object]" = None
         self._owns_proof = False
@@ -414,7 +396,7 @@ class BranchAndBound:
     def _limit_status(self) -> "Optional[SolveStatus]":
         """The stop rule every search loop checks before each node.
 
-        ERROR once LP failures passed ``lp_failure_limit``, TIMEOUT once
+        ERROR once LP failures reached :data:`LP_FAILURE_LIMIT`, TIMEOUT once
         ``time_limit_s`` is spent, NODE_LIMIT once ``node_limit`` nodes
         were explored; ``None`` while the search may go on.
         """
@@ -490,9 +472,7 @@ class BranchAndBound:
         self._lp_failure_abort = False
         self._checkpoint_saves = 0
         self._elapsed_base = 0.0
-        self._root_lp = None
-        self._rc_lb = None
-        self._rc_ub = None
+        self._root_bound = None
         self._heur = dict(_HEUR_ZERO)
         self._in_polish = False
         self._setup_proof()
@@ -545,7 +525,7 @@ class BranchAndBound:
             self.config.proof_path,
             self.form,
             objective_is_integral=self.config.objective_is_integral,
-            int_tol=self.config.int_tol,
+            int_tol=INT_TOL,
             resume=self._resume_payload is not None,
         )
         self._owns_proof = True
@@ -569,21 +549,6 @@ class BranchAndBound:
         for idx, val in values.items():
             arr[int(idx)] = float(val)
         return arr
-
-    def _capture_root_proof(self, lp: LPResult) -> bool:
-        """Gate root-LP capture (reduced-cost fixing) in proof mode.
-
-        Without a proof sink every capture is allowed.  With one, the
-        root's dual vector must exist and certify a finite exact dual
-        bound (the justification every later ``rc_fix`` record leans
-        on); otherwise fixing stays off for the whole run — sound,
-        merely less pruning.
-        """
-        if self._proof is None:
-            return True
-        if lp.dual_ub is None or lp.dual_eq is None:
-            return False
-        return bool(self._proof.emit_root(lp.dual_ub, lp.dual_eq))
 
     def _emit_infeasible_proof(self, node: "_Node") -> None:
         """Certify an LP-infeasible prune.
@@ -616,22 +581,6 @@ class BranchAndBound:
         stats.max_depth = max(stats.max_depth, node.depth)
 
         try:
-            if self._rc_lb is not None:
-                # Clip into the reduced-cost-tightened box.  Bounds only
-                # move inward, so checkpointed bound-deltas stay valid;
-                # an emptied box means the subtree provably holds
-                # nothing better than the incumbent.
-                np.maximum(node.lb, self._rc_lb, out=node.lb)
-                np.minimum(node.ub, self._rc_ub, out=node.ub)
-                if np.any(node.lb > node.ub):
-                    stats.nodes_pruned_bound += 1
-                    if self._proof is not None:
-                        self._proof.emit_prune_infeasible(
-                            self._node_pid(node), node.lb, node.ub,
-                            reason="rcbox",
-                        )
-                    return
-
             # The prober's closures carry no checkable certificate, so
             # proof mode ignores it and lets the LP decide.
             if (
@@ -665,28 +614,8 @@ class BranchAndBound:
                 )
             assert lp.values is not None and lp.objective is not None
 
-            if (
-                self.config.reduced_cost_fixing
-                and self._root_lp is None
-                and node.depth == 0
-                and lp.reduced_costs is not None
-                and self._capture_root_proof(lp)
-            ):
-                values_arr = getattr(lp.values, "array", None)
-                if values_arr is None:
-                    values_arr = np.array(
-                        [lp.values[i] for i in range(self.form.num_vars)]
-                    )
-                self._root_lp = (
-                    float(lp.objective),
-                    np.asarray(lp.reduced_costs, dtype=float),
-                    node.lb.copy(),
-                    node.ub.copy(),
-                    np.asarray(values_arr, dtype=float),
-                )
-                # Fires only when an incumbent already exists (resume);
-                # a fresh root has no cutoff yet.
-                self._apply_reduced_cost_fixing()
+            if node.depth == 0:
+                self._root_bound = float(lp.objective)
 
             if lp.objective >= self._prune_threshold(self._incumbent_obj):
                 stats.nodes_pruned_bound += 1
@@ -860,9 +789,9 @@ class BranchAndBound:
         if not self.config.heuristics or self._in_polish:
             return
         if (
-            self._root_lp is not None
+            self._root_bound is not None
             and self._prune_threshold(self._incumbent_obj)
-            <= self._root_lp[0]
+            <= self._root_bound
         ):
             return  # no integer point can beat the incumbent at all
         from repro.ilp.heuristics import polish_incumbent
@@ -888,13 +817,13 @@ class BranchAndBound:
         no pruning, children inherit the parent's proven bound).  A
         fully-fixed node is decided by the exact leaf sub-solve; if
         that fails too the node is dropped and the optimality proof is
-        forfeited.  Past ``lp_failure_limit`` total failures the search
+        forfeited.  At :data:`LP_FAILURE_LIMIT` total failures the search
         aborts — at that point the backend chain is evidently dead and
         further blind branching only multiplies unresolvable nodes.
         """
         stats = self._stats
         stats.lp_failures += 1
-        if stats.lp_failures >= self.config.lp_failure_limit:
+        if stats.lp_failures >= LP_FAILURE_LIMIT:
             self._lp_failure_abort = True
             self._exactness_lost = True
             stats.nodes_dropped += 1
@@ -995,8 +924,6 @@ class BranchAndBound:
             CHECKPOINT_SCHEMA,
             form_fingerprint,
             frontier_to_json,
-            rc_box_to_json,
-            root_lp_to_json,
             values_to_json,
         )
 
@@ -1020,12 +947,6 @@ class BranchAndBound:
             "frontier": frontier_to_json(self._stack, self.form.lb, self.form.ub),
             "stats": self._stats.as_dict(),
             "exactness_lost": self._exactness_lost,
-            "root_lp": root_lp_to_json(
-                self._root_lp, self.form.lb, self.form.ub
-            ),
-            "rc_box": rc_box_to_json(
-                self._rc_lb, self._rc_ub, self.form.lb, self.form.ub
-            ),
         }
 
     def save_checkpoint(self, path: "str") -> None:
@@ -1068,8 +989,6 @@ class BranchAndBound:
         from repro.ilp.resilience.checkpoint import (
             decode_node,
             form_fingerprint,
-            rc_box_from_json,
-            root_lp_from_json,
             values_from_json,
         )
 
@@ -1096,14 +1015,6 @@ class BranchAndBound:
                 incumbent_obj = float(incumbent["objective"])
                 incumbent_values = values_from_json(incumbent["values"])
             stats = SolveStats.from_dict(payload.get("stats", {}))
-            # v2 keys; absent in v1 artifacts, where fixing stays off
-            # for the resumed run exactly as it (buggily) always did.
-            root_lp = root_lp_from_json(
-                payload.get("root_lp"), self.form.lb, self.form.ub
-            )
-            rc_lb, rc_ub = rc_box_from_json(
-                payload.get("rc_box"), self.form.lb, self.form.ub
-            )
         except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
             # A schema-valid header over a mangled body (hand-edited,
             # bit-rotted, wrong-version writer): typed, not a KeyError.
@@ -1116,14 +1027,9 @@ class BranchAndBound:
         if incumbent is not None:
             self._incumbent_obj = incumbent_obj
             self._incumbent_values = incumbent_values
-        # Restore the reduced-cost fixing state: a resumed frontier
-        # never contains a depth-0 node, so without this the root-LP
-        # snapshot would never be recaptured and every kill+resume run
-        # silently lost the fixing optimization (and under-reported
-        # vars_fixed_reduced_cost) for its remaining lifetime.
-        self._root_lp = root_lp
-        self._rc_lb = rc_lb
-        self._rc_ub = rc_ub
+        # The restored frontier's least inherited bound is a proven
+        # global lower bound, at least as tight as the root LP's.
+        self._root_bound = self._open_bound()
         stats.presolve = self._stats.presolve
         stats.stop_reason = "exhausted"
         stats.best_bound = None
@@ -1133,16 +1039,6 @@ class BranchAndBound:
         self._elapsed_base = float(payload.get("elapsed_s", 0.0))
         self._resumed = True
         if self._proof is not None:
-            if not getattr(self._proof, "continued", False):
-                # Fresh proof log over a resumed search: the rc_fix
-                # records that would justify clipping into the restored
-                # reduced-cost box live in the *previous* log, so the
-                # box (and the root snapshot that could extend it)
-                # must be dropped or every clip would audit as an
-                # unjustified tightening.
-                self._root_lp = None
-                self._rc_lb = None
-                self._rc_ub = None
             epoch = int(getattr(self._proof, "resume_epoch", 0))
             # Namespace this epoch's ids: frontier nodes get e{k}f{i},
             # nodes branched after the resume get e{k}m{n} — disjoint
@@ -1170,7 +1066,6 @@ class BranchAndBound:
         self._incumbent_obj = objective
         self._incumbent_values = values
         self._stats.incumbent_updates += 1
-        self._apply_reduced_cost_fixing()
         event = IncumbentEvent(
             wall_time_s=time.monotonic() - self._start,
             objective=objective,
@@ -1180,62 +1075,6 @@ class BranchAndBound:
         if self.config.on_incumbent is not None:
             self.config.on_incumbent(event)
         self._maybe_polish()
-
-    def _apply_reduced_cost_fixing(self) -> None:
-        """Tighten the global bound box from root reduced costs.
-
-        Soundness: let ``z_r`` be the root LP objective and ``d_j`` the
-        reduced cost of an integer variable nonbasic at a root bound.
-        Every feasible solution moving ``x_j`` one unit off that bound
-        costs at least ``z_r + |d_j|``; when that already reaches the
-        incumbent's prune threshold, no *improving* solution moves
-        ``x_j`` at all, so pinning it at the root bound preserves the
-        optimal objective (tied alternate optima may be cut — fine).
-        A 1e-6 safety margin guards the comparison; fixing only ever
-        fires once an incumbent exists (the threshold is +inf before),
-        so an INFEASIBLE conclusion can never be caused by it.
-        """
-        if not self.config.reduced_cost_fixing or self._root_lp is None:
-            return
-        root_obj, reduced, root_lb, root_ub, root_x = self._root_lp
-        threshold = self._prune_threshold(self._incumbent_obj)
-        if not math.isfinite(threshold):
-            return
-        if self._rc_lb is None:
-            self._rc_lb = self.form.lb.copy()
-            self._rc_ub = self.form.ub.copy()
-        margin = 1e-6
-        newly_fixed = 0
-        for raw_idx in self._int_indices:
-            j = int(raw_idx)
-            if self._rc_lb[j] >= self._rc_ub[j]:
-                continue  # already fixed (by us or the model)
-            d = float(reduced[j])
-            if (
-                d > margin
-                and abs(root_x[j] - root_lb[j]) <= 1e-7
-                and root_obj + d >= threshold + margin
-                and self._rc_ub[j] > root_lb[j]
-            ):
-                if self._proof is not None and not self._proof.certify_rc_fix(
-                    j, "lb", self._incumbent_obj
-                ):
-                    continue
-                self._rc_ub[j] = root_lb[j]
-                newly_fixed += 1
-            elif (
-                d < -margin
-                and abs(root_x[j] - root_ub[j]) <= 1e-7
-                and root_obj - d >= threshold + margin
-                and self._rc_lb[j] < root_ub[j]
-            ):
-                if self._proof is not None and not self._proof.certify_rc_fix(
-                    j, "ub", self._incumbent_obj
-                ):
-                    continue
-                self._rc_lb[j] = root_ub[j]
-                newly_fixed += 1
-        self._stats.vars_fixed_reduced_cost += newly_fixed
 
     def _open_bound(self) -> "Optional[float]":
         """Best proven global lower bound from the open-node set.
@@ -1375,7 +1214,7 @@ class BranchAndBound:
         self, node: _Node, values, fractional
     ) -> "Optional[BranchDecision]":
         """Pick the branching decision, or None to trigger a leaf sub-solve."""
-        if not self.config.leaf_subsolve or not self._group0:
+        if self.config.leaf_solver is None or not self._group0:
             return self.rule.select(self.model, values, fractional)
 
         frac0 = [idx for idx in fractional if idx in self._group0_set]
@@ -1430,7 +1269,7 @@ class BranchAndBound:
             node.lb.copy(), node.ub.copy(), node.depth + 1,
             bound=lp_bound, subsolved=node.subsolved,
         )
-        if abs(value - round(value)) > self.config.int_tol:
+        if abs(value - round(value)) > INT_TOL:
             down.ub[idx] = math.floor(value)
             up.lb[idx] = math.ceil(value)
         else:
@@ -1477,8 +1316,11 @@ class BranchAndBound:
             self._stack.append(down)
 
     def _leaf_subsolve(self, node: _Node):
-        """Decide a group-0-fixed leaf exactly with one HiGHS MILP call.
+        """Decide a fixed leaf exactly with one call.
 
+        The configured ``leaf_solver`` decides it; without one (a fully
+        fixed node whose LP failed, see :meth:`_branch_blind`) one
+        HiGHS MILP call on the full model with the node's bounds does.
         Returns ``("optimal", (obj, values))``, ``("infeasible", None)``
         or ``("timeout", None)`` — the caller falls back to in-tree
         branching on a timeout so the search stays exact.  The budget
@@ -1530,7 +1372,7 @@ class BranchAndBound:
         return incumbent_obj - 1e-9
 
     def _fractional_indices(self, values: "Dict[int, float]") -> "List[int]":
-        tol = self.config.int_tol
+        tol = INT_TOL
         result: "List[int]" = []
         for idx in self._int_indices:
             v = values[int(idx)]

@@ -32,7 +32,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from repro.ilp.certify.checker import (
     dual_bound,
     exact_objective,
     parse_dual_vector,
-    reduced_cost_vector,
     verify_point,
 )
 from repro.ilp.certify.records import (
@@ -57,10 +56,8 @@ from repro.ilp.certify.records import (
     KIND_INCUMBENT,
     KIND_INTEGRAL,
     KIND_PRUNE,
-    KIND_RC_FIX,
     KIND_RESULT,
     KIND_RESUME,
-    KIND_ROOT,
     PROOF_SCHEMA,
     Record,
     read_proof_records,
@@ -157,10 +154,6 @@ class ProofSink:
         self.int_tol = float(int_tol)
         self.counts: Dict[str, int] = {}
         self.forfeit_count = 0
-        self._root_y_ub: Optional[Dict[int, Fraction]] = None
-        self._root_y_eq: Optional[Dict[int, Fraction]] = None
-        self._root_r: Optional[List[Fraction]] = None
-        self._root_bound: Optional[Fraction] = None
         # Column -> candidate constraint rows, built lazily for SOS1
         # tighten justification.
         self._col_rows: Optional[Dict[int, List[Tuple[str, int]]]] = None
@@ -202,117 +195,6 @@ class ProofSink:
             parse_dual_vector(dual_to_sparse(y_ub), self.exact.a_ub.nrows, "ub"),
             parse_dual_vector(dual_to_sparse(y_eq), self.exact.a_eq.nrows, "eq"),
         )
-
-    # -- root + reduced-cost fixing -------------------------------------
-
-    def set_root_duals(
-        self,
-        y_ub_sparse: Mapping[str, float],
-        y_eq_sparse: Mapping[str, float],
-    ) -> None:
-        """Load root duals without emitting (parallel-worker side)."""
-        self._root_y_ub = parse_dual_vector(
-            dict(y_ub_sparse), self.exact.a_ub.nrows, "ub"
-        )
-        self._root_y_eq = parse_dual_vector(
-            dict(y_eq_sparse), self.exact.a_eq.nrows, "eq"
-        )
-        self._root_r = None
-        self._root_bound = None
-
-    def root_duals_sparse(
-        self,
-    ) -> Tuple[Dict[str, float], Dict[str, float]]:
-        """Re-export the loaded root duals (for shipping to workers)."""
-        if self._root_y_ub is None or self._root_y_eq is None:
-            return {}, {}
-        return (
-            {str(i): float(v) for i, v in self._root_y_ub.items()},
-            {str(i): float(v) for i, v in self._root_y_eq.items()},
-        )
-
-    def emit_root(
-        self,
-        y_ub: Optional[np.ndarray],
-        y_eq: Optional[np.ndarray],
-    ) -> bool:
-        """Record the root duals; False if they cannot justify fixes."""
-        exact_ub, exact_eq = self._exact_duals(y_ub, y_eq)
-        self._root_y_ub, self._root_y_eq = exact_ub, exact_eq
-        self._root_r = None
-        self._root_bound = None
-        if self._root_justification() is None:
-            self._root_y_ub = None
-            self._root_y_eq = None
-            return False
-        self._write(
-            {
-                "kind": KIND_ROOT,
-                "y_ub": {str(i): float(v) for i, v in exact_ub.items()},
-                "y_eq": {str(i): float(v) for i, v in exact_eq.items()},
-            }
-        )
-        return True
-
-    def _root_justification(
-        self,
-    ) -> Optional[Tuple[List[Fraction], Fraction]]:
-        if self._root_y_ub is None or self._root_y_eq is None:
-            return None
-        if self._root_r is None or self._root_bound is None:
-            self._root_r = reduced_cost_vector(
-                self.exact, self._root_y_ub, self._root_y_eq
-            )
-            self._root_bound = dual_bound(
-                self.exact,
-                self.exact.c,
-                self._root_y_ub,
-                self._root_y_eq,
-                list(self.exact.lb),
-                list(self.exact.ub),
-            )
-        if self._root_bound is None:
-            return None
-        return self._root_r, self._root_bound
-
-    def certify_rc_fix(self, var: int, side: str, incumbent: float) -> bool:
-        """Certify + record one reduced-cost fix; False means skip it.
-
-        ``side`` names which root bound the variable is being fixed at:
-        ``"lb"`` (its upper bound drops to the root lower bound) or
-        ``"ub"`` (its lower bound rises to the root upper bound).
-        """
-        just = self._root_justification()
-        if just is None:
-            return False
-        r, root_bound = just
-        if side == "lb":
-            bound = self.exact.lb[var]
-            ok = (
-                bound is not None
-                and r[var] >= 0
-                and self._covers(root_bound + r[var], incumbent)
-            )
-        elif side == "ub":
-            bound = self.exact.ub[var]
-            ok = (
-                bound is not None
-                and r[var] <= 0
-                and self._covers(root_bound - r[var], incumbent)
-            )
-        else:
-            return False
-        if not ok:
-            return False
-        self._write(
-            {
-                "kind": KIND_RC_FIX,
-                "var": int(var),
-                "side": side,
-                "bound": float(bound),
-            }
-        )
-        return True
 
     # -- branching ------------------------------------------------------
 
@@ -447,7 +329,6 @@ class ProofSink:
         eff_ub: np.ndarray,
         y_ub: Optional[np.ndarray] = None,
         y_eq: Optional[np.ndarray] = None,
-        reason: str = "infeasible",
     ) -> None:
         """Infeasibility prune: empty box, Farkas certificate, or —
         when neither holds up exactly — a forfeit."""
@@ -455,7 +336,7 @@ class ProofSink:
             record: Record = {
                 "kind": KIND_PRUNE,
                 "id": pid,
-                "reason": reason,
+                "reason": "infeasible",
                 "cert": {"kind": "empty_box"},
             }
             record.update(self._box_json(eff_lb, eff_ub))

@@ -5,7 +5,7 @@ bound-mutation re-solves (PR 5): every probe is the same
 ``lp_backend(form, lb, ub)`` call the tree search itself makes, so a
 warm-started kernel answers most of them from the parent basis.  They
 also mirror the search's own leaf structure: when the model has
-registered group-0 branching variables and ``leaf_subsolve`` is on,
+registered group-0 branching variables and a ``leaf_solver`` is given,
 the dive fixes *only* group-0 variables (the ``y`` assignment row) and
 hands the fully-fixed residue to the exact leaf solver — the same
 division of labor that makes the tree search itself fast.
@@ -28,10 +28,10 @@ division of labor that makes the tree search itself fast.
     strictly-improving reassignment.
 
 Neither heuristic ever closes a node — they only feed the shared
-incumbent so bound pruning and reduced-cost fixing fire earlier.  The
-caller audits returned points (``verify_design`` via the configured
-``incumbent_auditor``, plus exact feasibility pre-validation in proof
-mode) before adoption, so a heuristic can never corrupt the incumbent.
+incumbent so bound pruning fires earlier.  The caller audits returned
+points (``verify_design`` via the configured ``incumbent_auditor``,
+plus exact feasibility pre-validation in proof mode) before adoption,
+so a heuristic can never corrupt the incumbent.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def lp_dive(
     heur = solver._heur
     heur["dives"] += 1
     budget = DIVE_MAX_LP
-    use_group0 = bool(config.leaf_subsolve and solver._group0)
+    use_group0 = bool(config.leaf_solver is not None and solver._group0)
     # Depth-first with one untried alternative per fixing level: a dead
     # end backtracks to the most recent level whose other side is still
     # open instead of abandoning the whole dive.
@@ -201,7 +201,7 @@ def polish_incumbent(
     heur = solver._heur
     heur["polish_calls"] += 1
     budget = POLISH_MAX_LP
-    use_leaf = bool(config.leaf_subsolve and solver._group0)
+    use_leaf = bool(config.leaf_solver is not None and solver._group0)
     # Branching variables pinned at their incumbent values; each move
     # edits exactly one SOS1 group on top of this template.  Without a
     # leaf path every integer variable is pinned instead, so an LP

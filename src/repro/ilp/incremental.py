@@ -22,10 +22,9 @@ that:
 * **Array-backed results** — values come back as a
   :class:`~repro.ilp.solution.ValueVector` over the solver's own
   vector (no per-node ``{idx: float}`` allocation), and OPTIMAL
-  results carry the optimal basis' ``reduced_costs`` plus the row
-  duals (``dual_ub`` / ``dual_eq``) so branch and bound can do
-  reduced-cost variable fixing and emit proof-log certificates.  Both
-  engines return the same dual contract — including after a permanent
+  results carry the row duals (``dual_ub`` / ``dual_eq``) so branch
+  and bound can emit proof-log certificates.  Both engines return the
+  same dual contract — including after a permanent
   highs→linprog demotion, which re-solves the crashing node on the
   fallback path rather than returning a dual-less result.
 
@@ -33,7 +32,7 @@ The kernel is a drop-in LP backend (same
 ``(form, lb_override, ub_override) -> LPResult`` contract), so it
 slots into :class:`~repro.ilp.resilience.ResilientLPBackend` chains
 unchanged.  :meth:`kernel_telemetry` reports the kernel name, call
-counts and warm-start hits for the ``repro.solve_telemetry/v9``
+counts and warm-start hits for the ``repro.solve_telemetry/v10``
 artifact.
 """
 
@@ -315,7 +314,6 @@ class IncrementalLPSolver:
                 status=SolveStatus.OPTIMAL,
                 objective=float(h.getInfo().objective_function_value),
                 values=ValueVector(x),
-                reduced_costs=np.asarray(solution.col_dual, dtype=float),
                 dual_ub=dual_ub,
                 dual_eq=dual_eq,
             )

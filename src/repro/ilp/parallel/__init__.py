@@ -14,8 +14,7 @@ ParallelBranchAndBound`) ramps up the search inline until the frontier
   and the next idle worker takes them);
 * the **shared incumbent** is first-class: every improvement found by
   any worker is broadcast to all others immediately, so bound pruning
-  and reduced-cost fixing stay as tight in every process as they would
-  be in a sequential run;
+  stays as tight in every process as it would be in a sequential run;
 * **deterministic replay** (``ParallelConfig(replay=True)``) keeps a
   single chunk in flight, assigned round-robin — the global node
   sequence is then exactly the sequential one, so tests can assert the

@@ -14,8 +14,11 @@ Fleet mechanics (see the package docstring for the architecture):
   worker returns whatever frontier remains, which re-enters the shared
   pool — that re-absorption is the work-stealing mechanism;
 * incumbent improvements are adopted through the sequential
-  ``_new_incumbent`` (so reduced-cost fixing and incumbent telemetry
-  fire exactly as always) and broadcast to every other live worker;
+  ``_new_incumbent`` (so incumbent telemetry and polishing fire exactly
+  as always) and broadcast to every other live worker;
+* every chunk carries the coordinator's remaining time: a worker stops
+  its chunk there and caps each leaf budget by it, and the ready and
+  shutdown waits end at that time plus a short reaping grace;
 * a worker that dies — crash, chaos ``os._exit``, or watchdog SIGKILL
   past ``chunk_timeout_s`` — has its in-flight chunk re-queued; the
   survivors absorb the work, and with no survivors the coordinator
@@ -53,7 +56,6 @@ from repro.ilp.parallel.protocol import (
 from repro.ilp.resilience.checkpoint import (
     encode_node,
     form_fingerprint,
-    root_lp_to_json,
     values_from_json,
 )
 from repro.ilp.solution import MilpResult, SolveStatus
@@ -63,12 +65,8 @@ from repro.runner.substrate import Watchdog, spawn_worker, worker_env
 #: worker's config is either rebuilt by the context builder or owned
 #: by the coordinator — clock, checkpoints).
 _SHIPPED_CONFIG_FIELDS = (
-    "int_tol",
     "objective_is_integral",
     "propagate_sos1",
-    "leaf_subsolve",
-    "lp_failure_limit",
-    "reduced_cost_fixing",
     # Heuristics run independently in each worker.
     "heuristics",
 )
@@ -76,6 +74,12 @@ _SHIPPED_CONFIG_FIELDS = (
 #: How long to wait for a worker's ready handshake before declaring it
 #: stillborn (interpreter start + imports + model rebuild).
 _READY_TIMEOUT_S = 120.0
+
+#: How long to wait for a stopped worker to exit before killing it.
+_SHUTDOWN_TIMEOUT_S = 5.0
+
+#: Time a wait may run past the solve's time limit, to reap processes.
+_REAP_GRACE_S = 0.5
 
 
 class _WorkerHandle:
@@ -91,7 +95,6 @@ class _WorkerHandle:
         self.in_flight: "Optional[Dict[str, object]]" = None  # wire chunk
         self.in_flight_nodes: "List[_Node]" = []
         self.nodes_explored = 0
-        self.vars_fixed = 0
         self.crashed = False
 
     def send(self, message: "Dict[str, object]") -> bool:
@@ -169,7 +172,6 @@ class ParallelBranchAndBound(BranchAndBound):
             {
                 "rank": w.rank,
                 "nodes_explored": w.nodes_explored,
-                "vars_fixed_reduced_cost": w.vars_fixed,
                 "crashed": w.crashed,
             }
             for w in self._fleet
@@ -182,8 +184,8 @@ class ParallelBranchAndBound(BranchAndBound):
 
         Runs the sequential loop until the frontier holds at least two
         nodes per worker (or the rampup node budget is spent, or the
-        tree is done).  This is also where the root LP is solved and
-        its reduced-cost snapshot captured for shipping to workers.
+        tree is done).  This is also where the root LP is solved; its
+        objective ships to workers as the polish gate's bound.
         Returns a limit status if a limit fired during rampup.
         """
         target = 2 * self.parallel.workers
@@ -218,16 +220,10 @@ class ParallelBranchAndBound(BranchAndBound):
                 name: getattr(self.config, name)
                 for name in _SHIPPED_CONFIG_FIELDS
             },
-            "root_lp": root_lp_to_json(
-                self._root_lp, self.form.lb, self.form.ub
-            ),
+            "root_bound": self._root_bound,
+            # Workers build a ProofBuffer over their rebuilt form.
+            "proof": self._proof is not None,
         }
-        if self._proof is not None:
-            # Workers build a ProofBuffer over their rebuilt form; the
-            # root duals let them pre-validate reduced-cost fixes with
-            # the same exact justification the coordinator recorded.
-            y_ub, y_eq = self._proof.root_duals_sparse()
-            init_base["proof"] = {"root_duals": [y_ub, y_eq]}
         crash_plan = self.parallel.crash_after_nodes or {}
         for rank in range(self.parallel.workers):
             log_handle = open(Path(log_dir) / f"worker-{rank}.log", "w")  # noqa: SIM115 - worker-lifetime
@@ -271,9 +267,15 @@ class ParallelBranchAndBound(BranchAndBound):
                 self._events.put((handle.rank, message))
         self._events.put((handle.rank, None))  # EOF
 
+    def _wait_deadline(self, cap_s: float) -> float:
+        """When a wait of at most ``cap_s`` must end: never later than
+        the time limit plus :data:`_REAP_GRACE_S`."""
+        left = max(self._time_remaining(), 0.0) + _REAP_GRACE_S
+        return time.monotonic() + min(cap_s, left)
+
     def _await_ready(self) -> None:
         """Consume ready/error handshakes until the fleet is settled."""
-        deadline = time.monotonic() + _READY_TIMEOUT_S
+        deadline = self._wait_deadline(_READY_TIMEOUT_S)
         while any(w.alive and not w.ready for w in self._fleet):
             timeout = deadline - time.monotonic()
             if timeout <= 0:
@@ -321,16 +323,17 @@ class ParallelBranchAndBound(BranchAndBound):
         for handle in self._fleet:
             if handle.alive:
                 handle.send({"cmd": "stop"})
+        deadline = self._wait_deadline(_SHUTDOWN_TIMEOUT_S)
         for handle in self._fleet:
             try:
                 handle.proc.stdin.close()
             except (OSError, ValueError, AttributeError):
                 pass
             try:
-                handle.proc.wait(timeout=5)
+                handle.proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
             except subprocess.TimeoutExpired:
                 handle.proc.kill()
-                handle.proc.wait(timeout=5)
+                handle.proc.wait(timeout=_SHUTDOWN_TIMEOUT_S)
             try:
                 handle.proc.stdout.close()
             except (OSError, ValueError, AttributeError):
@@ -435,6 +438,11 @@ class ParallelBranchAndBound(BranchAndBound):
                 )
             ],
             "node_budget": max(1, self.parallel.chunk_node_budget),
+            "time_left_s": (
+                None
+                if self.config.time_limit_s is None
+                else self._time_remaining()
+            ),
             "incumbent_obj": (
                 self._incumbent_obj
                 if self._incumbent_values is not None
@@ -482,7 +490,6 @@ class ParallelBranchAndBound(BranchAndBound):
         delta = message.get("stats", {})
         merge_stats(self._stats, delta)
         handle.nodes_explored += int(delta.get("nodes_explored", 0))
-        handle.vars_fixed += int(delta.get("vars_fixed_reduced_cost", 0))
 
         if message.get("exactness_lost"):
             self._exactness_lost = True

@@ -4,14 +4,15 @@ One JSON object per line, in both directions, over the worker's
 stdin/stdout pipes.  Commands (coordinator -> worker):
 
 * ``{"cmd": "init", "payload": <base64 pickle>}`` — problem context:
-  builder address, config spec, root-LP snapshot, rank, chaos knobs.
-  Sent once, first.
+  builder address, config spec, root LP objective, proof flag, rank,
+  chaos knobs.  Sent once, first.
 * ``{"cmd": "chunk", "chunk_id": n, "nodes": [...], "node_budget": b,
-  "incumbent_obj": x | null}`` — explore a frontier slice.  Nodes use
-  the checkpoint frontier-delta encoding.
+  "time_left_s": t | null, "incumbent_obj": x | null}`` — explore a
+  frontier slice within the coordinator's remaining time ``t``
+  (``null``: no time limit).  Nodes use the checkpoint frontier-delta
+  encoding.
 * ``{"cmd": "incumbent", "objective": x}`` — broadcast of a better
-  incumbent found elsewhere; tightens pruning (and re-runs
-  reduced-cost fixing) mid-chunk.
+  incumbent found elsewhere; tightens pruning mid-chunk.
 * ``{"cmd": "stop"}`` — exit cleanly.
 
 Events (worker -> coordinator):
@@ -39,12 +40,9 @@ from typing import Dict, IO, Optional
 from repro.ilp.solution import SolveStats
 
 #: Counters a chunk's stats delta adds into the coordinator aggregate.
-#: ``incumbent_updates`` and ``vars_fixed_reduced_cost`` are absent on
-#: purpose: the coordinator re-counts incumbents as it adopts them
-#: (one improvement can reach it through several workers), and
-#: reduced-cost fixing counts are per-process (each worker fixes the
-#: same variables independently) — summing them would double-count.
-#: They are surfaced per-worker in the ``solve.parallel`` block instead.
+#: ``incumbent_updates`` is absent on purpose: the coordinator re-counts
+#: incumbents as it adopts them (one improvement can reach it through
+#: several workers), so summing would double-count.
 MERGE_COUNTERS = (
     "nodes_explored",
     "nodes_branched",
@@ -109,9 +107,6 @@ def stats_delta(after: SolveStats, before: "Dict[str, object]") -> "Dict[str, ob
     delta["incumbent_updates"] = int(after_d["incumbent_updates"]) - int(
         before.get("incumbent_updates", 0)
     )
-    delta["vars_fixed_reduced_cost"] = int(
-        after_d["vars_fixed_reduced_cost"]
-    ) - int(before.get("vars_fixed_reduced_cost", 0))
     return delta
 
 

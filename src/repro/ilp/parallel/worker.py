@@ -11,9 +11,12 @@ sub-solve and blind-branch behaves identically in and out of the pool.
 
 Incumbent handling: the coordinator's broadcast objective is adopted
 before (and, via the stdin reader thread, during) each chunk, which
-both tightens bound pruning and re-runs reduced-cost fixing against
-the shipped root-LP snapshot — a worker prunes exactly as hard as a
+tightens bound pruning — a worker prunes exactly as hard as a
 sequential search that had found the same incumbents.
+
+Deadlines: each chunk carries the coordinator's remaining time.  The
+worker runs the chunk under that time limit, so it stops at the same
+moment the coordinator does and no leaf sub-solve outlives it.
 
 The chaos knob ``crash_after_nodes`` hard-exits the process
 (``os._exit``) after the configured node count, bypassing all cleanup
@@ -27,10 +30,16 @@ import os
 import queue
 import sys
 import threading
+import time
 import traceback
 from typing import Dict, Optional
 
-from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig, _Node
+from repro.ilp.branch_bound import (
+    INT_TOL,
+    BranchAndBound,
+    BranchAndBoundConfig,
+    _Node,
+)
 from repro.ilp.parallel.context import resolve_builder
 from repro.ilp.parallel.protocol import (
     decode_init_payload,
@@ -42,7 +51,6 @@ from repro.ilp.resilience.checkpoint import (
     decode_node,
     form_fingerprint,
     frontier_to_json,
-    root_lp_from_json,
     values_to_json,
 )
 
@@ -106,7 +114,8 @@ class Worker:
             leaf_solver=context.get("leaf_solver"),
             incumbent_auditor=context.get("incumbent_auditor"),
             # The coordinator owns the clock and checkpoints; a worker
-            # only ever explores bounded chunks.
+            # only ever explores bounded chunks, each under the time
+            # the coordinator has left (see _run_chunk).
             time_limit_s=None,
             presolve=False,
             checkpoint_path=None,
@@ -124,43 +133,35 @@ class Worker:
             )
         solver._prepare_run()
         solver._stack = []
-        solver._root_lp = root_lp_from_json(
-            payload.get("root_lp"), solver.form.lb, solver.form.ub
-        )
-        proof_spec = payload.get("proof")
-        if proof_spec is not None:
+        solver._root_bound = payload.get("root_bound")
+        if payload.get("proof"):
             # Proof mode: records accumulate in an in-memory buffer and
             # ship to the coordinator with each done message (a crashed
             # chunk's buffer is deliberately lost — its nodes get
             # requeued, so the log never claims them closed).
             from repro.ilp.certify.proof import ProofBuffer
 
-            buffer = ProofBuffer(
+            solver._proof = ProofBuffer(
                 solver.form,
                 objective_is_integral=config.objective_is_integral,
-                int_tol=config.int_tol,
+                int_tol=INT_TOL,
             )
-            duals = proof_spec.get("root_duals")
-            if duals and (duals[0] or duals[1]):
-                buffer.set_root_duals(duals[0], duals[1])
-            solver._proof = buffer
             solver._owns_proof = False
         self._solver = solver
         self._rank = int(payload.get("rank", 0))
         self._crash_after = payload.get("crash_after_nodes")
 
     def _adopt_incumbent(self, objective: float) -> None:
-        """Apply a broadcast incumbent: tighter pruning + rc fixing.
+        """Apply a broadcast incumbent: tighter pruning.
 
         The coordinator keeps the value vector; the worker only needs
-        the objective (pruning and fixing are threshold-driven), so
-        the local values are dropped as stale.
+        the objective (pruning is threshold-driven), so the local
+        values are dropped as stale.
         """
         solver = self._solver
         if objective < solver._incumbent_obj:
             solver._incumbent_obj = float(objective)
             solver._incumbent_values = None
-            solver._apply_reduced_cost_fixing()
 
     def _run_chunk(
         self, message: "Dict[str, object]", control: "_Control"
@@ -176,9 +177,7 @@ class Worker:
             )
         solver._stack = stack
         if solver._proof is not None:
-            # Fresh per-chunk id namespace from the coordinator; the
-            # buffer is NOT reset — rc_fix records emitted between
-            # chunks (incumbent broadcasts) ride along with this one.
+            # Fresh per-chunk id namespace from the coordinator.
             solver._pid_prefix = message.get(
                 "pid_prefix", f"c{message['chunk_id']}n"
             )
@@ -189,12 +188,14 @@ class Worker:
         start_obj = solver._incumbent_obj
         before = solver._stats.as_dict()
 
+        solver.config.time_limit_s = message.get("time_left_s")
+        solver._start = time.monotonic()
         budget = int(message["node_budget"])
         explored = 0
         while (
             solver._stack
             and explored < budget
-            and not solver._lp_failure_abort
+            and solver._limit_status() is None
         ):
             while True:
                 command = control.poll()

@@ -14,10 +14,6 @@ artifact:
 * the **incumbent** (objective + value vector), if any;
 * the :class:`~repro.ilp.solution.SolveStats` counters and elapsed
   wall time, so telemetry accumulates across restarts;
-* the **root-LP snapshot** and the **reduced-cost bound box** (schema
-  v2) — without them a resumed search would never again see a
-  ``depth == 0`` node, silently losing reduced-cost fixing for the
-  rest of the run;
 * a **model fingerprint** (SHA-256 over every matrix of the compiled
   :class:`~repro.ilp.standard_form.StandardForm`), so resuming against
   a different model is rejected instead of silently corrupting the
@@ -51,15 +47,14 @@ from repro.errors import CheckpointError
 from repro.ilp.standard_form import StandardForm
 
 #: Artifact schema identifier written by this code; bump on any layout
-#: change.  v2 added the root-LP snapshot and reduced-cost bound box
-#: (both optional keys), fixing the resume path that silently disabled
-#: reduced-cost fixing.
+#: change.  v2 artifacts from older writers also carry a root-LP
+#: snapshot and a bound box, the state of the since-removed root
+#: reduced-cost fixing.  Readers ignore both keys, which is sound: the
+#: box only ever removed points that could not beat the incumbent.
 CHECKPOINT_SCHEMA = "repro.bnb_checkpoint/v2"
 
-#: Schemas this code can read.  v1 artifacts simply lack the root-LP
-#: keys; a v1 resume behaves exactly as before (fixing re-arms only if
-#: the search re-encounters a root node, i.e. never) — correct, just
-#: without the optimization the v2 writer preserves.
+#: Schemas this code can read; v1 and v2 bodies differ only in the
+#: ignored keys above.
 CHECKPOINT_SCHEMAS_READ = ("repro.bnb_checkpoint/v1", CHECKPOINT_SCHEMA)
 
 
@@ -247,73 +242,6 @@ def values_from_json(values: "Optional[Dict[str, float]]") -> "Optional[Dict[int
     if values is None:
         return None
     return {int(k): float(v) for k, v in values.items()}
-
-
-def _bound_deltas(arr, base) -> "Dict[str, float]":
-    return {str(int(i)): float(arr[i]) for i in np.flatnonzero(arr != base)}
-
-
-def _apply_deltas(base, deltas) -> "np.ndarray":
-    out = base.copy()
-    for key, value in deltas.items():
-        out[int(key)] = float(value)
-    return out
-
-
-def root_lp_to_json(root_lp, base_lb, base_ub) -> "Optional[Dict[str, object]]":
-    """Serialize the root-LP snapshot ``(obj, reduced, lb, ub, x)``.
-
-    The root bounds are delta-encoded like frontier nodes (they are the
-    root bounds, so the deltas are normally empty); reduced costs and
-    the primal point are dense per construction and stored as lists.
-    """
-    if root_lp is None:
-        return None
-    obj, reduced, lb, ub, x = root_lp
-    return {
-        "objective": float(obj),
-        "reduced_costs": [float(v) for v in np.asarray(reduced, dtype=float)],
-        "lb": _bound_deltas(lb, base_lb),
-        "ub": _bound_deltas(ub, base_ub),
-        "x": [float(v) for v in np.asarray(x, dtype=float)],
-    }
-
-
-def root_lp_from_json(entry, base_lb, base_ub) -> "Optional[tuple]":
-    """Inverse of :func:`root_lp_to_json`; None passes through (v1)."""
-    if entry is None:
-        return None
-    return (
-        float(entry["objective"]),
-        np.asarray(entry["reduced_costs"], dtype=float),
-        _apply_deltas(base_lb, entry.get("lb", {})),
-        _apply_deltas(base_ub, entry.get("ub", {})),
-        np.asarray(entry["x"], dtype=float),
-    )
-
-
-def rc_box_to_json(rc_lb, rc_ub, base_lb, base_ub) -> "Optional[Dict[str, object]]":
-    """Serialize the reduced-cost-tightened bound box as deltas.
-
-    The box only ever moves inward from the root bounds, so like
-    frontier nodes it is fully determined by the indices it changed.
-    """
-    if rc_lb is None or rc_ub is None:
-        return None
-    return {
-        "lb": _bound_deltas(rc_lb, base_lb),
-        "ub": _bound_deltas(rc_ub, base_ub),
-    }
-
-
-def rc_box_from_json(entry, base_lb, base_ub):
-    """Inverse of :func:`rc_box_to_json`; returns ``(rc_lb, rc_ub)``."""
-    if entry is None:
-        return None, None
-    return (
-        _apply_deltas(base_lb, entry.get("lb", {})),
-        _apply_deltas(base_ub, entry.get("ub", {})),
-    )
 
 
 def frontier_to_json(nodes, base_lb, base_ub) -> "List[Dict[str, object]]":

@@ -52,8 +52,6 @@ def solve_lp_scipy(
     Bounds go to ``linprog`` as the form's preallocated ``(n, 2)``
     array (:meth:`~repro.ilp.standard_form.StandardForm.bounds_pairs`),
     reused across nodes instead of a fresh per-call list of pairs.
-    OPTIMAL results carry the basis' ``reduced_costs`` when scipy
-    reports bound marginals.
     """
     lb = form.lb if lb_override is None else lb_override
     ub = form.ub if ub_override is None else ub_override
@@ -74,25 +72,12 @@ def solve_lp_scipy(
     # HiGHS status codes: 0 optimal, 1 iteration limit, 2 infeasible,
     # 3 unbounded, 4 numerical trouble.
     if result.status == 0:
-        reduced = None
-        lower = getattr(result, "lower", None)
-        upper = getattr(result, "upper", None)
-        if (
-            lower is not None
-            and upper is not None
-            and getattr(lower, "marginals", None) is not None
-            and getattr(upper, "marginals", None) is not None
-        ):
-            reduced = np.asarray(lower.marginals, dtype=float) + np.asarray(
-                upper.marginals, dtype=float
-            )
         dual_ub = _row_marginals(result, "ineqlin", form.b_ub.shape[0])
         dual_eq = _row_marginals(result, "eqlin", form.b_eq.shape[0])
         return LPResult(
             status=SolveStatus.OPTIMAL,
             objective=float(result.fun),
             values=ValueVector(result.x),
-            reduced_costs=reduced,
             dual_ub=dual_ub,
             dual_eq=dual_eq,
         )

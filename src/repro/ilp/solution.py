@@ -172,7 +172,6 @@ class SolveStats:
     sos1_propagations: int = 0
     leaf_subsolve_calls: int = 0
     max_depth: int = 0
-    vars_fixed_reduced_cost: int = 0
     wall_time_s: float = 0.0
     stop_reason: str = "exhausted"
     best_bound: Optional[float] = None
@@ -220,7 +219,6 @@ class SolveStats:
             "sos1_propagations": self.sos1_propagations,
             "leaf_subsolve_calls": self.leaf_subsolve_calls,
             "max_depth": self.max_depth,
-            "vars_fixed_reduced_cost": self.vars_fixed_reduced_cost,
             "wall_time_s": self.wall_time_s,
             "stop_reason": self.stop_reason,
             "best_bound": self.best_bound,
@@ -248,7 +246,6 @@ class SolveStats:
             "nodes_dropped", "lp_failures", "blind_branches",
             "incumbent_updates", "prober_hits", "sos1_propagations",
             "leaf_subsolve_calls", "max_depth",
-            "vars_fixed_reduced_cost",
         ):
             if name in data:
                 setattr(stats, name, int(data[name]))
@@ -364,22 +361,16 @@ class LPResult:
 
     ``values`` maps variable index to value (a plain dict or an
     array-backed :class:`ValueVector`); present only when ``status`` is
-    OPTIMAL.  ``reduced_costs``, when a backend provides it, is the
-    per-variable reduced-cost vector of the optimal basis — the input
-    to reduced-cost variable fixing in branch and bound.  ``dual_ub``
-    / ``dual_eq`` are the row duals of the inequality and equality
-    systems (sign convention: ``dual_ub <= 0`` for a minimization),
-    the raw material of branch-and-bound proof certificates.  All
-    three are excluded from equality comparisons (optimization /
-    certification hints, not part of the answer).
+    OPTIMAL.  ``dual_ub`` / ``dual_eq`` are the row duals of the
+    inequality and equality systems (sign convention: ``dual_ub <= 0``
+    for a minimization), the raw material of branch-and-bound proof
+    certificates.  Both are excluded from equality comparisons
+    (certification hints, not part of the answer).
     """
 
     status: SolveStatus
     objective: Optional[float] = None
     values: "Optional[Mapping]" = None
-    reduced_costs: "Optional[np.ndarray]" = field(
-        default=None, compare=False, repr=False
-    )
     dual_ub: "Optional[np.ndarray]" = field(
         default=None, compare=False, repr=False
     )

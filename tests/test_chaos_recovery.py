@@ -153,7 +153,7 @@ class TestPipelineUnderChaos:
         assert outcome.design is not None
         assert outcome.status is SolveStatus.FEASIBLE
         record = outcome.telemetry()
-        assert record["schema"] == "repro.solve_telemetry/v9"
+        assert record["schema"] == "repro.solve_telemetry/v10"
         assert record["degraded"] is True
         assert record["degradation_cause"] is not None
         row = outcome.summary_row()

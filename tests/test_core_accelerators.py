@@ -220,7 +220,6 @@ class TestAcceleratedSearchEquivalence:
                 objective_is_integral=True,
                 time_limit_s=60,
                 propagate_sos1=True,
-                leaf_subsolve=True,
                 node_prober=make_slot_prober(forced_spec, space2),
                 leaf_solver=make_leaf_solver(forced_spec, space2),
             ),

@@ -528,7 +528,7 @@ class TestSolverIntegration:
         assert outcome.solve_stats.lp_solves == 0
         assert not outcome.hit_limit
         record = outcome.telemetry()
-        assert record["schema"] == "repro.solve_telemetry/v9"
+        assert record["schema"] == "repro.solve_telemetry/v10"
         assert record["certificate"]["code"] == "edge-exceeds-memory"
 
     def test_partitioner_telemetry_presolve_block(self, chain3_graph, big_device):

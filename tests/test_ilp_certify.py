@@ -59,10 +59,15 @@ def infeasible_model():
     return model
 
 
+#: A v1 log of the ``bigger_model`` knapsack, written by the solver when
+#: it still had root reduced-cost fixing: one ``root`` record, six
+#: ``rc_fix`` records and an ``rcbox`` prune.  The writer no longer
+#: emits these records, but the checker must keep verifying old logs.
+RC_FIX_LOG = Path(__file__).parent / "data" / "proof_v1_rc_fix.jsonl"
+
+
 def _config(**overrides):
-    return BranchAndBoundConfig(
-        objective_is_integral=True, reduced_cost_fixing=True, **overrides
-    )
+    return BranchAndBoundConfig(objective_is_integral=True, **overrides)
 
 
 def _certified_log(tmp_path, name="proof.jsonl"):
@@ -111,14 +116,14 @@ class TestCertifiedSequential:
         assert report.counts["branch"] > 0
         assert report.counts["result"] == 1
 
-    def test_reduced_cost_fixes_are_logged_and_verified(self, tmp_path):
-        _, path = _certified_log(tmp_path)
-        report = audit_proof(path)
-        # Fixing is on and this model triggers it; each fix must carry
-        # a replayable root-dual justification or the log would refute.
-        assert report.counts.get("rc_fix", 0) > 0
+    def test_reduced_cost_fixes_are_logged_and_verified(self):
+        report = audit_proof(RC_FIX_LOG)
+        # Each fix carries a replayable root-dual justification, or the
+        # stored log would refute.
+        assert report.counts.get("rc_fix", 0) == 6
         assert report.counts.get("root", 0) == 1
         assert report.verdict == "CERTIFIED"
+        assert report.certified_objective == -56.0
 
     def test_infeasible_model_certified(self, tmp_path):
         path = tmp_path / "infeasible.jsonl"
@@ -164,9 +169,7 @@ class TestForfeitures:
         # forfeit — degraded, never refuted, and the optimum survives.
         def stripped(form, lb_override=None, ub_override=None):
             result = solve_lp_scipy(form, lb_override, ub_override)
-            return dataclasses.replace(
-                result, dual_ub=None, dual_eq=None, reduced_costs=None
-            )
+            return dataclasses.replace(result, dual_ub=None, dual_eq=None)
 
         path = tmp_path / "stripped.jsonl"
         result = BranchAndBound(
@@ -313,6 +316,21 @@ class TestTamperFixtures:
         report = audit_proof(path)
         assert report.verdict == "REFUTED"
         assert report.reason == "fingerprint mismatch"
+
+    def test_moved_reduced_cost_fix_refuted(self, tmp_path):
+        records = _load_records(RC_FIX_LOG)
+        i = next(i for i, r in enumerate(records) if r.get("kind") == "rc_fix")
+        tampered = copy.deepcopy(records[i])
+        tampered["bound"] = 1.0 - tampered["bound"]
+        records[i] = _reseal(tampered)
+        path = tmp_path / "moved_fix.jsonl"
+        _dump_records(path, records)
+        report = audit_proof(path)
+        assert report.verdict == "REFUTED"
+        assert report.reason == (
+            f"fix of x{tampered['var']} does not match the root "
+            f"{'lower' if tampered['side'] == 'lb' else 'upper'} bound"
+        )
 
     def test_inflated_claim_refuted(self, tmp_path):
         _, path = _certified_log(tmp_path)

@@ -321,95 +321,13 @@ class TestElapsedBeforeSolve:
         assert 0.0 <= elapsed < 3600.0
 
 
-class TestReducedCostFixingSurvivesResume:
-    """Regression: resume used to silently lose reduced-cost fixing.
-
-    The root-LP snapshot was captured only while processing a
-    ``depth == 0`` node, which a resumed frontier never contains, and
-    ``_restore_from_checkpoint`` restored neither the snapshot nor the
-    tightened bound box — so every kill+resume run under-reported
-    ``vars_fixed_reduced_cost`` and lost the pruning it funds.
-    """
+class TestOlderCheckpointsResume:
+    """Checkpoints written by older solvers still resume."""
 
     def _config(self, **overrides):
-        return BranchAndBoundConfig(
-            objective_is_integral=True, reduced_cost_fixing=True, **overrides
-        )
-
-    def test_kill_resume_matches_uninterrupted_fixing(self, tmp_path):
-        baseline = BranchAndBound(
-            bigger_model(), config=self._config()
-        ).solve()
-        assert baseline.status is SolveStatus.OPTIMAL
-        assert baseline.stats.vars_fixed_reduced_cost > 0
-
-        path = str(tmp_path / "ck.json")
-        interrupted = BranchAndBound(
-            bigger_model(),
-            config=self._config(
-                node_limit=3, checkpoint_path=path, checkpoint_every=1
-            ),
-        ).solve()
-        assert interrupted.status is not SolveStatus.OPTIMAL
-
-        resumed = BranchAndBound(
-            bigger_model(), config=self._config()
-        ).resume(path)
-        assert resumed.status is SolveStatus.OPTIMAL
-        assert resumed.objective == pytest.approx(baseline.objective)
-        # The search is deterministic, so a faithful resume reproduces
-        # the uninterrupted run's totals exactly — both the node count
-        # and every reduced-cost fixing event.
-        assert resumed.stats.nodes_explored == baseline.stats.nodes_explored
-        assert (
-            resumed.stats.vars_fixed_reduced_cost
-            == baseline.stats.vars_fixed_reduced_cost
-        )
-
-    def test_checkpoint_serializes_root_lp_after_capture(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        BranchAndBound(
-            bigger_model(),
-            config=self._config(
-                node_limit=3, checkpoint_path=path, checkpoint_every=1
-            ),
-        ).solve()
-        payload = read_checkpoint(path)
-        assert payload["schema"] == CHECKPOINT_SCHEMA
-        root_lp = payload["root_lp"]
-        assert root_lp is not None
-        assert isinstance(root_lp["objective"], float)
-        assert len(root_lp["reduced_costs"]) == len(root_lp["x"])
-
-    def test_rc_box_round_trips(self, tmp_path):
-        """Fixings applied before the kill survive into the resumed box."""
-        path = str(tmp_path / "ck.json")
-        baseline = BranchAndBound(
-            bigger_model(), config=self._config()
-        ).solve()
-        # Interrupt late enough that an incumbent (and hence fixing)
-        # happened before the checkpoint.
-        interrupted = BranchAndBound(
-            bigger_model(),
-            config=self._config(
-                node_limit=baseline.stats.nodes_explored - 1,
-                checkpoint_path=path,
-                checkpoint_every=1,
-            ),
-        ).solve()
-        if interrupted.stats.vars_fixed_reduced_cost > 0:
-            assert read_checkpoint(path)["rc_box"] is not None
-        resumed = BranchAndBound(
-            bigger_model(), config=self._config()
-        ).resume(path)
-        assert resumed.status is SolveStatus.OPTIMAL
-        assert (
-            resumed.stats.vars_fixed_reduced_cost
-            == baseline.stats.vars_fixed_reduced_cost
-        )
+        return BranchAndBoundConfig(objective_is_integral=True, **overrides)
 
     def test_v1_checkpoint_still_resumes(self, tmp_path):
-        """Old artifacts (no root_lp/rc_box keys) load and finish."""
         path = str(tmp_path / "ck.json")
         BranchAndBound(
             bigger_model(),
@@ -419,8 +337,6 @@ class TestReducedCostFixingSurvivesResume:
         ).solve()
         payload = read_checkpoint(path)
         payload["schema"] = "repro.bnb_checkpoint/v1"
-        del payload["root_lp"]
-        del payload["rc_box"]
         write_checkpoint_atomic(path, payload)
         resumed = BranchAndBound(
             bigger_model(), config=self._config()
@@ -430,3 +346,35 @@ class TestReducedCostFixingSurvivesResume:
         ).solve()
         assert resumed.status is SolveStatus.OPTIMAL
         assert resumed.objective == pytest.approx(baseline.objective)
+
+    def test_reduced_cost_state_of_older_writers_is_ignored(self, tmp_path):
+        """A v2 checkpoint that still carries the root-LP snapshot and
+        reduced-cost box of the removed fixing resumes without them."""
+        path = str(tmp_path / "ck.json")
+        BranchAndBound(
+            bigger_model(),
+            config=self._config(
+                node_limit=3, checkpoint_path=path, checkpoint_every=1
+            ),
+        ).solve()
+        payload = read_checkpoint(path)
+        n = compile_standard_form(bigger_model()).num_vars
+        payload["root_lp"] = {
+            "objective": -60.0,
+            "reduced_costs": [0.0] * n,
+            "lb": {},
+            "ub": {},
+            "x": [0.5] * n,
+        }
+        # A box that would cut off the optimum (x0 = 1) if it applied.
+        payload["rc_box"] = {"lb": {}, "ub": {"0": 0.0}}
+        write_checkpoint_atomic(path, payload)
+        resumed = BranchAndBound(
+            bigger_model(), config=self._config()
+        ).resume(path)
+        baseline = BranchAndBound(
+            bigger_model(), config=self._config()
+        ).solve()
+        assert resumed.status is SolveStatus.OPTIMAL
+        assert resumed.objective == pytest.approx(baseline.objective)
+        assert resumed.stats.nodes_explored == baseline.stats.nodes_explored

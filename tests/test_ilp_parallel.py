@@ -44,7 +44,7 @@ def infeasible_model():
 
 def _config(**overrides):
     return BranchAndBoundConfig(
-        objective_is_integral=True, reduced_cost_fixing=True, **overrides
+        objective_is_integral=True, **overrides
     )
 
 

@@ -19,6 +19,7 @@ from repro.errors import (
     SolverError,
     TransientSolverError,
 )
+from repro.ilp import branch_bound
 from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.expr import lin_sum
 from repro.ilp.model import Model
@@ -312,13 +313,13 @@ class TestBranchAndBoundSurvival:
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(-8.0)
 
-    def test_whole_chain_dead_errors_with_lp_failure_limit(self):
+    def test_whole_chain_dead_errors_with_lp_failure_limit(self, monkeypatch):
+        monkeypatch.setattr(branch_bound, "LP_FAILURE_LIMIT", 5)
         config = BranchAndBoundConfig(
             lp_backend=ResilientLPBackend(
                 backends=[("dead", _dead)], max_retries=0,
                 sleep=lambda s: None,
             ),
-            lp_failure_limit=5,
         )
         result = BranchAndBound(knapsack_model(), config=config).solve()
         assert result.status is SolveStatus.ERROR
@@ -326,13 +327,13 @@ class TestBranchAndBoundSurvival:
         assert result.stats.lp_failures >= 5
         assert result.stats.resilience["exactness_lost"] is True
 
-    def test_node_accounting_includes_dropped(self):
+    def test_node_accounting_includes_dropped(self, monkeypatch):
+        monkeypatch.setattr(branch_bound, "LP_FAILURE_LIMIT", 5)
         config = BranchAndBoundConfig(
             lp_backend=ResilientLPBackend(
                 backends=[("dead", _dead)], max_retries=0,
                 sleep=lambda s: None,
             ),
-            lp_failure_limit=5,
         )
         stats = BranchAndBound(knapsack_model(), config=config).solve().stats
         assert stats.nodes_explored == (

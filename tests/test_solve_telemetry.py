@@ -259,7 +259,7 @@ class TestPipelinePropagation:
         outcome = tp.partition(chain3_graph, "1A+1M+1S", n_partitions=2,
                                relaxation=2)
         record = telemetry_to_dict(outcome)
-        assert record["schema"] == "repro.solve_telemetry/v9"
+        assert record["schema"] == "repro.solve_telemetry/v10"
         assert record["status"] == "optimal"
         assert record["solve"]["nodes_explored"] >= 1
         assert record["solve"]["lp_calls"] >= 1
@@ -311,7 +311,7 @@ class TestLimitsHold:
             return "infeasible", None
 
         config = BranchAndBoundConfig(
-            time_limit_s=limit, leaf_subsolve=True, leaf_solver=leaf_solver
+            time_limit_s=limit, leaf_solver=leaf_solver
         )
         solver = BranchAndBound(leaf_tree_model(), config=config)
         start = time.monotonic()
@@ -324,8 +324,22 @@ class TestLimitsHold:
         assert result.status is SolveStatus.TIMEOUT
         assert time.monotonic() - start < limit + 0.1
 
-    @pytest.mark.parametrize("key", sorted(CLOCK_BOUND_SPECS))
-    def test_partition_spec_returns_within_the_limit(self, key):
+    @pytest.mark.parametrize(
+        "key, workers, limit",
+        [
+            *(
+                pytest.param(key, 1, 1.0, id=key)
+                for key in sorted(CLOCK_BOUND_SPECS)
+            ),
+            # Workers stop their chunks, leaf budgets and the shutdown
+            # wait at the coordinator's limit too.
+            *(
+                pytest.param(key, 2, 2.0, id=f"{key}-workers2")
+                for key in ("gen03", "gen26")
+            ),
+        ],
+    )
+    def test_partition_spec_returns_within_the_limit(self, key, workers, limit):
         n_tasks, n_ops, n_parts, relax, mix, seed = CLOCK_BOUND_SPECS[key]
         graph = random_task_graph(
             RandomGraphConfig(
@@ -338,14 +352,14 @@ class TestLimitsHold:
         )
         tp = TemporalPartitioner(
             device=reference_device(), memory=reference_memory(),
-            time_limit_s=1.0,
+            time_limit_s=limit, workers=workers,
         )
         spec = tp.make_spec(
             graph, mix_from_string(mix), n_partitions=n_parts, relaxation=relax
         )
         start = time.monotonic()
         outcome = tp.partition_spec(spec)
-        assert time.monotonic() - start < 2.0
+        assert time.monotonic() - start < limit + 1.0
         # Empty-handed at the limit: degraded to the baselines.
         assert outcome.status is SolveStatus.TIMEOUT
         assert outcome.degraded
