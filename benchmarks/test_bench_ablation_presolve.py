@@ -21,7 +21,7 @@ import pytest
 from repro.core.formulation import FormulationOptions, build_model
 from repro.core.spec import ProblemSpec
 from repro.graph.generators import paper_graph
-from repro.ilp.analysis import PresolveOptions, presolve
+from repro.ilp.analysis import presolve
 from repro.library.catalogs import mix_from_string
 from repro.reporting.experiments import (
     reference_device,
@@ -66,7 +66,7 @@ def _root_lp_sizes(row):
     sizes = []
     for variant, tighten in (("base", False), ("tightened", True)):
         model, _ = build_model(spec, FormulationOptions(tighten=tighten))
-        res = presolve(model, PresolveOptions(eliminate=False))
+        res = presolve(model, eliminate=False)
         sizes.append({
             "key": row.key,
             "variant": variant,

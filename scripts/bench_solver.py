@@ -37,9 +37,13 @@ Usage::
 
 Exit status is non-zero when any deterministic field drifts or any
 row's nodes/sec regresses more than ``--tolerance`` below the
-committed ``BENCH_solver.json`` baseline.  Regenerate the baseline
-with ``--update-baseline`` after an intentional perf or search change
-(on the same class of machine the comparison will run on).
+committed ``BENCH_solver.json`` baseline.  A row that misses the
+nodes/sec tolerance is re-timed up to ``RETIMES`` times and keeps its
+best nodes/sec, so one noisy run on a shared host does not fail the
+gate; every re-run's deterministic fields are still compared.
+Regenerate the baseline with ``--update-baseline`` after an
+intentional perf or search change (on the same class of machine the
+comparison will run on).
 """
 
 from __future__ import annotations
@@ -84,6 +88,9 @@ def load_baseline(path: Path) -> "dict | None":
 #: the *search* changed (different tree, different answer), which a
 #: perf PR must never silently do.
 DETERMINISTIC_FIELDS = ("status", "objective", "nodes_explored", "lp_solves")
+
+#: Extra timings a row gets when its nodes/sec falls past the tolerance.
+RETIMES = 2
 
 
 def bench_row(
@@ -361,6 +368,57 @@ def print_audit_rows(rows: dict) -> None:
         )
 
 
+def drift(key: str, record: dict, base: dict) -> list:
+    """Failure strings for the deterministic fields that differ."""
+    return [
+        f"{key}: {field} drifted "
+        f"(baseline {base.get(field)!r}, now {record.get(field)!r})"
+        for field in DETERMINISTIC_FIELDS
+        if record.get(field) != base.get(field)
+    ]
+
+
+def too_slow(record: dict, base: dict, tolerance: float) -> bool:
+    base_nps = base.get("nodes_per_s")
+    cur_nps = record.get("nodes_per_s")
+    return bool(base_nps and cur_nps and cur_nps < base_nps * (1.0 - tolerance))
+
+
+def retime_slow_rows(
+    rows: dict, baseline: dict, tolerance: float, tables, time_limit_s: float,
+) -> list:
+    """Re-time each row whose nodes/sec fell past the tolerance.
+
+    A flagged row runs again, at most :data:`RETIMES` times and only
+    while it is still flagged; it keeps its best nodes/sec.  Returns
+    the deterministic drifts of the re-runs (every re-run is compared).
+    """
+    failures = []
+    base_rows = baseline.get("rows", {})
+    by_key = {
+        f"{row.key}:incremental": row
+        for table in tables for row in table_rows(table)
+    }
+    for key, record in rows.items():
+        base = base_rows.get(key)
+        for attempt in range(1, RETIMES + 1):
+            if base is None or not too_slow(record, base, tolerance):
+                break
+            rerun = bench_row(by_key[key], time_limit_s)
+            print(
+                f"  re-time {key} ({attempt}/{RETIMES}): "
+                f"{record['nodes_per_s']} -> {rerun['nodes_per_s']} nodes/s "
+                f"(baseline {base['nodes_per_s']})", flush=True,
+            )
+            failures.extend(
+                f"re-time {attempt}: {failure}"
+                for failure in drift(key, rerun, base)
+            )
+            if (rerun["nodes_per_s"] or 0) > (record["nodes_per_s"] or 0):
+                rows[key] = record = rerun
+    return failures
+
+
 def compare(current: dict, baseline: dict, tolerance: float) -> list:
     """Return a list of human-readable failure strings (empty = pass)."""
     failures = []
@@ -369,18 +427,11 @@ def compare(current: dict, baseline: dict, tolerance: float) -> list:
         base = base_rows.get(key)
         if base is None:
             continue  # new row: nothing to regress against
-        for field in DETERMINISTIC_FIELDS:
-            if record.get(field) != base.get(field):
-                failures.append(
-                    f"{key}: {field} drifted "
-                    f"(baseline {base.get(field)!r}, now {record.get(field)!r})"
-                )
-        base_nps = base.get("nodes_per_s")
-        cur_nps = record.get("nodes_per_s")
-        if base_nps and cur_nps and cur_nps < base_nps * (1.0 - tolerance):
+        failures.extend(drift(key, record, base))
+        if too_slow(record, base, tolerance):
             failures.append(
                 f"{key}: nodes/sec regressed >{tolerance:.0%} "
-                f"(baseline {base_nps}, now {cur_nps})"
+                f"(baseline {base['nodes_per_s']}, now {record['nodes_per_s']})"
             )
     return failures
 
@@ -574,6 +625,15 @@ def main(argv=None) -> int:
         return 0
 
     rows = run_bench(tables, args.time_limit)
+    baseline = None
+    failures = []
+    if not args.update_baseline and args.baseline.exists():
+        baseline = load_baseline(args.baseline)
+        if baseline is None:
+            return 2
+        failures = retime_slow_rows(
+            rows, baseline, args.tolerance, tables, args.time_limit,
+        )
     payload = {
         "schema": BASELINE_SCHEMA,
         "tables": tables,
@@ -591,16 +651,13 @@ def main(argv=None) -> int:
         print(f"baseline updated: {args.baseline}")
         return 0
 
-    if not args.baseline.exists():
+    if baseline is None:
         print(
             f"no baseline at {args.baseline}; run with --update-baseline "
             f"to create one", file=sys.stderr,
         )
         return 2
-    baseline = load_baseline(args.baseline)
-    if baseline is None:
-        return 2
-    failures = compare(rows, baseline, args.tolerance)
+    failures += compare(rows, baseline, args.tolerance)
 
     print()
     print_rows(rows)

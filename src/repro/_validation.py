@@ -10,12 +10,6 @@ from __future__ import annotations
 from typing import Iterable, Type
 
 
-def require(condition: bool, exc: Type[Exception], message: str) -> None:
-    """Raise ``exc(message)`` unless ``condition`` holds."""
-    if not condition:
-        raise exc(message)
-
-
 def require_identifier(name: str, exc: Type[Exception], what: str) -> str:
     """Validate that ``name`` is a non-empty string usable as an id.
 
@@ -39,17 +33,6 @@ def require_positive(value: float, exc: Type[Exception], what: str) -> float:
     if not value > 0:
         raise exc(f"{what} must be positive, got {value}")
     if value != value or value in (float("inf"), float("-inf")):
-        raise exc(f"{what} must be finite, got {value}")
-    return value
-
-
-def require_nonnegative(value: float, exc: Type[Exception], what: str) -> float:
-    """Validate that ``value`` is a non-negative finite number."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise exc(f"{what} must be a number, got {type(value).__name__}")
-    if not value >= 0:
-        raise exc(f"{what} must be >= 0, got {value}")
-    if value != value or value == float("inf"):
         raise exc(f"{what} must be finite, got {value}")
     return value
 

@@ -102,12 +102,3 @@ def add_u_lift(model: Model, spec: ProblemSpec, space: VariableSpace) -> None:
                 o_var + space.y[(task, p)] - space.u[(p, k)] <= 1,
                 tag="eq32-u-lift",
             )
-
-
-def add_all(model: Model, spec: ProblemSpec, space: VariableSpace) -> None:
-    """Add the complete Section-6 package (eqs 28-32)."""
-    add_tight_w_definition(model, spec, space)
-    add_w_source_cut(model, spec, space)
-    add_w_sink_cut(model, spec, space)
-    add_w_colocation_cut(model, spec, space)
-    add_u_lift(model, spec, space)

@@ -1,18 +1,20 @@
-"""Worker-side rebuild of the temporal-partitioning solve context.
+"""One recipe for the temporal-partitioning solve context.
 
 The partitioner's branch-and-bound configuration is full of closures —
 the slot-counting node prober, the compact leaf solver, the resilient
-LP chain — none of which pickle.  When
-:class:`~repro.core.partitioner.TemporalPartitioner` runs with
-``workers > 1`` it therefore ships only the *ingredients*
-(:class:`~repro.core.spec.ProblemSpec`, formulation options, resilience
-and chaos settings: all plain data) and this module's
-:func:`build_worker_context` rebuilds the identical context inside
-each worker interpreter.  Determinism end to end — ``build_model``,
-presolve, and ``compile_standard_form`` are all deterministic functions
-of the spec — is what makes the coordinator's model-fingerprint check
-meaningful: if the rebuild diverged at all, the worker refuses to
-solve rather than explore a subtly different search space.
+LP chain — none of which pickle.  :func:`solve_context` assembles all
+of them, plus the presolved model, from the spec and the knobs;
+:class:`~repro.core.partitioner.TemporalPartitioner` calls it right
+after ``build_model``.  With ``workers > 1`` the coordinator ships only
+the *ingredients* (:class:`~repro.core.spec.ProblemSpec`, formulation
+options, resilience and chaos settings: all plain data) and
+:func:`build_worker_context` runs ``build_model`` and the same
+:func:`solve_context` inside each worker interpreter.  Determinism end
+to end — ``build_model``, presolve, and ``compile_standard_form`` are
+all deterministic functions of the spec — is what makes the
+coordinator's model-fingerprint check meaningful: if the rebuild
+diverged at all, the worker refuses to solve rather than explore a
+subtly different search space.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ def make_lp_backend(
 ):
     """LP backend for a bnb solve: bare, chaos-wrapped, or armored.
 
-    Shared by :meth:`TemporalPartitioner._make_lp_backend` and the
-    parallel worker rebuild, so both sides of a ``workers > 1`` run
-    assemble the *same* stack: ``plain_search`` keeps the historical
+    Called by :func:`solve_context`, so both sides of a ``workers > 1``
+    run assemble the *same* stack: ``plain_search`` keeps the historical
     bare SciPy backend; otherwise the warm-starting incremental kernel
     heads the chain with the stateless backends behind it, a
     :class:`~repro.ilp.resilience.ResilientLPBackend` wraps the chain,
@@ -98,30 +99,37 @@ def make_incumbent_auditor(spec, space):
     return audit
 
 
-def build_worker_context(args: "Dict[str, object]") -> "Dict[str, object]":
-    """Rebuild the partitioner solve context inside a worker.
+def solve_context(
+    spec,
+    space,
+    model,
+    *,
+    plain_search: bool,
+    presolve: bool,
+    resilient: bool,
+    chaos: "Optional[FaultPlan]",
+    chain: "Optional[List]" = None,
+) -> "Dict[str, object]":
+    """Everything one branch-and-bound solve of ``model`` needs.
 
-    ``args`` (all picklable): ``spec`` (ProblemSpec), ``options``
-    (FormulationOptions), ``rule`` (branching-rule instance),
-    ``plain_search``, ``presolve``, ``resilient``, ``chaos`` — the exact knobs
-    :meth:`TemporalPartitioner._solve` used on the coordinator side.
+    Presolve (non-eliminating, so the variable indices the prober,
+    leaf solver and branching metadata use stay valid) runs when
+    ``presolve`` is set and ``plain_search`` is not.  Returns a dict:
+    ``model`` (the presolved model, or ``model`` itself when presolve
+    is off or proved infeasibility), ``presolve`` (the reduction
+    counters, or ``None``), ``certificate`` (presolve's infeasibility
+    certificate, or ``None``), ``node_prober`` and ``leaf_solver``
+    (``None`` under ``plain_search``), ``lp_backend`` and
+    ``incumbent_auditor``.
     """
-    from repro.core.formulation import build_model
+    stats = certificate = None
+    if presolve and not plain_search:
+        from repro.ilp.analysis.presolve import presolve as run_presolve
 
-    spec = args["spec"]
-    options = args["options"]
-    model, space = build_model(spec, options)
-    plain_search = bool(args.get("plain_search", False))
-    if args.get("presolve", False) and not plain_search:
-        # The coordinator's BranchAndBound presolved its model before
-        # fingerprinting; replay the same (deterministic) pass here so
-        # the compiled forms match.  A certificate cannot appear — the
-        # coordinator would have short-circuited before spawning
-        # workers — but guard anyway.
-        from repro.ilp.analysis.presolve import PresolveOptions, presolve
-
-        reduced = presolve(model, PresolveOptions(eliminate=False))
-        if reduced.certificate is None and reduced.model is not None:
+        reduced = run_presolve(model, eliminate=False)
+        stats = reduced.stats.as_dict()
+        certificate = reduced.certificate
+        if certificate is None:
             model = reduced.model
 
     node_prober = leaf_solver = None
@@ -134,13 +142,40 @@ def build_worker_context(args: "Dict[str, object]") -> "Dict[str, object]":
 
     return {
         "model": model,
-        "rule": args.get("rule"),
-        "lp_backend": make_lp_backend(
-            resilient=bool(args.get("resilient", True)),
-            chaos=args.get("chaos"),
-            plain_search=plain_search,
-        ),
+        "presolve": stats,
+        "certificate": certificate,
         "node_prober": node_prober,
         "leaf_solver": leaf_solver,
+        "lp_backend": make_lp_backend(
+            resilient=resilient,
+            chaos=chaos,
+            plain_search=plain_search,
+            chain=chain,
+        ),
         "incumbent_auditor": make_incumbent_auditor(spec, space),
     }
+
+
+def build_worker_context(args: "Dict[str, object]") -> "Dict[str, object]":
+    """Rebuild the partitioner solve context inside a worker.
+
+    ``args`` (all picklable): ``spec`` (ProblemSpec), ``options``
+    (FormulationOptions), ``rule`` (branching-rule instance),
+    ``plain_search``, ``presolve``, ``resilient``, ``chaos`` — the
+    knobs the coordinator passed to :func:`solve_context`.
+    """
+    from repro.core.formulation import build_model
+
+    spec = args["spec"]
+    model, space = build_model(spec, args["options"])
+    context = solve_context(
+        spec,
+        space,
+        model,
+        plain_search=bool(args["plain_search"]),
+        presolve=bool(args["presolve"]),
+        resilient=bool(args["resilient"]),
+        chaos=args["chaos"],
+    )
+    context["rule"] = args["rule"]
+    return context

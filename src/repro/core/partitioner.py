@@ -52,7 +52,7 @@ from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.branching import BranchingRule, make_rule
 from repro.ilp.milp_backend import solve_milp_scipy
 from repro.ilp.resilience import FaultPlan
-from repro.ilp.solution import SolveStats, SolveStatus, relative_gap
+from repro.ilp.solution import MilpResult, SolveStats, SolveStatus, relative_gap
 from repro.library.catalogs import default_library, mix_from_string
 from repro.library.components import Allocation, ComponentLibrary
 from repro.schedule.estimator import estimate_num_segments
@@ -191,15 +191,19 @@ class TemporalPartitioner:
         When True, run the branch and bound *without* its SOS1
         propagation and exact leaf sub-solve — the raw 1998-style
         search the formulation benchmarks (Tables 1-2) measure.
-        Also disables presolve (the 1998 flow had none).
+        Also disables presolve (the 1998 flow had none), and solver
+        faults raise instead of degrading to the heuristic baselines
+        (the cross-check suites want the crash).
     presolve:
         When True (default), run the structural prechecks
         (:mod:`repro.core.precheck`, eqs. 3 and 11 plus cycle
         detection) before formulating, and the static presolve pass
-        (:mod:`repro.ilp.analysis`) before the branch and bound.  A
+        (:mod:`repro.ilp.analysis`) right after (see
+        :func:`repro.core.parallel_support.solve_context`).  A
         certificate ends the run with an INFEASIBLE outcome carrying
-        it — no LP is ever solved.  Only the ``"bnb"`` backend
-        presolves the model; prechecks apply to both backends.
+        it — no branch and bound is built, no LP is ever solved.  Only
+        the ``"bnb"`` backend presolves the model; prechecks apply to
+        both backends.
     on_node / on_incumbent:
         Optional progress callbacks forwarded to the branch and bound
         (see :class:`~repro.ilp.branch_bound.BranchAndBoundConfig`);
@@ -236,11 +240,6 @@ class TemporalPartitioner:
         Forwarded to the branch and bound: periodic atomic
         serialization of the search state, and — when the file already
         exists and matches the model — automatic resume from it.
-    degrade:
-        When True (default), irrecoverable exact solves fall back to
-        the heuristic baselines instead of raising/returning empty
-        (see module docstring).  When False, solver faults raise as
-        before (the cross-check suites want the crash).
     heuristics:
         When True (``bnb`` backend only), enable the primal heuristics
         (:mod:`repro.ilp.heuristics`): LP-guided diving at the root and
@@ -263,10 +262,6 @@ class TemporalPartitioner:
         flight at a time, round-robin — the solve signature
         (status/objective/nodes) is then exactly the sequential one.
         A testing mode; it forfeits the wall-clock speedup.
-    parallel:
-        Full :class:`~repro.ilp.parallel.ParallelConfig` override for
-        chunk budgets, timeouts, and chaos knobs; ``workers`` /
-        ``parallel_replay`` are ignored when this is given.
     """
 
     def __init__(
@@ -290,16 +285,12 @@ class TemporalPartitioner:
         checkpoint_path: "Optional[str]" = None,
         checkpoint_every: int = 256,
         proof_path: "Optional[str]" = None,
-        degrade: bool = True,
         heuristics: bool = False,
         workers: int = 1,
         parallel_replay: bool = False,
-        parallel: "Optional[object]" = None,
     ) -> None:
         if backend not in ("bnb", "milp"):
             raise ReproError(f"unknown backend {backend!r}; use 'bnb' or 'milp'")
-        if parallel is not None:
-            workers = parallel.workers
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
         if proof_path is not None and backend != "bnb":
@@ -344,11 +335,9 @@ class TemporalPartitioner:
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.proof_path = proof_path
-        self.degrade = degrade
         self.heuristics = heuristics
         self.workers = workers
         self.parallel_replay = parallel_replay
-        self.parallel = parallel
 
     # ------------------------------------------------------------------
 
@@ -395,28 +384,40 @@ class TemporalPartitioner:
     def partition_spec(self, spec: ProblemSpec) -> PartitionOutcome:
         """Steps 3-5 of the flow, on an already-built spec."""
         start = time.monotonic()
+        certificates = []
         if self.presolve and not self.plain_search:
             certificates = precheck_spec(spec)
-            if certificates:
-                model, space = build_model(spec, self.options)
-                stats = SolveStats(stop_reason="precheck_infeasible")
-                stats.wall_time_s = time.monotonic() - start
-                return PartitionOutcome(
-                    status=SolveStatus.INFEASIBLE,
-                    spec=spec,
-                    design=None,
-                    objective=None,
-                    model_stats=model_size_report(model, space),
-                    solve_stats=stats,
-                    wall_time_s=stats.wall_time_s,
-                    certificate=certificates[0],
-                )
         model, space = build_model(spec, self.options)
         model_stats = model_size_report(model, space)
-        allow_degrade = self.degrade and not self.plain_search
+        if certificates:
+            return self._certified_infeasible(
+                spec, model_stats, start, certificates[0],
+                SolveStats(stop_reason="precheck_infeasible"),
+            )
+        context = None
+        if self.backend == "bnb":
+            from repro.core.parallel_support import solve_context
+
+            context = solve_context(
+                spec,
+                space,
+                model,
+                plain_search=self.plain_search,
+                presolve=self.presolve,
+                resilient=self.resilient,
+                chaos=self.chaos,
+                chain=self.lp_backend_chain,
+            )
+            if context["certificate"] is not None:
+                stats = SolveStats(stop_reason="presolve_infeasible")
+                stats.presolve = context["presolve"]
+                return self._certified_infeasible(
+                    spec, model_stats, start, context["certificate"], stats
+                )
+        allow_degrade = not self.plain_search
 
         try:
-            result, certificate = self._solve(model, spec, space)
+            result = self._solve(model, spec, context)
         except SolverError as exc:
             if not allow_degrade:
                 raise
@@ -425,6 +426,8 @@ class TemporalPartitioner:
                 cause="solver_error", detail=str(exc),
                 solve_stats=SolveStats(stop_reason="solver_error"),
             )
+        if context is not None:
+            result.stats.presolve = context["presolve"]
 
         design: "Optional[PartitionedDesign]" = None
         objective: "Optional[float]" = None
@@ -471,6 +474,26 @@ class TemporalPartitioner:
             wall_time_s=time.monotonic() - start,
             bound=result.bound,
             gap=result.gap,
+        )
+
+    def _certified_infeasible(
+        self,
+        spec: ProblemSpec,
+        model_stats: "Dict[str, object]",
+        start: float,
+        certificate: InfeasibilityCertificate,
+        stats: SolveStats,
+    ) -> PartitionOutcome:
+        """INFEASIBLE outcome for a precheck or presolve certificate."""
+        stats.wall_time_s = time.monotonic() - start
+        return PartitionOutcome(
+            status=SolveStatus.INFEASIBLE,
+            spec=spec,
+            design=None,
+            objective=None,
+            model_stats=model_stats,
+            solve_stats=stats,
+            wall_time_s=stats.wall_time_s,
             certificate=certificate,
         )
 
@@ -533,60 +556,35 @@ class TemporalPartitioner:
 
     # ------------------------------------------------------------------
 
-    def _make_lp_backend(self):
-        """LP backend for the bnb path: bare, chaos-wrapped, or armored.
-
-        Delegates to :func:`repro.core.parallel_support.make_lp_backend`
-        — the same assembly the parallel workers run, so a
-        ``workers > 1`` fleet solves through exactly the stack the
-        coordinator would have used alone (see that function for the
-        kernel/resilience/chaos layering).
+    def _solve(self, model, spec, context) -> MilpResult:
+        """Solve the model: one HiGHS call when ``context`` is None, else
+        the branch and bound over the solve context from
+        :func:`~repro.core.parallel_support.solve_context`.
         """
-        from repro.core.parallel_support import make_lp_backend
-
-        return make_lp_backend(
-            resilient=self.resilient,
-            chaos=self.chaos,
-            plain_search=self.plain_search,
-            chain=self.lp_backend_chain,
-        )
-
-    def _solve(self, model, spec, space):
-        """Solve the model; returns (MilpResult, presolve certificate)."""
-        if self.backend == "milp":
-            return solve_milp_scipy(model, time_limit_s=self.time_limit_s), None
-        from repro.core.parallel_support import make_incumbent_auditor
-
-        prober = None
-        leaf_solver = None
-        if not self.plain_search:
-            from repro.core.leafsolve import make_leaf_solver
-            from repro.core.probe import make_slot_prober
-
-            prober = make_slot_prober(spec, space)
-            leaf_solver = make_leaf_solver(spec, space)
+        if context is None:
+            return solve_milp_scipy(model, time_limit_s=self.time_limit_s)
         config = BranchAndBoundConfig(
             time_limit_s=self.time_limit_s,
             node_limit=self.node_limit,
             objective_is_integral=True,
             propagate_sos1=not self.plain_search,
-            node_prober=prober,
-            leaf_solver=leaf_solver,
+            node_prober=context["node_prober"],
+            leaf_solver=context["leaf_solver"],
             on_node=self.on_node,
             on_incumbent=self.on_incumbent,
             callback_every=self.callback_every,
-            presolve=self.presolve and not self.plain_search,
-            lp_backend=self._make_lp_backend(),
+            lp_backend=context["lp_backend"],
             checkpoint_path=self.checkpoint_path,
             checkpoint_every=self.checkpoint_every,
             heuristics=self.heuristics,
-            incumbent_auditor=make_incumbent_auditor(spec, space),
+            incumbent_auditor=context["incumbent_auditor"],
             proof_path=self.proof_path,
         )
+        model = context["model"]
         solver = self._make_solver(model, spec, config)
         if self.checkpoint_path is not None and os.path.exists(self.checkpoint_path):
             try:
-                return solver.resume(self.checkpoint_path), solver.presolve_certificate
+                return solver.resume(self.checkpoint_path)
             except CheckpointError as exc:
                 # Truncated, corrupt, foreign-schema, or
                 # fingerprint-mismatched checkpoint: a fresh solve is
@@ -601,14 +599,14 @@ class TemporalPartitioner:
                     stacklevel=2,
                 )
                 solver = self._make_solver(model, spec, config)
-        return solver.solve(), solver.presolve_certificate
+        return solver.solve()
 
     def _make_solver(self, model, spec, config) -> BranchAndBound:
         """Sequential solver, or the parallel coordinator for workers>1.
 
         The coordinator ships only picklable ingredients (spec,
-        options, rule, resilience/chaos knobs); each worker rebuilds the
-        model, prober, leaf solver, and LP stack from them via
+        options, rule, presolve/resilience/chaos knobs); each worker
+        rebuilds the model and its solve context from them via
         :func:`repro.core.parallel_support.build_worker_context`, and
         the model fingerprint certifies the rebuild matched.
         """
@@ -617,23 +615,20 @@ class TemporalPartitioner:
         from repro.core.parallel_support import build_worker_context
         from repro.ilp.parallel import ParallelBranchAndBound, ParallelConfig
 
-        parallel = self.parallel
-        if parallel is None:
-            parallel = ParallelConfig(
-                workers=self.workers, replay=self.parallel_replay
-            )
         return ParallelBranchAndBound(
             model,
             rule=self.branching,
             config=config,
-            parallel=parallel,
+            parallel=ParallelConfig(
+                workers=self.workers, replay=self.parallel_replay
+            ),
             context_builder=build_worker_context,
             worker_args={
                 "spec": spec,
                 "options": self.options,
                 "rule": self.branching,
                 "plain_search": self.plain_search,
-                "presolve": self.presolve and not self.plain_search,
+                "presolve": self.presolve,
                 "resilient": self.resilient,
                 "chaos": self.chaos,
             },

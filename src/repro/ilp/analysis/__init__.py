@@ -27,7 +27,6 @@ from repro.ilp.analysis.diagnostics import (
 )
 from repro.ilp.analysis.lint import lint_model
 from repro.ilp.analysis.presolve import (
-    PresolveOptions,
     PresolveResult,
     PresolveStats,
     ReductionMap,
@@ -44,7 +43,6 @@ __all__ = [
     "Severity",
     "worst_severity",
     "lint_model",
-    "PresolveOptions",
     "PresolveResult",
     "PresolveStats",
     "ReductionMap",

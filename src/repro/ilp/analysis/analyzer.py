@@ -21,11 +21,7 @@ from repro.ilp.analysis.diagnostics import (
     worst_severity,
 )
 from repro.ilp.analysis.lint import lint_model
-from repro.ilp.analysis.presolve import (
-    PresolveOptions,
-    PresolveResult,
-    presolve,
-)
+from repro.ilp.analysis.presolve import PresolveResult, presolve
 from repro.ilp.model import Model
 
 
@@ -64,7 +60,6 @@ class AnalysisReport:
 
 def analyze_model(
     model: Model,
-    presolve_options: "Optional[PresolveOptions]" = None,
     run_presolve: bool = True,
 ) -> AnalysisReport:
     """Lint ``model`` and (by default) presolve it.
@@ -79,7 +74,7 @@ def analyze_model(
     result: "Optional[PresolveResult]" = None
     certificates: "List[InfeasibilityCertificate]" = []
     if run_presolve:
-        result = presolve(model, presolve_options)
+        result = presolve(model)
         if result.certificate is not None:
             certificates.append(result.certificate)
     return AnalysisReport(

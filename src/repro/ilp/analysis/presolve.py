@@ -21,9 +21,9 @@ A bound contradiction or a row with no satisfiable point yields an
 :class:`~repro.ilp.analysis.diagnostics.InfeasibilityCertificate`
 instead of a reduced model — the certificate path never solves an LP.
 
-Two output modes (``PresolveOptions.eliminate``):
+Two output modes (``presolve(model, eliminate=...)``):
 
-* ``eliminate=False`` (what the solver integration uses) keeps the
+* ``eliminate=False`` (what the partitioning flow uses) keeps the
   full variable set — fixings become ``lb == ub`` bounds — so node
   probers, leaf solvers and branching metadata that index variables
   by position keep working unchanged; the :class:`ReductionMap` is
@@ -50,21 +50,11 @@ _SUBST_INEQ_SUPPORT = 32
 _SUBST_EQ_SUPPORT = 64
 
 
-@dataclass(frozen=True)
-class PresolveOptions:
-    """Knobs of the presolve pass.
+#: Cap on the fixpoint iteration.
+MAX_ROUNDS = 10
 
-    ``eliminate`` selects the output mode (see module docstring);
-    ``max_rounds`` caps the fixpoint iteration; ``tighten_coefficients``
-    and ``detect_implied`` gate the two more expensive reductions;
-    ``feas_tol`` is the absolute feasibility/rounding tolerance.
-    """
-
-    eliminate: bool = True
-    max_rounds: int = 10
-    tighten_coefficients: bool = True
-    detect_implied: bool = True
-    feas_tol: float = 1e-9
+#: Absolute feasibility/rounding tolerance.
+FEAS_TOL = 1e-9
 
 
 @dataclass
@@ -178,10 +168,12 @@ class _Infeasible(Exception):
         self.certificate = certificate
 
 
-def presolve(model: Model, options: "Optional[PresolveOptions]" = None) -> PresolveResult:
-    """Run the presolve pass on ``model`` (which is left untouched)."""
-    opts = options if options is not None else PresolveOptions()
-    engine = _Engine(model, opts)
+def presolve(model: Model, *, eliminate: bool = True) -> PresolveResult:
+    """Run the presolve pass on ``model`` (which is left untouched).
+
+    ``eliminate`` selects the output mode (see module docstring).
+    """
+    engine = _Engine(model, eliminate)
     try:
         engine.run()
     except _Infeasible as stop:
@@ -193,10 +185,9 @@ def presolve(model: Model, options: "Optional[PresolveOptions]" = None) -> Preso
 class _Engine:
     """The mutable working state of one presolve run."""
 
-    def __init__(self, model: Model, opts: PresolveOptions) -> None:
+    def __init__(self, model: Model, eliminate: bool) -> None:
         self.model = model
-        self.opts = opts
-        self.tol = opts.feas_tol
+        self.eliminate = eliminate
         self.stats = PresolveStats(
             vars_before=model.num_vars,
             rows_before=model.num_constraints,
@@ -219,14 +210,12 @@ class _Engine:
     # driver
 
     def run(self) -> None:
-        for round_no in range(1, self.opts.max_rounds + 1):
+        for round_no in range(1, MAX_ROUNDS + 1):
             self.stats.rounds = round_no
             changed = self._propagate_pass()
-            if self.opts.tighten_coefficients:
-                changed |= self._tighten_pass()
+            changed |= self._tighten_pass()
             changed |= self._duplicate_pass()
-            if self.opts.detect_implied:
-                changed |= self._implied_pass()
+            changed |= self._implied_pass()
             if not changed:
                 break
 
@@ -234,7 +223,7 @@ class _Engine:
     # activity helpers
 
     def _is_fixed(self, idx: int) -> bool:
-        return self.ub[idx] - self.lb[idx] <= self.tol
+        return self.ub[idx] - self.lb[idx] <= FEAS_TOL
 
     def _contrib_range(self, idx: int, coef: float) -> "Tuple[float, float]":
         a = coef * self.lb[idx]
@@ -265,9 +254,9 @@ class _Engine:
     def _set_ub(self, idx: int, value: float) -> bool:
         if self.is_int[idx]:
             value = math.floor(value + 1e-6)
-        if value >= self.ub[idx] - self.tol:
+        if value >= self.ub[idx] - FEAS_TOL:
             return False
-        if value < self.lb[idx] - self.tol:
+        if value < self.lb[idx] - FEAS_TOL:
             var = self.model.variables[idx]
             raise _Infeasible(InfeasibilityCertificate(
                 code="bound-contradiction",
@@ -288,9 +277,9 @@ class _Engine:
     def _set_lb(self, idx: int, value: float) -> bool:
         if self.is_int[idx]:
             value = math.ceil(value - 1e-6)
-        if value <= self.lb[idx] + self.tol:
+        if value <= self.lb[idx] + FEAS_TOL:
             return False
-        if value > self.ub[idx] + self.tol:
+        if value > self.ub[idx] + FEAS_TOL:
             var = self.model.variables[idx]
             raise _Infeasible(InfeasibilityCertificate(
                 code="bound-contradiction",
@@ -310,9 +299,9 @@ class _Engine:
 
     def _fix(self, idx: int, value: float) -> bool:
         changed = False
-        if value > self.lb[idx] + self.tol:
+        if value > self.lb[idx] + FEAS_TOL:
             changed |= self._set_lb(idx, value)
-        if value < self.ub[idx] - self.tol:
+        if value < self.ub[idx] - FEAS_TOL:
             changed |= self._set_ub(idx, value)
         return changed
 
@@ -334,7 +323,7 @@ class _Engine:
 
     def _propagate_pass(self) -> bool:
         changed = False
-        tol = self.tol
+        tol = FEAS_TOL
         for index, row in enumerate(self.rows):
             if not row.alive:
                 continue
@@ -604,7 +593,7 @@ class _Engine:
     # output construction
 
     def build_result(self) -> PresolveResult:
-        if self.opts.eliminate:
+        if self.eliminate:
             reduced, rmap = self._build_eliminated()
         else:
             reduced, rmap = self._build_same_space()

@@ -168,19 +168,6 @@ class BranchAndBoundConfig:
         improves.
     callback_every:
         Node-callback decimation factor (1 = every node).
-    presolve:
-        Run the static presolve pass (:mod:`repro.ilp.analysis`) over
-        the model before compiling the standard form: bound
-        propagation, variable fixing, coefficient tightening and
-        redundant-row removal, all in the *original* variable space
-        (no column is eliminated), so probers, leaf solvers and
-        branching metadata keep their indices.  A presolve
-        infeasibility certificate short-circuits :meth:`solve` to an
-        INFEASIBLE result without a single LP call; the reduction
-        counters land in ``SolveStats.presolve``.
-    presolve_options:
-        Override the :class:`~repro.ilp.analysis.PresolveOptions`;
-        must keep ``eliminate=False`` (enforced).
     checkpoint_path:
         When set, the search state is serialized (atomically) to this
         path every ``checkpoint_every`` explored nodes and on every
@@ -209,10 +196,6 @@ class BranchAndBoundConfig:
         leaf sub-solve) — their closures carry no LP dual evidence —
         and only applies SOS1 propagations that pre-validate in exact
         arithmetic.
-    proof_sink:
-        Pre-built :class:`~repro.ilp.certify.proof.ProofSink` to emit
-        into instead of opening ``proof_path`` (the parallel worker /
-        coordinator plumbing); mutually exclusive with ``proof_path``.
     """
 
     time_limit_s: Optional[float] = None
@@ -225,14 +208,11 @@ class BranchAndBoundConfig:
     on_node: "Optional[Callable[[NodeEvent], None]]" = None
     on_incumbent: "Optional[Callable[[IncumbentEvent], None]]" = None
     callback_every: int = 1
-    presolve: bool = False
-    presolve_options: "Optional[object]" = None
     checkpoint_path: "Optional[str]" = None
     checkpoint_every: int = 256
     heuristics: bool = False
     incumbent_auditor: "Optional[Callable[[Dict[int, float]], bool]]" = None
     proof_path: "Optional[str]" = None
-    proof_sink: "Optional[object]" = None
 
 
 #: Zeroed ``SolveStats.heuristics`` telemetry block.
@@ -288,13 +268,8 @@ class BranchAndBound:
         rule: "Optional[BranchingRule]" = None,
         config: "Optional[BranchAndBoundConfig]" = None,
     ) -> None:
-        self.original_model = model
         self.rule = rule if rule is not None else PaperBranching()
         self.config = config if config is not None else BranchAndBoundConfig()
-        self._presolve_certificate = None
-        self._presolve_stats: "Optional[Dict[str, object]]" = None
-        if self.config.presolve:
-            model = self._run_presolve(model)
         self.model = model
         self.form: StandardForm = compile_standard_form(model)
         self._int_indices = np.array(model.integer_indices(), dtype=int)
@@ -338,36 +313,6 @@ class BranchAndBound:
 
     # ------------------------------------------------------------------
 
-    def _run_presolve(self, model: Model) -> Model:
-        """Reduce ``model`` in place-compatible (non-eliminating) mode.
-
-        Returns the reduced model to search, or the original when the
-        pass proved infeasibility (the certificate is kept and
-        :meth:`solve` returns immediately).
-        """
-        from repro.ilp.analysis.presolve import PresolveOptions, presolve
-
-        opts = self.config.presolve_options
-        if opts is None:
-            opts = PresolveOptions(eliminate=False)
-        if opts.eliminate:
-            raise SolverError(
-                "BranchAndBound presolve must keep the variable space; "
-                "use PresolveOptions(eliminate=False)"
-            )
-        result = presolve(model, opts)
-        self._presolve_stats = result.stats.as_dict()
-        if result.certificate is not None:
-            self._presolve_certificate = result.certificate
-            return model
-        assert result.model is not None
-        return result.model
-
-    @property
-    def presolve_certificate(self):
-        """Infeasibility certificate produced by presolve, if any."""
-        return self._presolve_certificate
-
     def solve(self) -> MilpResult:
         """Run the search and return the result.
 
@@ -379,9 +324,7 @@ class BranchAndBound:
           bound and gap) is attached;
         * TIMEOUT / NODE_LIMIT — the limit expired with no incumbent.
         """
-        short_circuit = self._prepare_run()
-        if short_circuit is not None:
-            return short_circuit
+        self._prepare_run()
 
         limit_status: "Optional[SolveStatus]" = None
         while self._stack:
@@ -452,20 +395,17 @@ class BranchAndBound:
             self._close_proof()
         return result
 
-    def _prepare_run(self) -> "Optional[MilpResult]":
+    def _prepare_run(self) -> None:
         """(Re)initialize per-run state for a fresh search.
 
         Shared by :meth:`solve` and the parallel coordinator
         (:mod:`repro.ilp.parallel`), so both have identical rampup
         semantics: clock started, counters zeroed, the root node on the
-        stack, any pending resume payload consumed.  Returns a
-        short-circuit :class:`MilpResult` when presolve already proved
-        infeasibility (no LP is ever solved), else ``None``.
+        stack, any pending resume payload consumed.
         """
         self._start = time.monotonic()
         self._started = True
         self._stats = SolveStats()
-        self._stats.presolve = self._presolve_stats
         self._incumbent_values = None
         self._incumbent_obj = math.inf
         self._exactness_lost = False
@@ -476,32 +416,12 @@ class BranchAndBound:
         self._heur = dict(_HEUR_ZERO)
         self._in_polish = False
         self._setup_proof()
-        if self._presolve_certificate is not None:
-            # Presolve proved infeasibility; no LP is ever solved.
-            self._stats.stop_reason = "presolve_infeasible"
-            self._stats.wall_time_s = time.monotonic() - self._start
-            if self._proof is not None:
-                # Presolve's reasoning is not replayed by the checker:
-                # the root is honestly forfeited, never claimed.
-                self._proof.emit_forfeit(
-                    "root", "presolve_infeasible", self.form.lb, self.form.ub
-                )
-                self._proof.emit_result("infeasible", None, None, False)
-                self._stats.proof = {
-                    "path": self.config.proof_path,
-                    "fingerprint": getattr(self._proof, "fingerprint", None),
-                    "records": dict(self._proof.counts),
-                    "forfeits": int(self._proof.forfeit_count),
-                }
-                self._close_proof()
-            return MilpResult(status=SolveStatus.INFEASIBLE, stats=self._stats)
         self._stack = [
             _Node(self.form.lb.copy(), self.form.ub.copy(), depth=0, pid="root")
         ]
         if self._resume_payload is not None:
             self._restore_from_checkpoint(self._resume_payload)
             self._resume_payload = None
-        return None
 
     # ------------------------------------------------------------------
     # proof logging plumbing (see repro.ilp.certify)
@@ -510,11 +430,6 @@ class BranchAndBound:
         """Attach the proof sink for this run, if any."""
         self._node_seq = 0
         self._pid_prefix = "m"
-        sink = self.config.proof_sink
-        if sink is not None:
-            self._proof = sink
-            self._owns_proof = False
-            return
         if not self.config.proof_path:
             self._proof = None
             self._owns_proof = False
@@ -960,7 +875,7 @@ class BranchAndBound:
         """Continue a search from a checkpoint (dict or file path).
 
         The checkpoint's model fingerprint must match this solver's
-        compiled form (same model, same presolve setting), else a
+        compiled form (the same model), else a
         :class:`~repro.errors.SolverError` is raised.  The time budget
         (``time_limit_s``) applies to *this* process run; the
         checkpoint's elapsed time accumulates only into the reported
@@ -1030,7 +945,6 @@ class BranchAndBound:
         # The restored frontier's least inherited bound is a proven
         # global lower bound, at least as tight as the root LP's.
         self._root_bound = self._open_bound()
-        stats.presolve = self._stats.presolve
         stats.stop_reason = "exhausted"
         stats.best_bound = None
         stats.gap = None

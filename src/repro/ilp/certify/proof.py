@@ -642,9 +642,6 @@ class ProofBuffer(ProofSink):
     def _emit(self, record: Record) -> None:
         self._records.append(record)
 
-    def begin_chunk(self) -> None:
-        self._records = []
-
     def drain(self) -> List[Record]:
         records, self._records = self._records, []
         return records

@@ -15,7 +15,10 @@ A builder is any ``f(args) -> dict`` returning:
 * ``"rule"`` — branching rule instance (default
   :class:`~repro.ilp.branching.PaperBranching`);
 * ``"lp_backend"`` — LP backend callable;
-* ``"node_prober"`` / ``"leaf_solver"`` — the per-problem closures.
+* ``"node_prober"`` / ``"leaf_solver"`` / ``"incumbent_auditor"`` —
+  the per-problem closures.
+
+Other keys are ignored.
 
 :func:`plain_context` is the generic builder (pickled model, incremental
 kernel, optional fault injection); the temporal-partitioning builder

@@ -146,9 +146,7 @@ class ParallelBranchAndBound(BranchAndBound):
     # lifecycle
 
     def solve(self) -> MilpResult:
-        short_circuit = self._prepare_run()
-        if short_circuit is not None:
-            return short_circuit
+        self._prepare_run()
 
         self._ptelemetry = {
             "workers": self.parallel.workers,

@@ -117,7 +117,6 @@ class Worker:
             # only ever explores bounded chunks, each under the time
             # the coordinator has left (see _run_chunk).
             time_limit_s=None,
-            presolve=False,
             checkpoint_path=None,
             **spec,
         )

@@ -203,10 +203,6 @@ class ResilientLPBackend:
 
     # ------------------------------------------------------------------
 
-    @property
-    def backend_names(self) -> "List[str]":
-        return [slot.name for slot in self._slots]
-
     def _log(self, backend: str, kind: str, detail: str) -> None:
         if len(self.fault_log) < _LOG_CAP:
             self.fault_log.append(

@@ -26,7 +26,6 @@ internals.
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -44,21 +43,6 @@ class SolveStatus(enum.Enum):
     TIMEOUT = "timeout"
     NODE_LIMIT = "node_limit"
     ERROR = "error"
-
-    @property
-    def is_success(self) -> bool:
-        """Whether a (provably optimal) solution was produced."""
-        return self is SolveStatus.OPTIMAL
-
-    @property
-    def carries_incumbent(self) -> bool:
-        """Whether this status guarantees an attached solution.
-
-        FEASIBLE is exactly "limit hit *with* an incumbent"; OPTIMAL is
-        the proven case.  TIMEOUT/NODE_LIMIT mean the search expired
-        empty-handed.
-        """
-        return self in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
 
 
 def relative_gap(objective: float, bound: float) -> float:
@@ -407,17 +391,6 @@ class MilpResult:
     def has_solution(self) -> bool:
         """Whether any integer-feasible solution is attached."""
         return self.values is not None
-
-    @property
-    def is_gap_proven(self) -> bool:
-        """Whether a finite optimality gap was established."""
-        return self.gap is not None and math.isfinite(self.gap)
-
-    def value_by_name(self, model, name: str) -> float:
-        """Convenience: value of a variable looked up by model name."""
-        if self.values is None:
-            raise ValueError(f"result carries no solution (status={self.status})")
-        return self.values[model.var_by_name(name).index]
 
     def telemetry(self) -> "Dict[str, object]":
         """The per-run telemetry record (see docs/DESIGN.md schema)."""

@@ -204,11 +204,6 @@ class Allocation:
         return cls(instances)
 
     @property
-    def instances(self) -> "Tuple[FUInstance, ...]":
-        """All FU instances, in index order (the formulation's ``k``)."""
-        return self._instances
-
-    @property
     def names(self) -> "Tuple[str, ...]":
         """Instance names in index order."""
         return tuple(fu.name for fu in self._instances)

@@ -84,11 +84,6 @@ class FPGADevice:
         """Eq. 11's area test: does ``alpha * fg_cost <= C`` hold?"""
         return self.effective_cost(fg_cost) <= self.capacity
 
-    def headroom(self, fg_cost: float) -> float:
-        """Remaining effective capacity after placing ``fg_cost`` FGs."""
-        return self.capacity - self.effective_cost(fg_cost)
-
-
 def device_catalog() -> "Dict[str, FPGADevice]":
     """XC4000-series parts by name, capacities in function generators.
 

@@ -22,14 +22,12 @@ from repro.core.precheck import (
     precheck_graph,
     precheck_spec,
 )
-from repro.errors import SolverError
 from repro.graph.builders import TaskGraphBuilder
 from repro.graph.generators import RandomGraphConfig, random_task_graph
 from repro.graph.operations import Operation, OpType
 from repro.graph.taskgraph import Task, TaskGraph
 from repro.ilp.analysis import (
     AnalysisReport,
-    PresolveOptions,
     Severity,
     analyze_model,
     lint_model,
@@ -41,6 +39,7 @@ from repro.ilp.branching import make_rule
 from repro.ilp.expr import LinExpr
 from repro.ilp.milp_backend import solve_milp_scipy
 from repro.ilp.model import Model, Sense
+from repro.ilp.solution import SolveStatus
 
 
 def codes(diagnostics):
@@ -193,7 +192,7 @@ class TestPresolveReductions:
         y = m.add_var("y", 0.0, 10.0)
         m.add(1 * x <= 4)
         m.add(x + y <= 12)
-        res = presolve(m, PresolveOptions(eliminate=False))
+        res = presolve(m, eliminate=False)
         assert not res.is_infeasible
         assert res.stats.rows_removed_by_reason.get("singleton") == 1
         assert res.model.variables[x.index].ub == pytest.approx(4.0)
@@ -206,7 +205,7 @@ class TestPresolveReductions:
         y = m.add_binary("y")
         m.add(x + y >= 2)
         m.set_objective(x + 3 * y)
-        res = presolve(m, PresolveOptions(eliminate=True))
+        res = presolve(m, eliminate=True)
         assert not res.is_infeasible
         assert res.stats.vars_fixed == 2
         assert res.model.num_vars == 0
@@ -219,7 +218,7 @@ class TestPresolveReductions:
         x = m.add_var("x", 0.0, 5.0, integer=True)
         y = m.add_var("y", 0.0, 5.0)
         m.add(2 * x + y <= 7)
-        res = presolve(m, PresolveOptions(eliminate=False))
+        res = presolve(m, eliminate=False)
         # 2x <= 7 with y >= 0 gives x <= 3.5, rounded to 3 for an integer.
         assert res.model.variables[x.index].ub == pytest.approx(3.0)
         assert res.stats.bounds_tightened >= 1
@@ -248,7 +247,7 @@ class TestPresolveReductions:
         x = m.add_binary("x")
         y = m.add_var("y", 0.0, 1.0)
         m.add(10 * x + y <= 10)
-        res = presolve(m, PresolveOptions(eliminate=False))
+        res = presolve(m, eliminate=False)
         assert res.stats.coeffs_tightened >= 1
         (row,) = res.model.constraints
         assert row.sense is Sense.LE
@@ -268,14 +267,14 @@ class TestPresolveReductions:
         w = m.add_var("w", 0.0, 1.0)
         m.add(w - a - b == 0, tag="eq5")
         m.add(w - a >= 0, tag="eq4")  # implied by eq5 with b >= 0
-        res = presolve(m, PresolveOptions(eliminate=False))
+        res = presolve(m, eliminate=False)
         assert res.stats.rows_removed_by_reason.get("implied") == 1
         assert res.model.num_constraints == 1
         assert res.model.constraints[0].sense is Sense.EQ
 
     def test_base_model_eq4_rows_proven_redundant(self, chain3_spec):
         model, _ = build_model(chain3_spec, FormulationOptions(tighten=False))
-        res = presolve(model, PresolveOptions(eliminate=False))
+        res = presolve(model, eliminate=False)
         assert not res.is_infeasible
         assert res.stats.rows_removed_by_reason.get("implied", 0) > 0
         assert res.stats.rows_after < res.stats.rows_before
@@ -339,7 +338,7 @@ class TestPresolvePreservesOptimum:
         assert baseline.objective == pytest.approx(brute[0], abs=1e-6)
 
         for eliminate in (False, True):
-            res = presolve(model, PresolveOptions(eliminate=eliminate))
+            res = presolve(model, eliminate=eliminate)
             assert not res.is_infeasible
             reduced = solve_milp_scipy(res.model)
             assert reduced.has_solution
@@ -356,7 +355,7 @@ class TestPresolvePreservesOptimum:
         model, _ = build_model(chain3_spec, FormulationOptions(tighten=tighten))
         baseline = solve_milp_scipy(model)
         assert baseline.has_solution
-        res = presolve(model, PresolveOptions(eliminate=False))
+        res = presolve(model, eliminate=False)
         assert res.stats.rows_removed > 0
         reduced = solve_milp_scipy(res.model)
         assert reduced.objective == pytest.approx(baseline.objective, abs=1e-6)
@@ -490,28 +489,14 @@ class TestSolverIntegration:
         plain = BranchAndBound(
             model, rule=make_rule("paper"), config=BranchAndBoundConfig()
         ).solve()
-        solver = BranchAndBound(
-            model,
-            rule=make_rule("paper"),
-            config=BranchAndBoundConfig(presolve=True),
-        )
-        reduced = solver.solve()
+        res = presolve(model, eliminate=False)
+        assert res.certificate is None
+        assert res.stats.rows_removed > 0
+        reduced = BranchAndBound(
+            res.model, rule=make_rule("paper"), config=BranchAndBoundConfig()
+        ).solve()
         assert plain.has_solution and reduced.has_solution
         assert reduced.objective == pytest.approx(plain.objective, abs=1e-6)
-        assert reduced.stats.presolve is not None
-        assert reduced.stats.presolve["rows_removed"] > 0
-        assert solver.presolve_certificate is None
-
-    def test_bnb_rejects_eliminating_presolve(self, chain3_spec):
-        model, _ = build_model(chain3_spec, FormulationOptions())
-        with pytest.raises(SolverError):
-            BranchAndBound(
-                model,
-                rule=make_rule("paper"),
-                config=BranchAndBoundConfig(
-                    presolve=True, presolve_options=PresolveOptions(eliminate=True)
-                ),
-            )
 
     def test_partitioner_precheck_short_circuit(self, tight_device):
         from repro.core.partitioner import TemporalPartitioner
@@ -530,6 +515,45 @@ class TestSolverIntegration:
         record = outcome.telemetry()
         assert record["schema"] == "repro.solve_telemetry/v10"
         assert record["certificate"]["code"] == "edge-exceeds-memory"
+
+    def test_partitioner_presolve_certificate_short_circuit(
+        self, monkeypatch, chain3_graph, big_device
+    ):
+        import importlib
+
+        from repro.core.partitioner import TemporalPartitioner
+        from repro.ilp.analysis import InfeasibilityCertificate, PresolveStats
+        from repro.ilp.analysis.presolve import PresolveResult
+
+        certificate = InfeasibilityCertificate(
+            code="row-infeasible", reason="seeded by the test"
+        )
+        presolve_module = importlib.import_module("repro.ilp.analysis.presolve")
+        monkeypatch.setattr(
+            presolve_module,
+            "presolve",
+            lambda model, *, eliminate=True: PresolveResult(
+                stats=PresolveStats(rows_before=model.num_constraints),
+                certificate=certificate,
+            ),
+        )
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a presolve certificate must not build a B&B")
+
+        monkeypatch.setattr(BranchAndBound, "__init__", no_search)
+        outcome = TemporalPartitioner(device=big_device).partition(
+            chain3_graph, "1A+1M+1S", n_partitions=3, relaxation=2
+        )
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert outcome.certificate is certificate
+        assert outcome.solve_stats.stop_reason == "presolve_infeasible"
+        assert outcome.solve_stats.presolve["rows_before"] > 0
+        assert outcome.solve_stats.lp_solves == 0
+        assert not outcome.hit_limit
+        record = outcome.telemetry()
+        assert record["certificate"]["code"] == "row-infeasible"
+        assert record["solve"]["presolve"] is not None
 
     def test_partitioner_telemetry_presolve_block(self, chain3_graph, big_device):
         from repro.core.partitioner import TemporalPartitioner

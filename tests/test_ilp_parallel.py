@@ -198,3 +198,29 @@ class TestWorkerCrashRecovery:
         # so the first one must have been broadcast to the other
         # still-live worker.
         assert block["incumbent_broadcasts"] >= 1
+
+
+class TestPartitionerWorkers:
+    """The partitioner's worker rebuild on a model presolve changed.
+
+    On t3-g1-N3-L0 presolve fixes variables, so each worker must
+    presolve its rebuilt model exactly as the coordinator did for the
+    fingerprints to match; replay mode then reproduces the sequential
+    signature.
+    """
+
+    def test_replay_matches_sequential_on_presolved_row(self):
+        from repro.reporting.experiments import run_row, table_rows
+
+        row = next(r for r in table_rows("t3") if r.key == "t3-g1-N3-L0")
+
+        def signature(result):
+            solve = result["telemetry"]["solve"]
+            return result["status"], result["objective"], solve["nodes_explored"]
+
+        sequential = run_row(row, time_limit_s=None)
+        presolve = sequential["telemetry"]["solve"]["presolve"]
+        assert presolve["vars_fixed"] > 0
+        replayed = run_row(row, time_limit_s=None, workers=2, parallel_replay=True)
+        assert replayed["telemetry"]["solve"]["parallel"]["workers"] == 2
+        assert signature(replayed) == signature(sequential)
