@@ -19,7 +19,7 @@ subtly different search space.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.ilp.incremental import IncrementalLPSolver
 from repro.ilp.resilience import (
@@ -35,7 +35,6 @@ def make_lp_backend(
     resilient: bool = True,
     chaos: "Optional[FaultPlan]" = None,
     plain_search: bool = False,
-    chain: "Optional[List]" = None,
 ):
     """LP backend for a bnb solve: bare, chaos-wrapped, or armored.
 
@@ -49,13 +48,11 @@ def make_lp_backend(
     fault injection with infeasible double-checking.
     """
     use_resilient = resilient and not plain_search
-    if not use_resilient and chaos is None and chain is None:
+    if not use_resilient and chaos is None:
         return solve_lp_scipy if plain_search else IncrementalLPSolver()
-    if chain is None:
-        chain = default_backend_chain()
-        if not plain_search:
-            chain = [("incremental", IncrementalLPSolver())] + chain
-    chain = list(chain)
+    chain = default_backend_chain()
+    if not plain_search:
+        chain = [("incremental", IncrementalLPSolver())] + chain
     if chaos is not None:
         wrap_all = chaos.targets == "all"
         chain = [
@@ -108,7 +105,6 @@ def solve_context(
     presolve: bool,
     resilient: bool,
     chaos: "Optional[FaultPlan]",
-    chain: "Optional[List]" = None,
 ) -> "Dict[str, object]":
     """Everything one branch-and-bound solve of ``model`` needs.
 
@@ -150,7 +146,6 @@ def solve_context(
             resilient=resilient,
             chaos=chaos,
             plain_search=plain_search,
-            chain=chain,
         ),
         "incumbent_auditor": make_incumbent_auditor(spec, space),
     }

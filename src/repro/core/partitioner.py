@@ -185,8 +185,11 @@ class TemporalPartitioner:
         ``"bnb"`` for the in-repo branch and bound (default),
         ``"milp"`` for SciPy HiGHS.
     time_limit_s / node_limit:
-        Search limits passed to the backend.  Expiry with an incumbent
-        yields a FEASIBLE outcome carrying the proven bound and gap.
+        Search limits passed to the backend.  The time limit covers
+        the whole :meth:`partition_spec` call: the solver gets what
+        precheck, model build and presolve left of it.  Expiry with an
+        incumbent yields a FEASIBLE outcome carrying the proven bound
+        and gap.
     plain_search:
         When True, run the branch and bound *without* its SOS1
         propagation and exact leaf sub-solve — the raw 1998-style
@@ -224,17 +227,15 @@ class TemporalPartitioner:
         LP backend(s) in seeded fault injection — the CLI's
         ``--chaos-*`` surface.  Implies infeasible double-checking on
         the resilient chain.  Only meaningful with ``backend="bnb"``.
-    lp_backend_chain:
-        Override the resilient chain's ``(name, callable)`` backends
-        (tests use this to simulate wholly dead solver stacks).
     proof_path:
         When set (``bnb`` backend only), the branch and bound appends a
         certificate for every tree event to this ``repro.bnb_proof/v1``
         JSONL artifact, independently verifiable with ``repro audit``
-        (see :mod:`repro.ilp.certify` and DESIGN.md §12).  Proof mode
-        disables the node prober and exact leaf sub-solve (their
-        closures carry no dual evidence), so node counts differ from an
-        unlogged run; statuses and objectives do not.  The
+        (see :mod:`repro.ilp.certify` and DESIGN.md §14).  Proof mode
+        ignores the node prober and runs the exact leaf sub-solve only
+        as a primal heuristic, once per subtree (neither carries dual
+        evidence, so neither may close a node), so node counts differ
+        from an unlogged run; statuses and objectives do not.  The
         ``solve.proof`` telemetry block summarizes the artifact.
     checkpoint_path / checkpoint_every:
         Forwarded to the branch and bound: periodic atomic
@@ -253,9 +254,8 @@ class TemporalPartitioner:
         spawn-isolated worker processes
         (:class:`~repro.ilp.parallel.ParallelBranchAndBound`): shared
         incumbent, work stealing, crash recovery, identical optima.
-        Only the ``"bnb"`` backend parallelizes, and a custom
-        ``lp_backend_chain`` cannot be shipped to workers (chains are
-        closures) — both combinations raise.  The ``solve.parallel``
+        Only the ``"bnb"`` backend parallelizes; another backend
+        raises.  The ``solve.parallel``
         telemetry block records the fleet's behaviour.
     parallel_replay:
         Deterministic-replay mode for ``workers > 1``: one chunk in
@@ -281,7 +281,6 @@ class TemporalPartitioner:
         callback_every: int = 1,
         resilient: bool = True,
         chaos: "Optional[FaultPlan]" = None,
-        lp_backend_chain=None,
         checkpoint_path: "Optional[str]" = None,
         checkpoint_every: int = 256,
         proof_path: "Optional[str]" = None,
@@ -308,12 +307,6 @@ class TemporalPartitioner:
                 "heuristics require backend='bnb' (the milp "
                 "backend is a single opaque HiGHS call)"
             )
-        if workers > 1 and lp_backend_chain is not None:
-            raise ReproError(
-                "workers > 1 cannot ship a custom lp_backend_chain to "
-                "worker processes (backend chains are closures); use "
-                "resilient/chaos, which workers rebuild locally"
-            )
         self.library = library if library is not None else default_library()
         self.device = device if device is not None else device_catalog()["xc4010"]
         self.memory = memory
@@ -331,7 +324,6 @@ class TemporalPartitioner:
         self.callback_every = callback_every
         self.resilient = resilient
         self.chaos = chaos
-        self.lp_backend_chain = lp_backend_chain
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.proof_path = proof_path
@@ -406,7 +398,6 @@ class TemporalPartitioner:
                 presolve=self.presolve,
                 resilient=self.resilient,
                 chaos=self.chaos,
-                chain=self.lp_backend_chain,
             )
             if context["certificate"] is not None:
                 stats = SolveStats(stop_reason="presolve_infeasible")
@@ -417,7 +408,7 @@ class TemporalPartitioner:
         allow_degrade = not self.plain_search
 
         try:
-            result = self._solve(model, spec, context)
+            result = self._solve(model, spec, context, start)
         except SolverError as exc:
             if not allow_degrade:
                 raise
@@ -556,15 +547,30 @@ class TemporalPartitioner:
 
     # ------------------------------------------------------------------
 
-    def _solve(self, model, spec, context) -> MilpResult:
+    def _time_left(self, start: float) -> "Optional[float]":
+        """What set-up since ``start`` left of ``time_limit_s`` (never
+        negative); ``None`` without a limit."""
+        if self.time_limit_s is None:
+            return None
+        return max(self.time_limit_s - (time.monotonic() - start), 0.0)
+
+    def _solve(self, model, spec, context, start: float) -> MilpResult:
         """Solve the model: one HiGHS call when ``context`` is None, else
         the branch and bound over the solve context from
-        :func:`~repro.core.parallel_support.solve_context`.
+        :func:`~repro.core.parallel_support.solve_context`.  Either gets
+        the time left of ``time_limit_s`` since ``start``.
         """
         if context is None:
-            return solve_milp_scipy(model, time_limit_s=self.time_limit_s)
+            time_left = self._time_left(start)
+            if time_left == 0.0:
+                # HiGHS rejects a zero time limit: the limit already
+                # expired, so no search runs at all.
+                return MilpResult(
+                    status=SolveStatus.TIMEOUT,
+                    stats=SolveStats(stop_reason="time_limit"),
+                )
+            return solve_milp_scipy(model, time_limit_s=time_left)
         config = BranchAndBoundConfig(
-            time_limit_s=self.time_limit_s,
             node_limit=self.node_limit,
             objective_is_integral=True,
             propagate_sos1=not self.plain_search,
@@ -582,6 +588,8 @@ class TemporalPartitioner:
         )
         model = context["model"]
         solver = self._make_solver(model, spec, config)
+        # Set after the solver compiled the model: set-up counts too.
+        config.time_limit_s = self._time_left(start)
         if self.checkpoint_path is not None and os.path.exists(self.checkpoint_path):
             try:
                 return solver.resume(self.checkpoint_path)
@@ -613,15 +621,14 @@ class TemporalPartitioner:
         if self.workers <= 1:
             return BranchAndBound(model, rule=self.branching, config=config)
         from repro.core.parallel_support import build_worker_context
-        from repro.ilp.parallel import ParallelBranchAndBound, ParallelConfig
+        from repro.ilp.parallel import ParallelBranchAndBound
 
         return ParallelBranchAndBound(
             model,
             rule=self.branching,
             config=config,
-            parallel=ParallelConfig(
-                workers=self.workers, replay=self.parallel_replay
-            ),
+            workers=self.workers,
+            replay=self.parallel_replay,
             context_builder=build_worker_context,
             worker_args={
                 "spec": spec,

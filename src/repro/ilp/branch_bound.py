@@ -191,11 +191,11 @@ class BranchAndBoundConfig:
         When set, every tree event is appended (with its certificate)
         to this ``repro.bnb_proof/v1`` JSONL artifact, independently
         re-verifiable with ``repro audit`` (see
-        :mod:`repro.ilp.certify`).  Proof mode disables the
-        non-certifiable accelerations on this solver (node prober,
-        leaf sub-solve) — their closures carry no LP dual evidence —
-        and only applies SOS1 propagations that pre-validate in exact
-        arithmetic.
+        :mod:`repro.ilp.certify`).  Proof mode ignores the node prober
+        and demotes the leaf sub-solve to a primal heuristic, run once
+        per subtree (neither carries LP dual evidence, so neither may
+        close a node), and only applies SOS1 propagations that
+        pre-validate in exact arithmetic.
     """
 
     time_limit_s: Optional[float] = None
@@ -287,6 +287,7 @@ class BranchAndBound:
                 )
         # Per-run state, (re)initialized by solve().
         self._start = 0.0
+        self._deadline = math.inf
         self._started = False
         self._stats = SolveStats()
         self._stack: "List[_Node]" = []
@@ -299,6 +300,7 @@ class BranchAndBound:
         self._exactness_lost = False
         self._lp_failure_abort = False
         self._checkpoint_saves = 0
+        self._checkpoint_nodes = 0
         self._resumed = False
         self._resume_payload: "Optional[Dict[str, object]]" = None
         self._elapsed_base = 0.0
@@ -307,7 +309,6 @@ class BranchAndBound:
         self._root_bound: "Optional[float]" = None
         # Proof logging state (see repro.ilp.certify).
         self._proof: "Optional[object]" = None
-        self._owns_proof = False
         self._pid_prefix = "m"
         self._node_seq = 0
 
@@ -325,19 +326,134 @@ class BranchAndBound:
         * TIMEOUT / NODE_LIMIT — the limit expired with no incumbent.
         """
         self._prepare_run()
+        return self._finish_run(self._search())
 
-        limit_status: "Optional[SolveStatus]" = None
+    def _search(
+        self, stop: "Optional[Callable[[], bool]]" = None
+    ) -> "Optional[SolveStatus]":
+        """The depth-first loop of the paper's Section 8.
+
+        Pops and processes nodes until the stack is empty or a limit
+        fires (its status is returned), or until ``stop()`` asks to
+        hand the rest of the frontier back (``None`` is returned, as
+        for an empty stack).  The sequential solve, the parallel
+        coordinator's rampup and inline fallback, and a worker's chunk
+        (:meth:`explore_chunk`) all run this one loop.
+        """
         while self._stack:
             limit_status = self._limit_status()
             if limit_status is not None:
-                break
+                return limit_status
+            if stop is not None and stop():
+                return None
             self._process_node(self._stack.pop())
             self._maybe_checkpoint()
+        return None
 
-        return self._finish_run(limit_status)
+    def explore_chunk(
+        self,
+        nodes: "List[Dict[str, object]]",
+        *,
+        node_budget: int,
+        time_left_s: "Optional[float]",
+        incumbent_obj: "Optional[float]",
+        pid_prefix: "Optional[str]",
+        root_bound: "Optional[float]",
+        interrupt: "Callable[[], Optional[float]]",
+    ) -> "Dict[str, object]":
+        """Search one frontier slice for the parallel coordinator.
+
+        ``nodes`` are checkpoint-codec frontier entries.  They are
+        searched by :meth:`_search` for at most ``node_budget`` nodes
+        and ``time_left_s`` seconds (``None``: no time limit), pruning
+        against ``incumbent_obj``, the best objective found elsewhere
+        (``None``: none yet).  ``root_bound`` is the root LP objective,
+        the polish gate's bound.  A ``pid_prefix`` turns on proof mode:
+        records go to an in-memory
+        :class:`~repro.ilp.certify.proof.ProofBuffer`, under node ids in
+        that namespace, and ship with the result.  ``interrupt()`` runs
+        before every node; it returns a better objective found elsewhere
+        meanwhile (or ``None``) and may raise to abandon the slice.
+
+        Returns the body of the protocol's ``done`` event: the
+        unexplored ``frontier`` (stack order), the ``incumbent`` when
+        this slice improved on the one it started from, the counter
+        deltas in ``stats``, and ``exactness_lost``, ``abort`` and
+        ``proof``.  Counters and incumbent carry over between slices.
+        """
+        from repro.ilp.parallel.protocol import stats_delta
+        from repro.ilp.resilience.checkpoint import (
+            frontier_to_json,
+            values_to_json,
+        )
+
+        if not self._started:
+            self._prepare_run()
+        self._root_bound = root_bound
+        self._stack = self._decode_frontier(nodes)
+        if pid_prefix is not None:
+            if self._proof is None:
+                from repro.ilp.certify.proof import ProofBuffer
+
+                self._proof = ProofBuffer(
+                    self.form,
+                    objective_is_integral=self.config.objective_is_integral,
+                    int_tol=INT_TOL,
+                )
+            self._pid_prefix = pid_prefix
+            self._node_seq = 0
+        if incumbent_obj is not None:
+            self._tighten_incumbent(incumbent_obj)
+        start_obj = self._incumbent_obj
+        before = self._stats.as_dict()
+        budget_end = self._stats.nodes_explored + node_budget
+        self._deadline = (
+            math.inf if time_left_s is None
+            else time.monotonic() + time_left_s
+        )
+
+        def stop() -> bool:
+            if self._stats.nodes_explored >= budget_end:
+                return True
+            better = interrupt()
+            if better is not None:
+                self._tighten_incumbent(better)
+            return False
+
+        self._search(stop)
+        incumbent = None
+        if (
+            self._incumbent_values is not None
+            and self._incumbent_obj < start_obj
+        ):
+            incumbent = {
+                "objective": self._incumbent_obj,
+                "values": values_to_json(self._incumbent_values),
+            }
+        frontier = frontier_to_json(self._stack, self.form.lb, self.form.ub)
+        self._stack = []
+        return {
+            "frontier": frontier,
+            "incumbent": incumbent,
+            "stats": stats_delta(self._stats, before),
+            "exactness_lost": self._exactness_lost,
+            "abort": self._lp_failure_abort,
+            "proof": None if self._proof is None else self._proof.drain(),
+        }
+
+    def _tighten_incumbent(self, objective: float) -> None:
+        """Prune against a better objective found in another process.
+
+        Only the objective travels (pruning is threshold-driven); the
+        values stay with whoever found them, so the local ones are
+        dropped as stale.
+        """
+        if objective < self._incumbent_obj:
+            self._incumbent_obj = float(objective)
+            self._incumbent_values = None
 
     def _limit_status(self) -> "Optional[SolveStatus]":
-        """The stop rule every search loop checks before each node.
+        """The stop rule :meth:`_search` checks before each node.
 
         ERROR once LP failures reached :data:`LP_FAILURE_LIMIT`, TIMEOUT once
         ``time_limit_s`` is spent, NODE_LIMIT once ``node_limit`` nodes
@@ -404,6 +520,8 @@ class BranchAndBound:
         stack, any pending resume payload consumed.
         """
         self._start = time.monotonic()
+        limit = self.config.time_limit_s
+        self._deadline = math.inf if limit is None else self._start + limit
         self._started = True
         self._stats = SolveStats()
         self._incumbent_values = None
@@ -422,6 +540,7 @@ class BranchAndBound:
         if self._resume_payload is not None:
             self._restore_from_checkpoint(self._resume_payload)
             self._resume_payload = None
+        self._checkpoint_nodes = self._stats.nodes_explored
 
     # ------------------------------------------------------------------
     # proof logging plumbing (see repro.ilp.certify)
@@ -432,7 +551,6 @@ class BranchAndBound:
         self._pid_prefix = "m"
         if not self.config.proof_path:
             self._proof = None
-            self._owns_proof = False
             return
         from repro.ilp.certify.proof import ProofWriter
 
@@ -443,10 +561,9 @@ class BranchAndBound:
             int_tol=INT_TOL,
             resume=self._resume_payload is not None,
         )
-        self._owns_proof = True
 
     def _close_proof(self) -> None:
-        if self._proof is not None and self._owns_proof:
+        if self._proof is not None:
             self._proof.close()
         self._proof = None
 
@@ -902,7 +1019,6 @@ class BranchAndBound:
     def _restore_from_checkpoint(self, payload: "Dict[str, object]") -> None:
         """Replace the fresh-root state inside :meth:`solve` with the saved one."""
         from repro.ilp.resilience.checkpoint import (
-            decode_node,
             form_fingerprint,
             values_from_json,
         )
@@ -918,12 +1034,7 @@ class BranchAndBound:
                 cause="bad-fingerprint",
             )
         try:
-            stack = []
-            for entry in payload.get("frontier", []):
-                lb, ub, depth, bound = decode_node(
-                    entry, self.form.lb, self.form.ub
-                )
-                stack.append(_Node(lb, ub, depth, bound=bound))
+            stack = self._decode_frontier(payload.get("frontier", []))
             incumbent = payload.get("incumbent")
             incumbent_obj = incumbent_values = None
             if incumbent is not None:
@@ -965,13 +1076,31 @@ class BranchAndBound:
                 [(n.pid, n.lb, n.ub) for n in self._stack]
             )
 
+    def _decode_frontier(self, entries) -> "List[_Node]":
+        """Checkpoint-codec frontier entries as open nodes, order kept."""
+        from repro.ilp.resilience.checkpoint import decode_node
+
+        nodes = []
+        for entry in entries:
+            lb, ub, depth, bound = decode_node(
+                entry, self.form.lb, self.form.ub
+            )
+            nodes.append(
+                _Node(lb, ub, depth, bound=bound, pid=entry.get("pid"))
+            )
+        return nodes
+
     def _maybe_checkpoint(self) -> None:
+        """Save once ``checkpoint_every`` nodes were explored since the
+        last save (or since the run started)."""
         path = self.config.checkpoint_path
         if not path:
             return
+        explored = self._stats.nodes_explored
         every = max(1, self.config.checkpoint_every)
-        if self._stats.nodes_explored % every == 0:
+        if explored - self._checkpoint_nodes >= every:
             self.save_checkpoint(path)
+            self._checkpoint_nodes = explored
 
     # ------------------------------------------------------------------
     # incumbent / bound / event bookkeeping
@@ -1270,11 +1399,9 @@ class BranchAndBound:
     # helpers
 
     def _time_remaining(self) -> float:
-        """Seconds left of ``time_limit_s`` in this run (inf if unset)."""
-        limit = self.config.time_limit_s
-        if limit is None:
-            return math.inf
-        return limit - (time.monotonic() - self._start)
+        """Seconds left before this run's (or chunk's) deadline; inf
+        without a time limit."""
+        return self._deadline - time.monotonic()
 
     def _prune_threshold(self, incumbent_obj: float) -> float:
         """LP bounds at or above this value cannot improve the incumbent."""

@@ -15,7 +15,7 @@ ParallelBranchAndBound`) ramps up the search inline until the frontier
 * the **shared incumbent** is first-class: every improvement found by
   any worker is broadcast to all others immediately, so bound pruning
   stays as tight in every process as it would be in a sequential run;
-* **deterministic replay** (``ParallelConfig(replay=True)``) keeps a
+* **deterministic replay** (``replay=True``) keeps a
   single chunk in flight, assigned round-robin — the global node
   sequence is then exactly the sequential one, so tests can assert the
   parallel machinery changes *nothing* about the search itself;
@@ -24,13 +24,20 @@ ParallelBranchAndBound`) ramps up the search inline until the frontier
   coordinator finishes the frontier inline, so the answer never
   depends on fleet health.
 
+One search loop runs everywhere: the coordinator's rampup and inline
+fallback and every worker chunk
+(:meth:`~repro.ilp.branch_bound.BranchAndBound.explore_chunk`) run the
+sequential solver's own depth-first loop.  Workers rebuild the problem
+with a module-level context builder that travels, pickled by
+reference, in the init payload (default
+:func:`~repro.ilp.parallel.coordinator.plain_context`).
+
 Subtrees travel between processes in the ``repro.bnb_checkpoint/v2``
 frontier-delta encoding; the sharded frontier (pool plus in-flight
 chunks) checkpoints through the same codec, so a killed parallel run
 resumes — even under ``workers=1``.
 """
 
-from repro.ilp.parallel.config import ParallelConfig
 from repro.ilp.parallel.coordinator import ParallelBranchAndBound
 
-__all__ = ["ParallelConfig", "ParallelBranchAndBound"]
+__all__ = ["ParallelBranchAndBound"]

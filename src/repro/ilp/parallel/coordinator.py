@@ -2,7 +2,8 @@
 
 :class:`ParallelBranchAndBound` subclasses the sequential solver and
 replaces only the middle of :meth:`solve`: after the shared
-``_prepare_run`` rampup it dispatches frontier chunks to a fleet of
+``_prepare_run`` it widens the frontier with the sequential search
+loop (``_search``), dispatches frontier chunks to a fleet of
 spawn-isolated workers, and on completion funnels into the shared
 ``_finish_run`` — so the stop rule, status semantics, checkpoint
 persistence, and telemetry assembly are literally the sequential
@@ -20,9 +21,9 @@ Fleet mechanics (see the package docstring for the architecture):
   its chunk there and caps each leaf budget by it, and the ready and
   shutdown waits end at that time plus a short reaping grace;
 * a worker that dies — crash, chaos ``os._exit``, or watchdog SIGKILL
-  past ``chunk_timeout_s`` — has its in-flight chunk re-queued; the
-  survivors absorb the work, and with no survivors the coordinator
-  finishes the frontier inline (``inline_fallback``);
+  past :data:`CHUNK_TIMEOUT_S` — has its in-flight chunk re-queued;
+  the survivors absorb the work, and with no survivors the coordinator
+  finishes the frontier inline with the same search loop;
 * in replay mode at most one chunk is in flight, assigned round-robin,
   making the global node sequence identical to ``workers=1``.
 """
@@ -45,8 +46,6 @@ from repro.ilp.branch_bound import (
 )
 from repro.ilp.branching import BranchingRule
 from repro.ilp.model import Model
-from repro.ilp.parallel.config import ParallelConfig
-from repro.ilp.parallel.context import builder_address, plain_context
 from repro.ilp.parallel.protocol import (
     encode_init_payload,
     merge_stats,
@@ -70,6 +69,22 @@ _SHIPPED_CONFIG_FIELDS = (
     # Heuristics run independently in each worker.
     "heuristics",
 )
+
+#: Nodes a worker explores per chunk before returning the rest of its
+#: frontier to the pool: small budgets steal work often, large ones
+#: amortize the messaging.
+CHUNK_NODE_BUDGET = 64
+
+#: Nodes the coordinator explores inline before sharding; rampup also
+#: ends once the frontier holds two open nodes per worker.
+RAMPUP_NODES = 64
+
+#: Wall-clock budget of one chunk; the watchdog SIGKILLs a worker past
+#: it and the chunk is re-queued.
+CHUNK_TIMEOUT_S = 300.0
+
+#: Granularity of the coordinator's event-loop wait.
+POLL_INTERVAL_S = 0.02
 
 #: How long to wait for a worker's ready handshake before declaring it
 #: stillborn (interpreter start + imports + model rebuild).
@@ -105,13 +120,60 @@ class _WorkerHandle:
             return False
 
 
+def plain_context(args: "Dict[str, object]") -> "Dict[str, object]":
+    """Default worker context builder: pickled model + incremental kernel.
+
+    ``args`` keys: ``model`` (Model, required), ``rule`` (optional),
+    ``fault_plan`` (optional
+    :class:`~repro.ilp.resilience.FaultPlan` wrapping the backend with
+    seeded fault injection — the chaos tests' hook).
+    """
+    from repro.ilp.incremental import IncrementalLPSolver
+
+    backend = IncrementalLPSolver()
+    fault_plan = args.get("fault_plan")
+    if fault_plan is not None:
+        from repro.ilp.resilience import FaultInjectingBackend
+
+        backend = FaultInjectingBackend(backend, fault_plan)
+    return {
+        "model": args["model"],
+        "rule": args.get("rule"),
+        "lp_backend": backend,
+    }
+
+
 class ParallelBranchAndBound(BranchAndBound):
     """Frontier-sharding multi-process solver; sequential drop-in.
 
-    ``worker_args`` parameterizes the context builder that each worker
-    calls to rebuild the problem (see
-    :mod:`repro.ilp.parallel.context`); by default the model and rule
-    are pickled through :func:`~repro.ilp.parallel.context.plain_context`.
+    Parameters
+    ----------
+    model, rule, config:
+        As for :class:`~repro.ilp.branch_bound.BranchAndBound`.
+    workers:
+        Number of spawn-isolated worker interpreters (``>= 1``; one is
+        legal and exercises the protocol and checkpoints).
+    replay:
+        Deterministic-replay mode: one chunk in flight at a time,
+        dispatched round-robin, so the global node sequence — and the
+        solve signature (status, objective, nodes, LP solves) — is the
+        sequential solver's.  A testing mode with no speedup.
+    crash_after_nodes:
+        Chaos knob: ``{rank: n}`` makes worker ``rank`` hard-exit
+        (``os._exit``) at the end of the chunk in which it reached
+        ``n`` explored nodes, before reporting it.
+    context_builder:
+        Module-level ``f(worker_args) -> dict`` each worker calls to
+        rebuild the problem (probers, leaf solvers and backend chains
+        are closures and do not pickle; the builder pickles by
+        reference).  The dict holds ``"model"`` (required),
+        ``"rule"``, ``"lp_backend"``, ``"node_prober"``,
+        ``"leaf_solver"`` and ``"incumbent_auditor"``; the default,
+        :func:`plain_context`, pickles the model and rule.
+    worker_args:
+        The builder's picklable argument; by default the model and
+        rule.
+
     The result contract is the sequential solver's, plus a
     ``stats.parallel`` telemetry block.
     """
@@ -121,21 +183,26 @@ class ParallelBranchAndBound(BranchAndBound):
         model: Model,
         rule: "Optional[BranchingRule]" = None,
         config: "Optional[BranchAndBoundConfig]" = None,
-        parallel: "Optional[ParallelConfig]" = None,
+        *,
+        workers: int,
+        replay: bool = False,
+        crash_after_nodes: "Optional[Dict[int, int]]" = None,
         context_builder=None,
         worker_args: "Optional[Dict[str, object]]" = None,
     ) -> None:
         super().__init__(model, rule, config)
-        self.parallel = parallel if parallel is not None else ParallelConfig()
-        if self.parallel.workers < 1:
-            raise SolverError(
-                f"ParallelConfig.workers must be >= 1, "
-                f"got {self.parallel.workers}"
-            )
+        if workers < 1:
+            raise SolverError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
+        self.replay = replay
+        self._crash_after_nodes = crash_after_nodes or {}
         self._context_builder = (
             context_builder if context_builder is not None else plain_context
         )
-        self._worker_args = worker_args
+        self._worker_args = (
+            worker_args if worker_args is not None
+            else {"model": model, "rule": self.rule}
+        )
         self._fleet: "List[_WorkerHandle]" = []
         self._events: "queue.Queue" = queue.Queue()
         self._watchdog: "Optional[Watchdog]" = None
@@ -149,8 +216,8 @@ class ParallelBranchAndBound(BranchAndBound):
         self._prepare_run()
 
         self._ptelemetry = {
-            "workers": self.parallel.workers,
-            "replay": self.parallel.replay,
+            "workers": self.workers,
+            "replay": self.replay,
             "rampup_nodes": 0,
             "chunks_dispatched": 0,
             "chunks_requeued": 0,
@@ -181,50 +248,40 @@ class ParallelBranchAndBound(BranchAndBound):
         """Widen the frontier inline before sharding.
 
         Runs the sequential loop until the frontier holds at least two
-        nodes per worker (or the rampup node budget is spent, or the
+        nodes per worker (or :data:`RAMPUP_NODES` are spent, or the
         tree is done).  This is also where the root LP is solved; its
         objective ships to workers as the polish gate's bound.
         Returns a limit status if a limit fired during rampup.
         """
-        target = 2 * self.parallel.workers
-        budget = max(self.parallel.rampup_nodes, 1)
-        while self._stack and len(self._stack) < target:
-            limit_status = self._limit_status()
-            if limit_status is not None:
-                return limit_status
-            if self._stats.nodes_explored >= budget:
-                break
-            self._process_node(self._stack.pop())
-            self._maybe_checkpoint()
+        target = 2 * self.workers
+        budget = max(RAMPUP_NODES, 1)
+        limit_status = self._search(
+            lambda: len(self._stack) >= target
+            or self._stats.nodes_explored >= budget
+        )
         self._ptelemetry["rampup_nodes"] = self._stats.nodes_explored
-        return None
+        return limit_status
 
     # ------------------------------------------------------------------
     # fleet management
 
     def _spawn_fleet(self) -> None:
-        log_dir = self.parallel.worker_log_dir
-        if log_dir is None:
-            self._tmp_log_dir = tempfile.TemporaryDirectory(
-                prefix="repro-parallel-"
-            )
-            log_dir = self._tmp_log_dir.name
-        Path(log_dir).mkdir(parents=True, exist_ok=True)
-
+        self._tmp_log_dir = tempfile.TemporaryDirectory(
+            prefix="repro-parallel-"
+        )
+        log_dir = Path(self._tmp_log_dir.name)
         init_base = {
-            "builder": builder_address(self._context_builder),
+            "builder": self._context_builder,
+            "args": self._worker_args,
             "fingerprint": form_fingerprint(self.form),
             "config_spec": {
                 name: getattr(self.config, name)
                 for name in _SHIPPED_CONFIG_FIELDS
             },
             "root_bound": self._root_bound,
-            # Workers build a ProofBuffer over their rebuilt form.
-            "proof": self._proof is not None,
         }
-        crash_plan = self.parallel.crash_after_nodes or {}
-        for rank in range(self.parallel.workers):
-            log_handle = open(Path(log_dir) / f"worker-{rank}.log", "w")  # noqa: SIM115 - worker-lifetime
+        for rank in range(self.workers):
+            log_handle = open(log_dir / f"worker-{rank}.log", "w")  # noqa: SIM115 - worker-lifetime
             proc = spawn_worker(
                 ["-m", "repro.ilp.parallel.worker"],
                 stdout=subprocess.PIPE,
@@ -237,9 +294,8 @@ class ParallelBranchAndBound(BranchAndBound):
             self._fleet.append(handle)
             payload = dict(
                 init_base,
-                args=self._build_worker_args(),
                 rank=rank,
-                crash_after_nodes=crash_plan.get(rank),
+                crash_after_nodes=self._crash_after_nodes.get(rank),
             )
             handle.send({
                 "cmd": "init",
@@ -250,11 +306,6 @@ class ParallelBranchAndBound(BranchAndBound):
             ).start()
         self._watchdog = Watchdog()
         self._watchdog.start()
-
-    def _build_worker_args(self) -> "Dict[str, object]":
-        if self._worker_args is not None:
-            return self._worker_args
-        return {"model": self.model, "rule": self.rule}
 
     def _read_worker(self, handle: _WorkerHandle) -> None:
         for raw in handle.proc.stdout:
@@ -359,7 +410,6 @@ class ParallelBranchAndBound(BranchAndBound):
         self._await_ready()
         chunk_seq = 0
         replay_next_rank = 0
-        last_checkpoint_nodes = self._stats.nodes_explored
 
         while True:
             limit_status = self._limit_status()
@@ -373,7 +423,7 @@ class ParallelBranchAndBound(BranchAndBound):
                 return self._inline_fallback()
 
             # Dispatch to every idle worker (one, round-robin, in replay).
-            if self.parallel.replay:
+            if self.replay:
                 if self._stack and not in_flight:
                     handle = self._next_replay_worker(alive, replay_next_rank)
                     replay_next_rank = handle.rank + 1
@@ -394,9 +444,7 @@ class ParallelBranchAndBound(BranchAndBound):
 
             # Wait for something to happen.
             try:
-                rank, message = self._events.get(
-                    timeout=self.parallel.poll_interval_s
-                )
+                rank, message = self._events.get(timeout=POLL_INTERVAL_S)
             except queue.Empty:
                 continue
             handle = self._fleet[rank]
@@ -407,14 +455,7 @@ class ParallelBranchAndBound(BranchAndBound):
                 continue
             if message.get("event") == "done":
                 self._absorb_done(handle, message)
-                every = max(1, self.config.checkpoint_every)
-                if (
-                    self.config.checkpoint_path
-                    and self._stats.nodes_explored - last_checkpoint_nodes
-                    >= every
-                ):
-                    self.save_checkpoint(self.config.checkpoint_path)
-                    last_checkpoint_nodes = self._stats.nodes_explored
+                self._maybe_checkpoint()
 
     def _next_replay_worker(self, alive, next_rank) -> _WorkerHandle:
         """Round-robin over live ranks, deterministically."""
@@ -435,7 +476,7 @@ class ParallelBranchAndBound(BranchAndBound):
                     pid=node.pid,
                 )
             ],
-            "node_budget": max(1, self.parallel.chunk_node_budget),
+            "node_budget": CHUNK_NODE_BUDGET,
             "time_left_s": (
                 None
                 if self.config.time_limit_s is None
@@ -465,7 +506,7 @@ class ParallelBranchAndBound(BranchAndBound):
             self._watchdog.watch(
                 handle.rank,
                 handle.proc,
-                time.monotonic() + self.parallel.chunk_timeout_s,
+                time.monotonic() + CHUNK_TIMEOUT_S,
                 handle.flags,
             )
         return chunk_seq + 1
@@ -511,15 +552,7 @@ class ParallelBranchAndBound(BranchAndBound):
 
         # Returned frontier re-enters the shared pool (stack order is
         # preserved end-to-end, so DFS discipline survives sharding).
-        from repro.ilp.resilience.checkpoint import decode_node
-
-        for entry in message.get("frontier", []):
-            lb, ub, depth, bound = decode_node(
-                entry, self.form.lb, self.form.ub
-            )
-            self._stack.append(
-                _Node(lb, ub, depth, bound=bound, pid=entry.get("pid"))
-            )
+        self._stack.extend(self._decode_frontier(message.get("frontier", [])))
 
     def _requeue_all_in_flight(self) -> None:
         """Pull every in-flight chunk back into the frontier.
@@ -536,35 +569,15 @@ class ParallelBranchAndBound(BranchAndBound):
                 self._ptelemetry["chunks_requeued"] += 1
 
     def _inline_fallback(self) -> "Optional[SolveStatus]":
-        """Every worker is dead: finish the frontier in-process.
-
-        The answer must never depend on fleet health; with
-        ``inline_fallback`` disabled the run honestly degrades to
-        FEASIBLE/ERROR via the exactness-lost path instead.
-        """
+        """Every worker is dead: finish the frontier in-process, so the
+        answer never depends on fleet health."""
         self._requeue_all_in_flight()
-        if not self.parallel.inline_fallback:
-            self._exactness_lost = True
-            if self._proof is not None:
-                # These subtrees will never be explored: forfeit them
-                # explicitly or the audit would see them vanish.
-                for node in self._stack:
-                    self._proof.emit_forfeit(
-                        self._node_pid(node), "dropped", node.lb, node.ub
-                    )
-            self._stack.clear()
-            return None
         start_nodes = self._stats.nodes_explored
-        while self._stack:
-            limit_status = self._limit_status()
-            if limit_status is not None:
-                return limit_status
-            self._process_node(self._stack.pop())
-            self._maybe_checkpoint()
+        limit_status = self._search()
         self._ptelemetry["inline_fallback_nodes"] = (
             self._stats.nodes_explored - start_nodes
         )
-        return None
+        return limit_status
 
     # ------------------------------------------------------------------
     # checkpointing the sharded frontier

@@ -4,13 +4,15 @@ One JSON object per line, in both directions, over the worker's
 stdin/stdout pipes.  Commands (coordinator -> worker):
 
 * ``{"cmd": "init", "payload": <base64 pickle>}`` — problem context:
-  builder address, config spec, root LP objective, proof flag, rank,
-  chaos knobs.  Sent once, first.
+  the context builder (a module-level function, pickled by reference)
+  and its arguments, model fingerprint, config spec, root LP
+  objective, rank, chaos knob.  Sent once, first.
 * ``{"cmd": "chunk", "chunk_id": n, "nodes": [...], "node_budget": b,
-  "time_left_s": t | null, "incumbent_obj": x | null}`` — explore a
-  frontier slice within the coordinator's remaining time ``t``
-  (``null``: no time limit).  Nodes use the checkpoint frontier-delta
-  encoding.
+  "time_left_s": t | null, "incumbent_obj": x | null, "pid_prefix": p}``
+  — explore a frontier slice within the coordinator's remaining time
+  ``t`` (``null``: no time limit).  Nodes use the checkpoint
+  frontier-delta encoding; ``pid_prefix`` is present in proof mode
+  only and names the chunk's proof-id namespace.
 * ``{"cmd": "incumbent", "objective": x}`` — broadcast of a better
   incumbent found elsewhere; tightens pruning mid-chunk.
 * ``{"cmd": "stop"}`` — exit cleanly.
@@ -19,15 +21,17 @@ Events (worker -> coordinator):
 
 * ``{"event": "ready"}`` — init accepted, model fingerprint verified.
 * ``{"event": "done", "chunk_id": n, "frontier": [...], "incumbent":
-  {...} | null, "stats": {...}, "exactness_lost": b, "abort": b}`` —
-  chunk finished; ``frontier`` is the unexplored remainder
-  (stack order preserved), ``stats`` the per-chunk counter deltas.
+  {...} | null, "stats": {...}, "exactness_lost": b, "abort": b,
+  "proof": [...] | null}`` — chunk finished; ``frontier`` is the
+  unexplored remainder (stack order preserved), ``stats`` the
+  per-chunk counter deltas, ``proof`` the chunk's proof records.
 * ``{"event": "error", "message": m}`` — unrecoverable worker failure
   (bad fingerprint, builder crash); the worker exits after sending.
 
 The init payload is pickled (then base64-armored into the JSON line)
-because it carries a :class:`~repro.ilp.model.Model`; everything after
-init is plain JSON, so a protocol trace is human-readable.
+because it carries the builder and a :class:`~repro.ilp.model.Model`
+or :class:`~repro.core.spec.ProblemSpec`; everything after init is
+plain JSON, so a protocol trace is human-readable.
 """
 
 from __future__ import annotations

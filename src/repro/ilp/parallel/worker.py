@@ -1,27 +1,32 @@
 """Parallel branch-and-bound worker process entry point.
 
 Run as ``python -m repro.ilp.parallel.worker``.  The worker rebuilds
-the coordinator's problem context from the pickled init payload (see
-:mod:`repro.ilp.parallel.context`), verifies the model fingerprint,
-then serves ``chunk`` commands until told to stop: each chunk is a
-slice of the shared frontier, explored depth-first through the *same*
-:meth:`~repro.ilp.branch_bound.BranchAndBound._process_node` the
-sequential solver uses, so every pruning rule, SOS1 propagation, leaf
-sub-solve and blind-branch behaves identically in and out of the pool.
+the coordinator's problem context by calling the context builder that
+arrives in the pickled init payload (see
+:class:`~repro.ilp.parallel.coordinator.ParallelBranchAndBound`),
+verifies the model fingerprint, then serves ``chunk`` commands until
+told to stop: each chunk is a slice of the shared frontier, explored
+by :meth:`~repro.ilp.branch_bound.BranchAndBound.explore_chunk` — the
+sequential solver's own search loop — so every pruning rule, SOS1
+propagation, leaf sub-solve and blind-branch behaves identically in
+and out of the pool.
 
-Incumbent handling: the coordinator's broadcast objective is adopted
-before (and, via the stdin reader thread, during) each chunk, which
-tightens bound pruning — a worker prunes exactly as hard as a
-sequential search that had found the same incumbents.
+Incumbent handling: each chunk carries the coordinator's incumbent
+objective, and broadcasts that arrive mid-chunk (via the stdin reader
+thread) are adopted between nodes, which tightens bound pruning — a
+worker prunes exactly as hard as a sequential search that had found
+the same incumbents.  A broadcast that arrives between chunks needs no
+handling: the next chunk carries an objective at least as good.
 
 Deadlines: each chunk carries the coordinator's remaining time.  The
 worker runs the chunk under that time limit, so it stops at the same
 moment the coordinator does and no leaf sub-solve outlives it.
 
 The chaos knob ``crash_after_nodes`` hard-exits the process
-(``os._exit``) after the configured node count, bypassing all cleanup
-— the coordinator's crash-recovery path is exercised by a real dead
-process, not a simulated one.
+(``os._exit``) once the configured node count is reached, before the
+chunk is reported and bypassing all cleanup — the coordinator's
+crash-recovery path is exercised by a real dead process, not a
+simulated one.
 """
 
 from __future__ import annotations
@@ -30,29 +35,16 @@ import os
 import queue
 import sys
 import threading
-import time
 import traceback
 from typing import Dict, Optional
 
-from repro.ilp.branch_bound import (
-    INT_TOL,
-    BranchAndBound,
-    BranchAndBoundConfig,
-    _Node,
-)
-from repro.ilp.parallel.context import resolve_builder
+from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.parallel.protocol import (
     decode_init_payload,
     parse_message,
     send_message,
-    stats_delta,
 )
-from repro.ilp.resilience.checkpoint import (
-    decode_node,
-    form_fingerprint,
-    frontier_to_json,
-    values_to_json,
-)
+from repro.ilp.resilience.checkpoint import form_fingerprint
 
 #: Exit code of the deliberate chaos crash (distinct from signals and
 #: from clean protocol exits, so tests can assert the cause).
@@ -62,6 +54,10 @@ CHAOS_EXIT_CODE = 13
 #: Sentinel queued when the coordinator's pipe closes; distinct from
 #: "queue momentarily empty" so mid-chunk polling can tell them apart.
 _EOF = object()
+
+
+class _Stop(Exception):
+    """The coordinator said stop (or went away) in the middle of a chunk."""
 
 
 class _Control:
@@ -85,18 +81,30 @@ class _Control:
         """Next command (blocking); ``_EOF`` when the pipe closed."""
         return self.queue.get()
 
-    def poll(self):
-        """Next command without blocking; None when nothing is queued."""
-        try:
-            return self.queue.get_nowait()
-        except queue.Empty:
-            return None
+    def interrupt(self) -> "Optional[float]":
+        """Drain the commands that arrived mid-chunk.
+
+        Returns the best broadcast incumbent objective among them (or
+        ``None``); raises :class:`_Stop` on ``stop`` or a closed pipe.
+        """
+        best = None
+        while True:
+            try:
+                command = self.queue.get_nowait()
+            except queue.Empty:
+                return best
+            if command is _EOF or command.get("cmd") == "stop":
+                raise _Stop
+            if command.get("cmd") == "incumbent":
+                objective = float(command["objective"])
+                best = objective if best is None else min(best, objective)
 
 
 class Worker:
     def __init__(self, out=None) -> None:
         self._out = out if out is not None else sys.stdout
         self._solver: "Optional[BranchAndBound]" = None
+        self._root_bound: "Optional[float]" = None
         self._rank = 0
         self._crash_after: "Optional[int]" = None
         self._nodes_total = 0
@@ -105,20 +113,15 @@ class Worker:
 
     def _init(self, message: "Dict[str, object]") -> None:
         payload = decode_init_payload(message["payload"])
-        builder = resolve_builder(*payload["builder"])
-        context = builder(payload["args"])
-        spec = dict(payload.get("config_spec", {}))
+        context = payload["builder"](payload["args"])
         config = BranchAndBoundConfig(
             lp_backend=context["lp_backend"],
             node_prober=context.get("node_prober"),
             leaf_solver=context.get("leaf_solver"),
             incumbent_auditor=context.get("incumbent_auditor"),
-            # The coordinator owns the clock and checkpoints; a worker
-            # only ever explores bounded chunks, each under the time
-            # the coordinator has left (see _run_chunk).
-            time_limit_s=None,
-            checkpoint_path=None,
-            **spec,
+            # The coordinator owns the clock and checkpoints; each chunk
+            # runs under the time the coordinator has left.
+            **payload["config_spec"],
         )
         solver = BranchAndBound(
             context["model"], rule=context.get("rule"), config=config
@@ -130,114 +133,33 @@ class Worker:
                 f"rebuilt model fingerprint {actual[:12]}... does not match "
                 f"coordinator's {str(expected)[:12]}...; refusing to solve"
             )
-        solver._prepare_run()
-        solver._stack = []
-        solver._root_bound = payload.get("root_bound")
-        if payload.get("proof"):
-            # Proof mode: records accumulate in an in-memory buffer and
-            # ship to the coordinator with each done message (a crashed
-            # chunk's buffer is deliberately lost — its nodes get
-            # requeued, so the log never claims them closed).
-            from repro.ilp.certify.proof import ProofBuffer
-
-            solver._proof = ProofBuffer(
-                solver.form,
-                objective_is_integral=config.objective_is_integral,
-                int_tol=INT_TOL,
-            )
-            solver._owns_proof = False
         self._solver = solver
+        self._root_bound = payload["root_bound"]
         self._rank = int(payload.get("rank", 0))
         self._crash_after = payload.get("crash_after_nodes")
 
-    def _adopt_incumbent(self, objective: float) -> None:
-        """Apply a broadcast incumbent: tighter pruning.
-
-        The coordinator keeps the value vector; the worker only needs
-        the objective (pruning is threshold-driven), so the local
-        values are dropped as stale.
-        """
-        solver = self._solver
-        if objective < solver._incumbent_obj:
-            solver._incumbent_obj = float(objective)
-            solver._incumbent_values = None
-
     def _run_chunk(
         self, message: "Dict[str, object]", control: "_Control"
-    ) -> bool:
-        """Explore one chunk; returns False when told to stop mid-chunk."""
-        solver = self._solver
-        form = solver.form
-        stack = []
-        for entry in message["nodes"]:
-            lb, ub, depth, bound = decode_node(entry, form.lb, form.ub)
-            stack.append(
-                _Node(lb, ub, depth, bound=bound, pid=entry.get("pid"))
-            )
-        solver._stack = stack
-        if solver._proof is not None:
-            # Fresh per-chunk id namespace from the coordinator.
-            solver._pid_prefix = message.get(
-                "pid_prefix", f"c{message['chunk_id']}n"
-            )
-            solver._node_seq = 0
-        incumbent_obj = message.get("incumbent_obj")
-        if incumbent_obj is not None:
-            self._adopt_incumbent(float(incumbent_obj))
-        start_obj = solver._incumbent_obj
-        before = solver._stats.as_dict()
-
-        solver.config.time_limit_s = message.get("time_left_s")
-        solver._start = time.monotonic()
-        budget = int(message["node_budget"])
-        explored = 0
-        while (
-            solver._stack
-            and explored < budget
-            and solver._limit_status() is None
-        ):
-            while True:
-                command = control.poll()
-                if command is None:
-                    break
-                if command is _EOF or command.get("cmd") == "stop":
-                    return False
-                if command.get("cmd") == "incumbent":
-                    self._adopt_incumbent(float(command["objective"]))
-            solver._process_node(solver._stack.pop())
-            explored += 1
-            self._nodes_total += 1
-            if (
-                self._crash_after is not None
-                and self._nodes_total >= self._crash_after
-            ):
-                os._exit(CHAOS_EXIT_CODE)
-
-        incumbent = None
-        if (
-            solver._incumbent_values is not None
-            and solver._incumbent_obj < start_obj
-        ):
-            incumbent = {
-                "objective": solver._incumbent_obj,
-                "values": values_to_json(solver._incumbent_values),
-            }
-        send_message(self._out, {
-            "event": "done",
-            "chunk_id": message["chunk_id"],
-            "frontier": frontier_to_json(solver._stack, form.lb, form.ub),
-            "incumbent": incumbent,
-            "stats": stats_delta(solver._stats, before),
-            "exactness_lost": solver._exactness_lost,
-            "abort": solver._lp_failure_abort,
-            "proof": (
-                solver._proof.drain()
-                if solver._proof is not None
-                else None
-            ),
-        })
-        solver._stack = []
-        return True
+    ) -> None:
+        """Explore one chunk and report it (raises :class:`_Stop` when
+        told to stop mid-chunk)."""
+        result = self._solver.explore_chunk(
+            message["nodes"],
+            node_budget=int(message["node_budget"]),
+            time_left_s=message.get("time_left_s"),
+            incumbent_obj=message.get("incumbent_obj"),
+            pid_prefix=message.get("pid_prefix"),
+            root_bound=self._root_bound,
+            interrupt=control.interrupt,
+        )
+        self._nodes_total += int(result["stats"]["nodes_explored"])
+        crash_after = self._crash_after
+        if crash_after is not None and self._nodes_total >= crash_after:
+            os._exit(CHAOS_EXIT_CODE)
+        send_message(
+            self._out,
+            {"event": "done", "chunk_id": message["chunk_id"], **result},
+        )
 
     # ------------------------------------------------------------------
 
@@ -259,14 +181,13 @@ class Worker:
                 message = control.get()
                 if message is _EOF or message.get("cmd") == "stop":
                     return 0
-                cmd = message.get("cmd")
-                if cmd == "chunk":
-                    if not self._run_chunk(message, control):
-                        return 0
-                elif cmd == "incumbent":
-                    self._adopt_incumbent(float(message["objective"]))
-                # Unknown commands are ignored: a newer coordinator may
-                # speak a superset of this protocol.
+                if message.get("cmd") == "chunk":
+                    self._run_chunk(message, control)
+                # Other commands are ignored: an idle worker's incumbent
+                # broadcast is superseded by the next chunk's, and a
+                # newer coordinator may speak a superset of this protocol.
+        except _Stop:
+            return 0
         except Exception:
             send_message(self._out, {
                 "event": "error",

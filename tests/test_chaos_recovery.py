@@ -30,6 +30,7 @@ from repro.ilp.resilience import (
 from repro.ilp.scipy_backend import solve_lp_scipy
 from repro.ilp.simplex import solve_lp_simplex
 from repro.ilp.solution import SolveStatus
+from repro.core import parallel_support
 from repro.core.partitioner import TemporalPartitioner
 
 pytestmark = pytest.mark.chaos
@@ -137,13 +138,18 @@ class TestPipelineUnderChaos:
         assert chaotic.objective == fault_free.objective
         assert not chaotic.degraded
 
-    def test_dead_chain_degrades_to_verified_design(self, chain3_graph, big_device):
+    def test_dead_chain_degrades_to_verified_design(
+        self, monkeypatch, chain3_graph, big_device
+    ):
         def dead(form, lb, ub):
             raise TransientSolverError("permanently down", backend="dead")
 
-        tp = TemporalPartitioner(
-            device=big_device, lp_backend_chain=[("dead", dead)]
+        monkeypatch.setattr(
+            parallel_support,
+            "make_lp_backend",
+            lambda **kwargs: ResilientLPBackend(backends=[("dead", dead)]),
         )
+        tp = TemporalPartitioner(device=big_device)
         outcome = tp.partition(
             chain3_graph, "1A+1M+1S", n_partitions=2, relaxation=2
         )

@@ -29,7 +29,7 @@ from repro.ilp.certify.proof import ProofLogMismatch, ProofWriter
 from repro.ilp.certify.records import seal_record
 from repro.ilp.expr import lin_sum
 from repro.ilp.model import Model
-from repro.ilp.parallel import ParallelBranchAndBound, ParallelConfig
+from repro.ilp.parallel import ParallelBranchAndBound, coordinator
 from repro.ilp.resilience import FaultPlan
 from repro.ilp.resilience.faults import FAULT_KINDS, FaultInjectingBackend
 from repro.ilp.resilience.resilient import ResilientLPBackend
@@ -376,6 +376,11 @@ class TestKillAndResume:
 
 
 class TestParallelProof:
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        monkeypatch.setattr(coordinator, "CHUNK_NODE_BUDGET", 2)
+        monkeypatch.setattr(coordinator, "RAMPUP_NODES", 2)
+
     def test_worker_counts_produce_identical_verdicts(self, tmp_path):
         outcomes = {}
         for workers in (1, 2):
@@ -383,9 +388,7 @@ class TestParallelProof:
             result = ParallelBranchAndBound(
                 bigger_model(),
                 config=_config(proof_path=str(path)),
-                parallel=ParallelConfig(
-                    workers=workers, chunk_node_budget=2, rampup_nodes=2
-                ),
+                workers=workers,
             ).solve()
             assert result.status is SolveStatus.OPTIMAL
             report = audit_proof(path)
@@ -404,12 +407,8 @@ class TestParallelProof:
         result = ParallelBranchAndBound(
             bigger_model(),
             config=_config(proof_path=str(path)),
-            parallel=ParallelConfig(
-                workers=2,
-                chunk_node_budget=2,
-                rampup_nodes=2,
-                crash_after_nodes={0: 2},
-            ),
+            workers=2,
+            crash_after_nodes={0: 2},
         ).solve()
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == -56.0

@@ -17,7 +17,7 @@ from repro.errors import SolverError
 from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.expr import lin_sum
 from repro.ilp.model import Model
-from repro.ilp.parallel import ParallelBranchAndBound, ParallelConfig
+from repro.ilp.parallel import ParallelBranchAndBound, coordinator
 from repro.ilp.resilience import FaultPlan
 from repro.ilp.solution import SolveStatus
 
@@ -57,21 +57,30 @@ def _signature(result):
     )
 
 
-def _solve_parallel(model, *, config=None, **parallel_kwargs):
-    solver = ParallelBranchAndBound(
-        model,
-        config=config if config is not None else _config(),
-        parallel=ParallelConfig(**parallel_kwargs),
+def _shard(monkeypatch, *, chunk_node_budget=None, rampup_nodes=None):
+    """Set the coordinator's chunk budget and rampup node budget."""
+    if chunk_node_budget is not None:
+        monkeypatch.setattr(coordinator, "CHUNK_NODE_BUDGET", chunk_node_budget)
+    if rampup_nodes is not None:
+        monkeypatch.setattr(coordinator, "RAMPUP_NODES", rampup_nodes)
+
+
+def _solve_parallel(
+    monkeypatch, model, *, chunk_node_budget=None, rampup_nodes=None,
+    **kwargs,
+):
+    _shard(
+        monkeypatch,
+        chunk_node_budget=chunk_node_budget,
+        rampup_nodes=rampup_nodes,
     )
-    return solver.solve()
+    return ParallelBranchAndBound(model, config=_config(), **kwargs).solve()
 
 
 class TestConfigValidation:
     def test_zero_workers_rejected(self):
         with pytest.raises(SolverError):
-            ParallelBranchAndBound(
-                bigger_model(), parallel=ParallelConfig(workers=0)
-            )
+            ParallelBranchAndBound(bigger_model(), workers=0)
 
 
 class TestReplayDeterminism:
@@ -83,21 +92,21 @@ class TestReplayDeterminism:
     counts all match, not just the optimum.
     """
 
-    def test_matches_sequential_signature(self):
+    def test_matches_sequential_signature(self, monkeypatch):
         sequential = BranchAndBound(bigger_model(), config=_config()).solve()
         assert sequential.status is SolveStatus.OPTIMAL
 
         replayed = _solve_parallel(
-            bigger_model(), workers=2, replay=True, chunk_node_budget=3,
-            rampup_nodes=1,
+            monkeypatch, bigger_model(), workers=2, replay=True,
+            chunk_node_budget=3, rampup_nodes=1,
         )
         assert _signature(replayed) == _signature(sequential)
 
-    def test_chunk_budget_invariant(self):
+    def test_chunk_budget_invariant(self, monkeypatch):
         sequential = BranchAndBound(bigger_model(), config=_config()).solve()
         for budget in (1, 64):
             replayed = _solve_parallel(
-                bigger_model(), workers=2, replay=True,
+                monkeypatch, bigger_model(), workers=2, replay=True,
                 chunk_node_budget=budget, rampup_nodes=1,
             )
             assert _signature(replayed) == _signature(sequential), (
@@ -106,10 +115,11 @@ class TestReplayDeterminism:
 
 
 class TestAsyncParallel:
-    def test_optimum_matches_sequential(self):
+    def test_optimum_matches_sequential(self, monkeypatch):
         sequential = BranchAndBound(bigger_model(), config=_config()).solve()
         parallel = _solve_parallel(
-            bigger_model(), workers=2, chunk_node_budget=2, rampup_nodes=2,
+            monkeypatch, bigger_model(), workers=2,
+            chunk_node_budget=2, rampup_nodes=2,
         )
         assert parallel.status is SolveStatus.OPTIMAL
         assert parallel.objective == sequential.objective
@@ -119,11 +129,12 @@ class TestAsyncParallel:
         assert block["chunks_dispatched"] > 0
         assert len(block["workers_detail"]) == 2
 
-    def test_node_accounting_is_exhaustive(self):
+    def test_node_accounting_is_exhaustive(self, monkeypatch):
         """Every explored node is attributed to rampup, a worker, or
         the inline fallback — the merge must not lose or double-count."""
         result = _solve_parallel(
-            bigger_model(), workers=2, chunk_node_budget=2, rampup_nodes=2,
+            monkeypatch, bigger_model(), workers=2,
+            chunk_node_budget=2, rampup_nodes=2,
         )
         block = result.stats.parallel
         attributed = (
@@ -133,22 +144,23 @@ class TestAsyncParallel:
         )
         assert result.stats.nodes_explored == attributed
 
-    def test_infeasible_model(self):
+    def test_infeasible_model(self, monkeypatch):
         result = _solve_parallel(
-            infeasible_model(), workers=2, rampup_nodes=0,
+            monkeypatch, infeasible_model(), workers=2, rampup_nodes=0,
         )
         assert result.status is SolveStatus.INFEASIBLE
 
 
 @pytest.mark.chaos
 class TestWorkerCrashRecovery:
-    def test_crash_mid_subtree_requeues_and_solves(self):
+    def test_crash_mid_subtree_requeues_and_solves(self, monkeypatch):
         """A worker dying mid-chunk must not lose its subtree: the
         in-flight nodes are re-queued (at-least-once) and the optimum
         is unchanged."""
         sequential = BranchAndBound(bigger_model(), config=_config()).solve()
         result = _solve_parallel(
-            bigger_model(), workers=2, chunk_node_budget=2, rampup_nodes=2,
+            monkeypatch, bigger_model(), workers=2,
+            chunk_node_budget=2, rampup_nodes=2,
             crash_after_nodes={0: 2},
         )
         assert result.status is SolveStatus.OPTIMAL
@@ -158,12 +170,13 @@ class TestWorkerCrashRecovery:
         assert block["chunks_requeued"] >= 1
         assert any(w["crashed"] for w in block["workers_detail"])
 
-    def test_all_workers_crash_inline_fallback(self):
+    def test_all_workers_crash_inline_fallback(self, monkeypatch):
         """With the whole fleet dead the coordinator finishes the
         frontier in-process rather than failing the solve."""
         sequential = BranchAndBound(bigger_model(), config=_config()).solve()
         result = _solve_parallel(
-            bigger_model(), workers=2, chunk_node_budget=2, rampup_nodes=2,
+            monkeypatch, bigger_model(), workers=2,
+            chunk_node_budget=2, rampup_nodes=2,
             crash_after_nodes={0: 1, 1: 1},
         )
         assert result.status is SolveStatus.OPTIMAL
@@ -172,17 +185,16 @@ class TestWorkerCrashRecovery:
         assert block["worker_crashes"] == 2
         assert block["inline_fallback_nodes"] > 0
 
-    def test_incumbent_propagates_under_lp_faults(self):
+    def test_incumbent_propagates_under_lp_faults(self, monkeypatch):
         """Shared-incumbent broadcast keeps working while worker LP
         backends are raising injected faults (blind branching covers
         the failed relaxations, so the answer is still exact)."""
         sequential = BranchAndBound(bigger_model(), config=_config()).solve()
+        _shard(monkeypatch, chunk_node_budget=1, rampup_nodes=0)
         solver = ParallelBranchAndBound(
             bigger_model(),
             config=_config(),
-            parallel=ParallelConfig(
-                workers=2, chunk_node_budget=1, rampup_nodes=0,
-            ),
+            workers=2,
             worker_args={
                 "model": bigger_model(),
                 "fault_plan": FaultPlan(
@@ -198,6 +210,26 @@ class TestWorkerCrashRecovery:
         # so the first one must have been broadcast to the other
         # still-live worker.
         assert block["incumbent_broadcasts"] >= 1
+
+
+class TestWorkerContextFailure:
+    def test_builder_error_kills_fleet_and_coordinator_finishes(
+        self, monkeypatch
+    ):
+        """A context builder that raises in every worker (here: no
+        model in the arguments) leaves no fleet; the coordinator marks
+        it dead and finishes the frontier inline with the same optimum."""
+        sequential = BranchAndBound(bigger_model(), config=_config()).solve()
+        result = _solve_parallel(
+            monkeypatch, bigger_model(), rampup_nodes=1,
+            workers=2, worker_args={"rule": None},
+        )
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == sequential.objective
+        block = result.stats.parallel
+        assert block["worker_crashes"] == 2
+        assert block["chunks_dispatched"] == 0
+        assert block["inline_fallback_nodes"] > 0
 
 
 class TestPartitionerWorkers:

@@ -300,6 +300,23 @@ CLOCK_BOUND_SPECS = {
 }
 
 
+def clock_bound_spec(tp, key):
+    """The spec of one :data:`CLOCK_BOUND_SPECS` draw under ``tp``."""
+    n_tasks, n_ops, n_parts, relax, mix, seed = CLOCK_BOUND_SPECS[key]
+    graph = random_task_graph(
+        RandomGraphConfig(
+            n_tasks=n_tasks,
+            n_ops=n_ops,
+            seed=seed,
+            type_weights=dict(PAPER_TYPE_WEIGHTS),
+            cluster_skew=0.5,
+        )
+    )
+    return tp.make_spec(
+        graph, mix_from_string(mix), n_partitions=n_parts, relaxation=relax
+    )
+
+
 class TestLimitsHold:
     def test_leaf_budgets_never_exceed_the_time_left(self):
         limit = 0.1
@@ -340,23 +357,11 @@ class TestLimitsHold:
         ],
     )
     def test_partition_spec_returns_within_the_limit(self, key, workers, limit):
-        n_tasks, n_ops, n_parts, relax, mix, seed = CLOCK_BOUND_SPECS[key]
-        graph = random_task_graph(
-            RandomGraphConfig(
-                n_tasks=n_tasks,
-                n_ops=n_ops,
-                seed=seed,
-                type_weights=dict(PAPER_TYPE_WEIGHTS),
-                cluster_skew=0.5,
-            )
-        )
         tp = TemporalPartitioner(
             device=reference_device(), memory=reference_memory(),
             time_limit_s=limit, workers=workers,
         )
-        spec = tp.make_spec(
-            graph, mix_from_string(mix), n_partitions=n_parts, relaxation=relax
-        )
+        spec = clock_bound_spec(tp, key)
         start = time.monotonic()
         outcome = tp.partition_spec(spec)
         assert time.monotonic() - start < limit + 1.0
@@ -364,3 +369,28 @@ class TestLimitsHold:
         assert outcome.status is SolveStatus.TIMEOUT
         assert outcome.degraded
         assert outcome.solve_stats.stop_reason == "time_limit"
+
+    def test_limit_covers_set_up(self, monkeypatch):
+        # A presolve that takes 1.0 s leaves the search 0.5 s of the
+        # 1.5 s limit; were the limit counted from the search's start,
+        # the call would last 2.5 s and more.
+        import importlib
+
+        presolve_module = importlib.import_module("repro.ilp.analysis.presolve")
+        real_presolve = presolve_module.presolve
+
+        def slow_presolve(model, **kwargs):
+            time.sleep(1.0)
+            return real_presolve(model, **kwargs)
+
+        monkeypatch.setattr(presolve_module, "presolve", slow_presolve)
+        tp = TemporalPartitioner(
+            device=reference_device(), memory=reference_memory(),
+            time_limit_s=1.5,
+        )
+        spec = clock_bound_spec(tp, "gen03")
+        start = time.monotonic()
+        outcome = tp.partition_spec(spec)
+        assert time.monotonic() - start < 2.0
+        assert outcome.solve_stats.stop_reason == "time_limit"
+        assert outcome.solve_stats.wall_time_s < 1.0
