@@ -13,26 +13,13 @@ and reports, per row:
   enough for shared CI runners, tight enough to catch a real
   regression like an accidental per-node model rebuild).
 
-A second mode benchmarks the parallel branch and bound: ``--workers N``
-runs each row sequentially and again with the frontier sharded across
-``N`` worker processes, asserts the parallel optima (status +
-objective) match the committed baseline exactly, and reports the
-aggregate nodes/sec scaling factor.  ``--min-scaling X`` turns the
-factor into a gate — but only on machines with at least ``N`` cores;
-with fewer (CI runners are often single-core) the factor is physically
-unreachable and the gate auto-downgrades to informational, while the
-optima check always remains hard.
-
 Usage::
 
     python scripts/bench_solver.py --quick            # t3 family, CI smoke
     python scripts/bench_solver.py                    # all tables
     python scripts/bench_solver.py --quick --update-baseline
     python scripts/bench_solver.py --json out.json
-    python scripts/bench_solver.py --quick --workers 2            # optima gate
-    python scripts/bench_solver.py --workers 4 --min-scaling 2.5  # >=4 cores
     python scripts/bench_solver.py --quick --audit                # certify rows
-    python scripts/bench_solver.py --quick --audit --audit-workers 4
     python scripts/bench_solver.py --tables t3,t4 --ablation      # heuristics gate
 
 Exit status is non-zero when any deterministic field drifts or any
@@ -50,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -96,7 +82,6 @@ RETIMES = 2
 def bench_row(
     row,
     time_limit_s: float,
-    workers: int = 1,
     heuristics: bool = False,
 ) -> dict:
     """One row -> measured record."""
@@ -104,7 +89,6 @@ def bench_row(
     result = run_row(
         row,
         time_limit_s=time_limit_s,
-        workers=workers,
         heuristics=heuristics,
     )
     elapsed = time.perf_counter() - start
@@ -130,14 +114,6 @@ def bench_row(
         record["kernel"] = {
             "name": kernel_block.get("name"),
             "warm_start_hits": kernel_block.get("warm_start_hits"),
-        }
-    parallel_block = solve.get("parallel")
-    if parallel_block:
-        record["parallel"] = {
-            "workers": parallel_block.get("workers"),
-            "chunks_dispatched": parallel_block.get("chunks_dispatched"),
-            "worker_crashes": parallel_block.get("worker_crashes"),
-            "incumbent_broadcasts": parallel_block.get("incumbent_broadcasts"),
         }
     if heuristics:
         heur_block = solve.get("heuristics") or {}
@@ -223,76 +199,8 @@ def run_bench(tables, time_limit_s: float) -> dict:
     return rows
 
 
-def run_scaling_bench(
-    tables, time_limit_s: float, workers: int, baseline: dict,
-    min_scaling: float,
-) -> "tuple[dict, list, list]":
-    """Parallel scaling mode: (rows, hard failures, informational notes).
-
-    Every row runs twice — sequentially and with ``workers`` processes.
-    Parallel status/objective must match the committed incremental
-    baseline exactly (hard failure otherwise: sharding the frontier
-    must never change the *answer*).  The aggregate nodes/sec ratio is
-    gated against ``min_scaling`` only when the machine actually has
-    ``workers`` cores; on smaller machines spawned workers time-slice
-    one core and the ratio is reported informationally instead.
-    """
-    base_rows = baseline.get("rows", {})
-    rows, failures, notes = {}, [], []
-    seq_nodes = seq_time = par_nodes = par_time = 0.0
-    for table in tables:
-        for row in table_rows(table):
-            seq_key = f"{row.key}:w1"
-            par_key = f"{row.key}:w{workers}"
-            print(f"  bench {seq_key} ...", flush=True)
-            seq = bench_row(row, time_limit_s)
-            print(f"  bench {par_key} ...", flush=True)
-            par = bench_row(row, time_limit_s, workers=workers)
-            rows[seq_key], rows[par_key] = seq, par
-            seq_nodes += seq["nodes_explored"]
-            seq_time += seq["wall_time_s"]
-            par_nodes += par["nodes_explored"]
-            par_time += par["wall_time_s"]
-            # The answer gate: vs the committed baseline when it has
-            # this row, else vs the sequential run just measured.
-            reference = base_rows.get(f"{row.key}:incremental") or seq
-            for field in ("status", "objective"):
-                if par.get(field) != reference.get(field):
-                    failures.append(
-                        f"{par_key}: {field} diverged under parallel search "
-                        f"(expected {reference.get(field)!r}, "
-                        f"got {par.get(field)!r})"
-                    )
-    scaling = None
-    if seq_time > 0 and par_time > 0 and seq_nodes > 0:
-        scaling = round(
-            (par_nodes / par_time) / (seq_nodes / seq_time), 3
-        )
-    cores = os.cpu_count() or 1
-    summary = (
-        f"aggregate nodes/sec scaling @ {workers} workers: "
-        f"{scaling if scaling is not None else 'n/a'} "
-        f"(machine has {cores} cores)"
-    )
-    if scaling is not None and min_scaling > 0:
-        if cores < workers:
-            notes.append(
-                f"{summary} — fewer cores than workers, "
-                f"scaling gate ({min_scaling}x) downgraded to informational"
-            )
-        elif scaling < min_scaling:
-            failures.append(
-                f"{summary} — below required {min_scaling}x"
-            )
-        else:
-            notes.append(f"{summary} — meets required {min_scaling}x")
-    else:
-        notes.append(summary)
-    return rows, failures, notes
-
-
 def run_audit_bench(
-    tables, time_limit_s: float, baseline: dict, workers: int = 0,
+    tables, time_limit_s: float, baseline: dict,
 ) -> "tuple[dict, list]":
     """Certification mode: (rows, hard failures).
 
@@ -300,11 +208,7 @@ def run_audit_bench(
     verifies the log with the independent exact-arithmetic checker
     (:func:`repro.ilp.certify.audit_proof`).  Any row that solves to
     optimality must audit ``CERTIFIED`` — a weaker verdict means the
-    logged tree does not actually prove the claimed optimum.  With
-    ``workers`` each row additionally runs with the frontier sharded
-    across that many processes, and the parallel verdict must be
-    identical to the sequential one (sharding must never change what
-    the log can prove).
+    logged tree does not actually prove the claimed optimum.
     """
     import tempfile
 
@@ -312,48 +216,32 @@ def run_audit_bench(
 
     base_rows = baseline.get("rows", {})
     rows, failures = {}, []
-    worker_counts = [1] + ([workers] if workers else [])
     with tempfile.TemporaryDirectory() as tmp:
         for table in tables:
             for row in table_rows(table):
-                verdicts = {}
-                for count in worker_counts:
-                    key = f"{row.key}:w{count}"
-                    proof = Path(tmp) / f"{key.replace(':', '-')}.jsonl"
-                    print(f"  audit {key} ...", flush=True)
-                    result = run_row(
-                        row,
-                        time_limit_s=time_limit_s,
-                        workers=count,
-                        proof_path=str(proof),
-                    )
-                    report = audit_proof(str(proof))
-                    verdicts[count] = report.verdict
-                    rows[key] = {
-                        "status": result["status"],
-                        "objective": result["objective"],
-                        "verdict": report.verdict,
-                        "reason": report.reason,
-                    }
-                    if (
-                        result["status"] == "optimal"
-                        and report.verdict != "CERTIFIED"
-                    ):
-                        failures.append(
-                            f"{key}: optimal solve audited "
-                            f"{report.verdict} ({report.reason})"
-                        )
-                    base = base_rows.get(f"{row.key}:incremental")
-                    if base and result["status"] != base.get("status"):
-                        failures.append(
-                            f"{key}: status {result['status']!r} "
-                            f"diverged from baseline "
-                            f"{base.get('status')!r}"
-                        )
-                if len(set(verdicts.values())) > 1:
+                key = row.key
+                proof = Path(tmp) / f"{key}.jsonl"
+                print(f"  audit {key} ...", flush=True)
+                result = run_row(
+                    row, time_limit_s=time_limit_s, proof_path=str(proof),
+                )
+                report = audit_proof(str(proof))
+                rows[key] = {
+                    "status": result["status"],
+                    "objective": result["objective"],
+                    "verdict": report.verdict,
+                    "reason": report.reason,
+                }
+                if result["status"] == "optimal" and report.verdict != "CERTIFIED":
                     failures.append(
-                        f"{row.key}: verdict differs across "
-                        f"worker counts: {verdicts}"
+                        f"{key}: optimal solve audited "
+                        f"{report.verdict} ({report.reason})"
+                    )
+                base = base_rows.get(f"{key}:incremental")
+                if base and result["status"] != base.get("status"):
+                    failures.append(
+                        f"{key}: status {result['status']!r} diverged "
+                        f"from baseline {base.get('status')!r}"
                     )
     return rows, failures
 
@@ -480,16 +368,6 @@ def main(argv=None) -> int:
         help="also write the measured results to this path",
     )
     parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="parallel scaling mode: bench each row at 1 and N worker "
-             "processes, gate parallel optima against the baseline",
-    )
-    parser.add_argument(
-        "--min-scaling", type=float, default=0.0, metavar="X",
-        help="required aggregate nodes/sec scaling factor in --workers "
-             "mode (informational when the machine has fewer cores)",
-    )
-    parser.add_argument(
         "--ablation", action="store_true",
         help="heuristics ablation mode: bench each row plain and "
              "with --heuristics; identical optima and strictly "
@@ -500,12 +378,6 @@ def main(argv=None) -> int:
         help="certification mode: re-run each row with proof logging "
              "and verify the log with the independent exact checker; "
              "optimal rows must audit CERTIFIED",
-    )
-    parser.add_argument(
-        "--audit-workers", type=int, default=0, metavar="N",
-        help="in --audit mode also run each row with N worker "
-             "processes and require the verdict to match the "
-             "sequential one",
     )
     args = parser.parse_args(argv)
 
@@ -559,18 +431,13 @@ def main(argv=None) -> int:
         return 0
 
     if args.audit:
-        if args.audit_workers == 1 or args.audit_workers < 0:
-            parser.error("--audit-workers must be >= 2 (1 is the "
-                         "sequential run)")
         baseline = {}
         if args.baseline.exists():
             loaded = load_baseline(args.baseline)
             if loaded is None:
                 return 2
             baseline = loaded
-        rows, failures = run_audit_bench(
-            tables, args.time_limit, baseline, workers=args.audit_workers,
-        )
+        rows, failures = run_audit_bench(tables, args.time_limit, baseline)
         if args.json:
             args.json.write_text(json.dumps({
                 "schema": BASELINE_SCHEMA,
@@ -587,41 +454,6 @@ def main(argv=None) -> int:
                 print(f"  {failure}", file=sys.stderr)
             return 1
         print(f"\nOK: all proof logs verified ({len(rows)} audits)")
-        return 0
-
-    if args.workers:
-        if args.workers < 2:
-            parser.error("--workers must be >= 2 (1 is the sequential run)")
-        baseline = {}
-        if args.baseline.exists():
-            loaded = load_baseline(args.baseline)
-            if loaded is None:
-                return 2
-            baseline = loaded
-        rows, failures, notes = run_scaling_bench(
-            tables, args.time_limit, args.workers, baseline,
-            args.min_scaling,
-        )
-        if args.json:
-            args.json.write_text(json.dumps({
-                "schema": BASELINE_SCHEMA,
-                "mode": "scaling",
-                "workers": args.workers,
-                "cpu_count": os.cpu_count(),
-                "tables": tables,
-                "rows": rows,
-            }, indent=1, sort_keys=True) + "\n")
-            print(f"wrote {args.json}")
-        print()
-        print_rows(rows)
-        for note in notes:
-            print(f"\nNOTE: {note}")
-        if failures:
-            print("\nFAIL:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"\nOK: parallel optima match ({len(rows)} measurements)")
         return 0
 
     rows = run_bench(tables, args.time_limit)

@@ -176,7 +176,7 @@ def main() -> None:
     )
     sections.append(
         "Telemetry: every row carries the solver's "
-        "`repro.solve_telemetry/v10` record (DESIGN.md \u00a77) \u2014 node "
+        "`repro.solve_telemetry/v11` record (DESIGN.md \u00a77) \u2014 node "
         "counters, LP call/time totals, bound, gap, the incumbent "
         "event log, the presolve reduction summary (`solve.presolve`), "
         "and the infeasibility `certificate` when a structural "

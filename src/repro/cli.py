@@ -94,16 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="solver backend (in-repo branch and bound, or SciPy HiGHS)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="branch-and-bound worker processes (default 1 = in-process "
-             "search; N>1 shards the frontier across spawned workers)",
-    )
-    parser.add_argument(
-        "--parallel-replay", action="store_true",
-        help="deterministic-replay parallel mode: one in-flight chunk, "
-             "round-robin — reproduces the single-worker node sequence",
-    )
-    parser.add_argument(
         "--heuristics", action="store_true",
         help="enable the primal heuristics (LP diving + incumbent "
              "polishing); every heuristic point is audited with "
@@ -765,8 +755,6 @@ def main(argv: "Optional[list]" = None) -> int:
         checkpoint_every=args.checkpoint_every,
         proof_path=args.proof,
         heuristics=args.heuristics,
-        workers=args.workers,
-        parallel_replay=args.parallel_replay,
     )
 
     if args.dump_lp:

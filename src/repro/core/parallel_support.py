@@ -2,19 +2,16 @@
 
 The partitioner's branch-and-bound configuration is full of closures —
 the slot-counting node prober, the compact leaf solver, the resilient
-LP chain — none of which pickle.  :func:`solve_context` assembles all
-of them, plus the presolved model, from the spec and the knobs;
+LP chain.  :func:`solve_context` assembles all of them, plus the
+presolved model, from the spec and the knobs;
 :class:`~repro.core.partitioner.TemporalPartitioner` calls it right
-after ``build_model``.  With ``workers > 1`` the coordinator ships only
-the *ingredients* (:class:`~repro.core.spec.ProblemSpec`, formulation
-options, resilience and chaos settings: all plain data) and
-:func:`build_worker_context` runs ``build_model`` and the same
-:func:`solve_context` inside each worker interpreter.  Determinism end
-to end — ``build_model``, presolve, and ``compile_standard_form`` are
-all deterministic functions of the spec — is what makes the
-coordinator's model-fingerprint check meaningful: if the rebuild
-diverged at all, the worker refuses to solve rather than explore a
-subtly different search space.
+after ``build_model``.
+
+The search itself is sequential; specs run in parallel only across
+processes (``repro batch --jobs`` and the solve service).  The module
+keeps its name because ``bench/spans.py`` patches
+:func:`make_lp_backend` and :func:`make_incumbent_auditor` here by
+name.
 """
 
 from __future__ import annotations
@@ -38,14 +35,13 @@ def make_lp_backend(
 ):
     """LP backend for a bnb solve: bare, chaos-wrapped, or armored.
 
-    Called by :func:`solve_context`, so both sides of a ``workers > 1``
-    run assemble the *same* stack: ``plain_search`` keeps the historical
-    bare SciPy backend; otherwise the warm-starting incremental kernel
-    heads the chain with the stateless backends behind it, a
-    :class:`~repro.ilp.resilience.ResilientLPBackend` wraps the chain,
-    and a :class:`~repro.ilp.resilience.FaultPlan` additionally wraps
-    the primary (or, with ``targets="all"``, every) backend in seeded
-    fault injection with infeasible double-checking.
+    Called by :func:`solve_context`.  ``plain_search`` keeps the
+    historical bare SciPy backend; otherwise the warm-starting
+    incremental kernel heads the chain with the stateless backends
+    behind it, a :class:`~repro.ilp.resilience.ResilientLPBackend`
+    wraps the chain, and a :class:`~repro.ilp.resilience.FaultPlan`
+    additionally wraps the primary (or, with ``targets="all"``, every)
+    backend in seeded fault injection with infeasible double-checking.
     """
     use_resilient = resilient and not plain_search
     if not use_resilient and chaos is None:
@@ -72,7 +68,7 @@ def make_incumbent_auditor(spec, space):
     """Semantic audit for heuristic incumbents: decode + verify_design.
 
     The B&B primal heuristics (diving, polishing) produce value vectors
-    outside the normal node path; before one becomes the shared
+    outside the normal node path; before one becomes the
     incumbent it must decode to a real :class:`PartitionedDesign` and
     pass the same independent :func:`~repro.core.verify.verify_design`
     audit the final answer gets.  Returns a ``values -> bool`` closure.
@@ -150,27 +146,3 @@ def solve_context(
         "incumbent_auditor": make_incumbent_auditor(spec, space),
     }
 
-
-def build_worker_context(args: "Dict[str, object]") -> "Dict[str, object]":
-    """Rebuild the partitioner solve context inside a worker.
-
-    ``args`` (all picklable): ``spec`` (ProblemSpec), ``options``
-    (FormulationOptions), ``rule`` (branching-rule instance),
-    ``plain_search``, ``presolve``, ``resilient``, ``chaos`` — the
-    knobs the coordinator passed to :func:`solve_context`.
-    """
-    from repro.core.formulation import build_model
-
-    spec = args["spec"]
-    model, space = build_model(spec, args["options"])
-    context = solve_context(
-        spec,
-        space,
-        model,
-        plain_search=bool(args["plain_search"]),
-        presolve=bool(args["presolve"]),
-        resilient=bool(args["resilient"]),
-        chaos=args["chaos"],
-    )
-    context["rule"] = args["rule"]
-    return context

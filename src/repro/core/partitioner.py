@@ -140,7 +140,7 @@ class PartitionOutcome:
     def telemetry(self) -> "Dict[str, object]":
         """Per-run solve-telemetry record (see DESIGN.md for the schema)."""
         return {
-            "schema": "repro.solve_telemetry/v10",
+            "schema": "repro.solve_telemetry/v11",
             "graph": self.spec.graph.name,
             "n_partitions": self.spec.n_partitions,
             "relaxation": self.spec.relaxation,
@@ -249,19 +249,6 @@ class TemporalPartitioner:
         (decode + :func:`~repro.core.verify.verify_design`) before it
         may become the incumbent; the ``solve.heuristics`` telemetry block counts
         dives, polishes, and audit rejections.
-    workers:
-        ``> 1`` shards the branch-and-bound frontier across that many
-        spawn-isolated worker processes
-        (:class:`~repro.ilp.parallel.ParallelBranchAndBound`): shared
-        incumbent, work stealing, crash recovery, identical optima.
-        Only the ``"bnb"`` backend parallelizes; another backend
-        raises.  The ``solve.parallel``
-        telemetry block records the fleet's behaviour.
-    parallel_replay:
-        Deterministic-replay mode for ``workers > 1``: one chunk in
-        flight at a time, round-robin — the solve signature
-        (status/objective/nodes) is then exactly the sequential one.
-        A testing mode; it forfeits the wall-clock speedup.
     """
 
     def __init__(
@@ -285,22 +272,13 @@ class TemporalPartitioner:
         checkpoint_every: int = 256,
         proof_path: "Optional[str]" = None,
         heuristics: bool = False,
-        workers: int = 1,
-        parallel_replay: bool = False,
     ) -> None:
         if backend not in ("bnb", "milp"):
             raise ReproError(f"unknown backend {backend!r}; use 'bnb' or 'milp'")
-        if workers < 1:
-            raise ReproError(f"workers must be >= 1, got {workers}")
         if proof_path is not None and backend != "bnb":
             raise ReproError(
                 "proof_path requires backend='bnb' (the milp backend is "
                 "a single HiGHS call with no tree to certify)"
-            )
-        if workers > 1 and backend != "bnb":
-            raise ReproError(
-                "workers > 1 requires backend='bnb' "
-                "(the milp backend is a single HiGHS call)"
             )
         if heuristics and backend != "bnb":
             raise ReproError(
@@ -328,8 +306,6 @@ class TemporalPartitioner:
         self.checkpoint_every = checkpoint_every
         self.proof_path = proof_path
         self.heuristics = heuristics
-        self.workers = workers
-        self.parallel_replay = parallel_replay
 
     # ------------------------------------------------------------------
 
@@ -408,7 +384,7 @@ class TemporalPartitioner:
         allow_degrade = not self.plain_search
 
         try:
-            result = self._solve(model, spec, context, start)
+            result = self._solve(model, context, start)
         except SolverError as exc:
             if not allow_degrade:
                 raise
@@ -554,7 +530,7 @@ class TemporalPartitioner:
             return None
         return max(self.time_limit_s - (time.monotonic() - start), 0.0)
 
-    def _solve(self, model, spec, context, start: float) -> MilpResult:
+    def _solve(self, model, context, start: float) -> MilpResult:
         """Solve the model: one HiGHS call when ``context`` is None, else
         the branch and bound over the solve context from
         :func:`~repro.core.parallel_support.solve_context`.  Either gets
@@ -587,7 +563,7 @@ class TemporalPartitioner:
             proof_path=self.proof_path,
         )
         model = context["model"]
-        solver = self._make_solver(model, spec, config)
+        solver = BranchAndBound(model, rule=self.branching, config=config)
         # Set after the solver compiled the model: set-up counts too.
         config.time_limit_s = self._time_left(start)
         if self.checkpoint_path is not None and os.path.exists(self.checkpoint_path):
@@ -606,37 +582,5 @@ class TemporalPartitioner:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                solver = self._make_solver(model, spec, config)
+                solver = BranchAndBound(model, rule=self.branching, config=config)
         return solver.solve()
-
-    def _make_solver(self, model, spec, config) -> BranchAndBound:
-        """Sequential solver, or the parallel coordinator for workers>1.
-
-        The coordinator ships only picklable ingredients (spec,
-        options, rule, presolve/resilience/chaos knobs); each worker
-        rebuilds the model and its solve context from them via
-        :func:`repro.core.parallel_support.build_worker_context`, and
-        the model fingerprint certifies the rebuild matched.
-        """
-        if self.workers <= 1:
-            return BranchAndBound(model, rule=self.branching, config=config)
-        from repro.core.parallel_support import build_worker_context
-        from repro.ilp.parallel import ParallelBranchAndBound
-
-        return ParallelBranchAndBound(
-            model,
-            rule=self.branching,
-            config=config,
-            workers=self.workers,
-            replay=self.parallel_replay,
-            context_builder=build_worker_context,
-            worker_args={
-                "spec": spec,
-                "options": self.options,
-                "rule": self.branching,
-                "plain_search": self.plain_search,
-                "presolve": self.presolve,
-                "resilient": self.resilient,
-                "chaos": self.chaos,
-            },
-        )

@@ -328,129 +328,19 @@ class BranchAndBound:
         self._prepare_run()
         return self._finish_run(self._search())
 
-    def _search(
-        self, stop: "Optional[Callable[[], bool]]" = None
-    ) -> "Optional[SolveStatus]":
+    def _search(self) -> "Optional[SolveStatus]":
         """The depth-first loop of the paper's Section 8.
 
-        Pops and processes nodes until the stack is empty or a limit
-        fires (its status is returned), or until ``stop()`` asks to
-        hand the rest of the frontier back (``None`` is returned, as
-        for an empty stack).  The sequential solve, the parallel
-        coordinator's rampup and inline fallback, and a worker's chunk
-        (:meth:`explore_chunk`) all run this one loop.
+        Pops and processes nodes until the stack is empty (``None`` is
+        returned) or a limit fires (its status is returned).
         """
         while self._stack:
             limit_status = self._limit_status()
             if limit_status is not None:
                 return limit_status
-            if stop is not None and stop():
-                return None
             self._process_node(self._stack.pop())
             self._maybe_checkpoint()
         return None
-
-    def explore_chunk(
-        self,
-        nodes: "List[Dict[str, object]]",
-        *,
-        node_budget: int,
-        time_left_s: "Optional[float]",
-        incumbent_obj: "Optional[float]",
-        pid_prefix: "Optional[str]",
-        root_bound: "Optional[float]",
-        interrupt: "Callable[[], Optional[float]]",
-    ) -> "Dict[str, object]":
-        """Search one frontier slice for the parallel coordinator.
-
-        ``nodes`` are checkpoint-codec frontier entries.  They are
-        searched by :meth:`_search` for at most ``node_budget`` nodes
-        and ``time_left_s`` seconds (``None``: no time limit), pruning
-        against ``incumbent_obj``, the best objective found elsewhere
-        (``None``: none yet).  ``root_bound`` is the root LP objective,
-        the polish gate's bound.  A ``pid_prefix`` turns on proof mode:
-        records go to an in-memory
-        :class:`~repro.ilp.certify.proof.ProofBuffer`, under node ids in
-        that namespace, and ship with the result.  ``interrupt()`` runs
-        before every node; it returns a better objective found elsewhere
-        meanwhile (or ``None``) and may raise to abandon the slice.
-
-        Returns the body of the protocol's ``done`` event: the
-        unexplored ``frontier`` (stack order), the ``incumbent`` when
-        this slice improved on the one it started from, the counter
-        deltas in ``stats``, and ``exactness_lost``, ``abort`` and
-        ``proof``.  Counters and incumbent carry over between slices.
-        """
-        from repro.ilp.parallel.protocol import stats_delta
-        from repro.ilp.resilience.checkpoint import (
-            frontier_to_json,
-            values_to_json,
-        )
-
-        if not self._started:
-            self._prepare_run()
-        self._root_bound = root_bound
-        self._stack = self._decode_frontier(nodes)
-        if pid_prefix is not None:
-            if self._proof is None:
-                from repro.ilp.certify.proof import ProofBuffer
-
-                self._proof = ProofBuffer(
-                    self.form,
-                    objective_is_integral=self.config.objective_is_integral,
-                    int_tol=INT_TOL,
-                )
-            self._pid_prefix = pid_prefix
-            self._node_seq = 0
-        if incumbent_obj is not None:
-            self._tighten_incumbent(incumbent_obj)
-        start_obj = self._incumbent_obj
-        before = self._stats.as_dict()
-        budget_end = self._stats.nodes_explored + node_budget
-        self._deadline = (
-            math.inf if time_left_s is None
-            else time.monotonic() + time_left_s
-        )
-
-        def stop() -> bool:
-            if self._stats.nodes_explored >= budget_end:
-                return True
-            better = interrupt()
-            if better is not None:
-                self._tighten_incumbent(better)
-            return False
-
-        self._search(stop)
-        incumbent = None
-        if (
-            self._incumbent_values is not None
-            and self._incumbent_obj < start_obj
-        ):
-            incumbent = {
-                "objective": self._incumbent_obj,
-                "values": values_to_json(self._incumbent_values),
-            }
-        frontier = frontier_to_json(self._stack, self.form.lb, self.form.ub)
-        self._stack = []
-        return {
-            "frontier": frontier,
-            "incumbent": incumbent,
-            "stats": stats_delta(self._stats, before),
-            "exactness_lost": self._exactness_lost,
-            "abort": self._lp_failure_abort,
-            "proof": None if self._proof is None else self._proof.drain(),
-        }
-
-    def _tighten_incumbent(self, objective: float) -> None:
-        """Prune against a better objective found in another process.
-
-        Only the objective travels (pruning is threshold-driven); the
-        values stay with whoever found them, so the local ones are
-        dropped as stale.
-        """
-        if objective < self._incumbent_obj:
-            self._incumbent_obj = float(objective)
-            self._incumbent_values = None
 
     def _limit_status(self) -> "Optional[SolveStatus]":
         """The stop rule :meth:`_search` checks before each node.
@@ -471,9 +361,8 @@ class BranchAndBound:
     def _finish_run(
         self, limit_status: "Optional[SolveStatus]"
     ) -> MilpResult:
-        """Endgame shared by :meth:`solve` and the parallel coordinator:
-        final-checkpoint persistence (or stale-checkpoint removal) and
-        result assembly."""
+        """Endgame of :meth:`solve`: final-checkpoint persistence (or
+        stale-checkpoint removal) and result assembly."""
         if limit_status is not None and self.config.checkpoint_path:
             # The stop a checkpoint exists for: persist the final
             # frontier so a restart continues instead of redoing.
@@ -504,7 +393,7 @@ class BranchAndBound:
             )
             self._stats.proof = {
                 "path": self.config.proof_path,
-                "fingerprint": getattr(self._proof, "fingerprint", None),
+                "fingerprint": self._proof.fingerprint,
                 "records": dict(self._proof.counts),
                 "forfeits": int(self._proof.forfeit_count),
             }
@@ -512,12 +401,9 @@ class BranchAndBound:
         return result
 
     def _prepare_run(self) -> None:
-        """(Re)initialize per-run state for a fresh search.
-
-        Shared by :meth:`solve` and the parallel coordinator
-        (:mod:`repro.ilp.parallel`), so both have identical rampup
-        semantics: clock started, counters zeroed, the root node on the
-        stack, any pending resume payload consumed.
+        """(Re)initialize per-run state for a fresh search: clock
+        started, counters zeroed, the root node on the stack, any
+        pending resume payload consumed.
         """
         self._start = time.monotonic()
         limit = self.config.time_limit_s
@@ -1064,7 +950,7 @@ class BranchAndBound:
         self._elapsed_base = float(payload.get("elapsed_s", 0.0))
         self._resumed = True
         if self._proof is not None:
-            epoch = int(getattr(self._proof, "resume_epoch", 0))
+            epoch = self._proof.resume_epoch
             # Namespace this epoch's ids: frontier nodes get e{k}f{i},
             # nodes branched after the resume get e{k}m{n} — disjoint
             # from every earlier epoch's id space.
@@ -1085,9 +971,7 @@ class BranchAndBound:
             lb, ub, depth, bound = decode_node(
                 entry, self.form.lb, self.form.ub
             )
-            nodes.append(
-                _Node(lb, ub, depth, bound=bound, pid=entry.get("pid"))
-            )
+            nodes.append(_Node(lb, ub, depth, bound=bound))
         return nodes
 
     def _maybe_checkpoint(self) -> None:
@@ -1399,8 +1283,8 @@ class BranchAndBound:
     # helpers
 
     def _time_remaining(self) -> float:
-        """Seconds left before this run's (or chunk's) deadline; inf
-        without a time limit."""
+        """Seconds left before this run's deadline; inf without a time
+        limit."""
         return self._deadline - time.monotonic()
 
     def _prune_threshold(self, incumbent_obj: float) -> float:

@@ -16,7 +16,7 @@ original system: with ``y_ub <= 0``, ``y_eq`` free, the exact bound
 ``y_ub'b_ub + y_eq'b_eq + sum_j min(r_j l_j, r_j u_j) > 0`` (where
 ``r = -A_ub'y_ub - A_eq'y_eq``) proves no ``x`` in the box satisfies
 the constraints.  The caller (:class:`~repro.ilp.certify.proof.
-ProofSink`) re-validates that inequality in exact rational arithmetic
+ProofWriter`) re-validates that inequality in exact rational arithmetic
 before anything reaches the log, so this module only needs to produce
 *candidate* multipliers — a numerically sloppy certificate degrades to
 a forfeit, never to a wrong proof.

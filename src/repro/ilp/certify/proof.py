@@ -1,20 +1,11 @@
 """Proof-log writing: the solver side of certified solves.
 
-The sink API here is called from :class:`~repro.ilp.branch_bound.
-BranchAndBound` (and its parallel coordinator/workers) at every tree
-event.  Two implementations:
-
-* :class:`ProofWriter` — owns the JSONL artifact: header with the
-  embedded formulation + SHA-256 fingerprint, per-record flush (a
-  crash loses at most the torn final line), torn-tail truncation and
-  foreign-fingerprint refusal when re-opened across a checkpoint
-  resume.
-* :class:`ProofBuffer` — used inside parallel workers: records
-  accumulate in memory per chunk and ship to the coordinator in the
-  ``done`` message, which appends them to the single log.  A crashed
-  worker's buffer is simply lost — its nodes are requeued by the
-  coordinator, so the log never claims a subtree the search did not
-  actually close.
+:class:`ProofWriter` is called from :class:`~repro.ilp.branch_bound.
+BranchAndBound` at every tree event.  It owns the JSONL artifact:
+header with the embedded formulation + SHA-256 fingerprint, per-record
+flush (a crash loses at most the torn final line), torn-tail truncation
+and foreign-fingerprint refusal when re-opened across a checkpoint
+resume.
 
 Every certificate is **pre-validated in exact rational arithmetic**
 before it is written, using the same routines the independent checker
@@ -32,7 +23,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import IO, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,22 +122,28 @@ def _bounds_delta(arr: np.ndarray, base: np.ndarray) -> Dict[str, float]:
     return out
 
 
-class ProofSink:
-    """Shared certificate construction + exact pre-validation.
+class ProofWriter:
+    """File-backed proof sink: exact certificate construction and
+    pre-validation, one flushed line per record.
 
-    Subclasses provide :meth:`_emit`.  All ``incumbent`` arguments are
-    the solver's *current* float incumbent objective (``math.inf`` when
-    none): incumbents only improve, so a certificate valid against the
-    current incumbent is valid against the final one the checker uses.
+    All ``incumbent`` arguments are the solver's *current* float
+    incumbent objective (``math.inf`` when none): incumbents only
+    improve, so a certificate valid against the current incumbent is
+    valid against the final one the checker uses.
     """
 
     def __init__(
         self,
+        path: "str | Path",
         form: StandardForm,
         *,
         objective_is_integral: bool,
         int_tol: float,
+        resume: bool = False,
     ) -> None:
+        """``resume=True`` appends to an existing same-fingerprint log
+        (refusing a foreign one, truncating a torn tail); otherwise any
+        leftover file is overwritten — a fresh search is a fresh proof."""
         self.form = form
         self.form_json = form_to_json(form)
         self.exact = ExactForm.from_header(self.form_json)
@@ -157,11 +154,39 @@ class ProofSink:
         # Column -> candidate constraint rows, built lazily for SOS1
         # tighten justification.
         self._col_rows: Optional[Dict[int, List[Tuple[str, int]]]] = None
+        self.path = Path(path)
+        self.fingerprint = form_fingerprint(form)
+        self.resume_epoch = 0
+        self.continued = (
+            resume and self.path.exists() and self.path.stat().st_size > 0
+        )
+        ops = fsio.current_ops()
+        try:
+            if self.continued:
+                self._validate_existing()
+                self._handle: "IO[bytes]" = ops.open_append(self.path)
+            else:
+                self._handle = ops.open_write(self.path)
+        except OSError as exc:
+            raise self._disk_error(exc, "open") from exc
+        except ArtifactError as exc:
+            raise ProofWriteError(
+                f"cannot open proof log {self.path}: {exc}",
+                path=str(self.path), cause=exc.cause or "io",
+            ) from exc
+        if not self.continued:
+            header: Record = {
+                "kind": KIND_HEADER,
+                "schema": PROOF_SCHEMA,
+                "fingerprint": self.fingerprint,
+                "form": self.form_json,
+                "objective_is_integral": self.obj_integral,
+                "int_tol": self.int_tol,
+                "mode": "sequential",
+            }
+            self._write(header)
 
     # -- plumbing -------------------------------------------------------
-
-    def _emit(self, record: Record) -> None:
-        raise NotImplementedError
 
     def _write(self, record: Record) -> None:
         kind = str(record.get("kind"))
@@ -506,59 +531,7 @@ class ProofSink:
             }
         )
 
-
-class ProofWriter(ProofSink):
-    """File-backed sink: owns the artifact, one flushed line per record."""
-
-    def __init__(
-        self,
-        path: "str | Path",
-        form: StandardForm,
-        *,
-        objective_is_integral: bool,
-        int_tol: float,
-        mode: str = "sequential",
-        resume: bool = False,
-    ) -> None:
-        """``resume=True`` appends to an existing same-fingerprint log
-        (refusing a foreign one, truncating a torn tail); otherwise any
-        leftover file is overwritten — a fresh search is a fresh proof."""
-        super().__init__(
-            form,
-            objective_is_integral=objective_is_integral,
-            int_tol=int_tol,
-        )
-        self.path = Path(path)
-        self.fingerprint = form_fingerprint(form)
-        self.resume_epoch = 0
-        self.continued = (
-            resume and self.path.exists() and self.path.stat().st_size > 0
-        )
-        ops = fsio.current_ops()
-        try:
-            if self.continued:
-                self._validate_existing()
-                self._handle: "IO[bytes]" = ops.open_append(self.path)
-            else:
-                self._handle = ops.open_write(self.path)
-        except OSError as exc:
-            raise self._disk_error(exc, "open") from exc
-        except ArtifactError as exc:
-            raise ProofWriteError(
-                f"cannot open proof log {self.path}: {exc}",
-                path=str(self.path), cause=exc.cause or "io",
-            ) from exc
-        if not self.continued:
-            header: Record = {
-                "kind": KIND_HEADER,
-                "schema": PROOF_SCHEMA,
-                "fingerprint": self.fingerprint,
-                "form": self.form_json,
-                "objective_is_integral": self.obj_integral,
-                "int_tol": self.int_tol,
-                "mode": mode,
-            }
-            self._write(header)
+    # -- artifact I/O ---------------------------------------------------
 
     def _disk_error(self, exc: OSError, verb: str) -> ProofWriteError:
         """Disk trouble with the proof log, as a :class:`~repro.errors.
@@ -602,15 +575,6 @@ class ProofWriter(ProofSink):
         except OSError as exc:
             raise self._disk_error(exc, "append to") from exc
 
-    def append_batch(self, records: Iterable[Record]) -> None:
-        """Append pre-sealed records shipped from a worker buffer."""
-        for record in records:
-            kind = str(record.get("kind"))
-            self.counts[kind] = self.counts.get(kind, 0) + 1
-            if kind == KIND_FORFEIT:
-                self.forfeit_count += 1
-            self._emit(record)
-
     def close(self) -> None:
         if not self._handle.closed:
             ops = fsio.current_ops()
@@ -622,26 +586,3 @@ class ProofWriter(ProofSink):
             finally:
                 self._handle.close()
 
-
-class ProofBuffer(ProofSink):
-    """In-memory sink for parallel workers: drained per chunk into the
-    ``done`` message; a crashed chunk's buffer is deliberately lost."""
-
-    def __init__(
-        self,
-        form: StandardForm,
-        *,
-        objective_is_integral: bool,
-        int_tol: float,
-    ) -> None:
-        super().__init__(
-            form, objective_is_integral=objective_is_integral, int_tol=int_tol
-        )
-        self._records: List[Record] = []
-
-    def _emit(self, record: Record) -> None:
-        self._records.append(record)
-
-    def drain(self) -> List[Record]:
-        records, self._records = self._records, []
-        return records

@@ -32,7 +32,7 @@ The kernel is a drop-in LP backend (same
 ``(form, lb_override, ub_override) -> LPResult`` contract), so it
 slots into :class:`~repro.ilp.resilience.ResilientLPBackend` chains
 unchanged.  :meth:`kernel_telemetry` reports the kernel name, call
-counts and warm-start hits for the ``repro.solve_telemetry/v10``
+counts and warm-start hits for the ``repro.solve_telemetry/v11``
 artifact.
 """
 

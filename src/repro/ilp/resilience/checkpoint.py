@@ -89,16 +89,11 @@ def encode_node(
     bound: float,
     base_lb: "np.ndarray",
     base_ub: "np.ndarray",
-    pid: "Optional[str]" = None,
 ) -> "Dict[str, object]":
     """One frontier node as deltas against the root bounds.
 
-    ``pid`` is the node's proof-log id (proof mode only): it must
-    survive the coordinator-worker round trip so the worker closes the
-    node under the id the log opened it with.  Readers use
-    ``entry.get("pid")`` — absent in artifacts written before proof
-    logging existed, and ignored on checkpoint resume (the resume
-    record re-ids the frontier).
+    Proof-log node ids are not kept: the resume record re-ids the
+    frontier.  A ``pid`` key left by older writers is ignored.
     """
     lb_delta = {
         str(int(i)): float(lb[i]) for i in np.flatnonzero(lb != base_lb)
@@ -112,8 +107,6 @@ def encode_node(
         "lb": lb_delta,
         "ub": ub_delta,
     }
-    if pid is not None:
-        entry["pid"] = pid
     return entry
 
 
@@ -252,9 +245,6 @@ def frontier_to_json(nodes, base_lb, base_ub) -> "List[Dict[str, object]]":
     the exact node the killed search would have popped next.
     """
     return [
-        encode_node(
-            n.lb, n.ub, n.depth, n.bound, base_lb, base_ub,
-            pid=getattr(n, "pid", None),
-        )
+        encode_node(n.lb, n.ub, n.depth, n.bound, base_lb, base_ub)
         for n in nodes
     ]

@@ -164,7 +164,6 @@ class SolveStats:
     presolve: "Optional[Dict[str, object]]" = None
     resilience: "Optional[Dict[str, object]]" = None
     kernel: "Optional[Dict[str, object]]" = None
-    parallel: "Optional[Dict[str, object]]" = None
     proof: "Optional[Dict[str, object]]" = None
     heuristics: "Optional[Dict[str, object]]" = None
 
@@ -211,7 +210,6 @@ class SolveStats:
             "presolve": self.presolve,
             "resilience": self.resilience,
             "kernel": self.kernel,
-            "parallel": self.parallel,
             "proof": self.proof,
             "heuristics": self.heuristics,
         }

@@ -120,8 +120,6 @@ def run_row(
     presolve: bool = True,
     resilient: bool = True,
     chaos=None,
-    workers: int = 1,
-    parallel_replay: bool = False,
     proof_path: "Optional[str]" = None,
     heuristics: bool = False,
 ) -> "Dict[str, object]":
@@ -136,10 +134,7 @@ def run_row(
     the validating retry/fallback chain, and ``chaos`` (a
     :class:`~repro.ilp.resilience.FaultPlan`) turns on seeded fault
     injection — the resilience-overhead benchmark measures both.
-    ``workers>1`` shards the branch-and-bound frontier across spawned
-    worker processes (the ``--workers`` scaling benchmark), and
-    ``parallel_replay=True`` selects the deterministic-replay
-    dispatch mode.  ``proof_path`` writes a ``repro.bnb_proof/v1``
+    ``proof_path`` writes a ``repro.bnb_proof/v1``
     certificate log of the branch-and-bound tree for independent
     verification with ``repro audit`` (bnb backend only).
     ``heuristics`` enables the primal heuristics — the tree-size
@@ -165,8 +160,6 @@ def run_row(
         presolve=presolve,
         resilient=resilient,
         chaos=chaos,
-        workers=workers,
-        parallel_replay=parallel_replay,
         proof_path=proof_path,
         heuristics=heuristics,
     )

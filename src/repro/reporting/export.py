@@ -7,7 +7,7 @@ per-partition local schedules, cut traffic) for consumption by other
 tools — e.g. a downstream bitstream-scheduling flow.
 
 It also persists the per-run **solve telemetry artifact**
-(``repro.solve_telemetry/v10``): the structured record of one solve —
+(``repro.solve_telemetry/v11``): the structured record of one solve —
 status, objective, proven bound and gap, the node/LP counter set, the
 incumbent improvement event log, the presolve reduction summary, and
 the infeasibility certificate when a precheck or the presolve proved
@@ -105,7 +105,7 @@ def save_design(design: PartitionedDesign, path: "str | Path") -> None:
 
 
 def telemetry_to_dict(outcome: PartitionOutcome) -> "Dict[str, object]":
-    """The ``repro.solve_telemetry/v10`` record for one run.
+    """The ``repro.solve_telemetry/v11`` record for one run.
 
     Top-level keys: ``schema``, instance identity (``graph``,
     ``n_partitions``, ``relaxation``, ``device``), the outcome

@@ -27,9 +27,8 @@ invariants, in order of importance:
    :class:`repro.runner.substrate.Watchdog`).
 
 The process-spawning and watchdog machinery itself lives in
-:mod:`repro.runner.substrate`, shared with the parallel
-branch-and-bound coordinator (:mod:`repro.ilp.parallel`); this module
-owns only batch semantics (journal, retry, breaker, classification).
+:mod:`repro.runner.substrate`, shared with the solve service
+(:mod:`repro.service.server`); this module owns only batch semantics (journal, retry, breaker, classification).
 
 Retry (off by default) resubmits CRASH/TIMEOUT jobs with exponential
 backoff and a shrunken budget; a retried solve resumes the killed

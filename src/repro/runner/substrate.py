@@ -1,26 +1,26 @@
 """Reusable worker-pool substrate: spawn, environment, and watchdog.
 
-The batch runner (PR 4) and the parallel branch-and-bound coordinator
-(:mod:`repro.ilp.parallel`) both manage fleets of spawn-isolated worker
-interpreters.  The pieces they share live here, so there is exactly one
-implementation of each invariant:
+The batch runner (:mod:`repro.runner.pool`) and the solve service
+(:mod:`repro.service.server`) both run specs in fleets of
+spawn-isolated worker interpreters, one spec per worker.  The pieces
+they share live here, so there is exactly one implementation of each
+invariant:
 
 * :func:`worker_env` — the child environment with the ``repro`` package
   import path guaranteed, whatever way the parent was launched;
 * :func:`spawn_worker` — ``subprocess.Popen`` with the standard
-  settings (spawned fresh, never forked; stdin policy explicit; no
-  inherited file descriptors beyond the requested streams);
+  settings (spawned fresh, never forked; stdin closed; no inherited
+  file descriptors beyond the requested streams);
 * :class:`Watchdog` — a dedicated thread that SIGKILLs registered
   workers past their wall-clock deadline.
 
 Watchdog kill/exit race
 -----------------------
 A worker may exit *cleanly* between the watchdog's liveness check and
-its ``kill()``.  The original PR 4 implementation set the
-``watchdog_killed`` flag before confirming the kill, so such a worker —
-result file written, exit code 0 — was misclassified as TIMEOUT.  The
-substrate watchdog only sets the flag after the kill demonstrably won
-the race: the process must still have been alive when ``kill()`` was
+its ``kill()``.  Setting the ``watchdog_killed`` flag before confirming
+the kill would misclassify such a worker — result file written, exit
+code 0 — as TIMEOUT.  The substrate watchdog only sets the flag after
+the kill demonstrably won the race: the process must still have been alive when ``kill()`` was
 issued **and** its wait status must be the kill signal (or still
 pending).  A clean exit code observed after the kill attempt means the
 worker finished first and the flag stays unset, letting the reaper
@@ -73,9 +73,7 @@ def spawn_worker(
     *,
     stdout: "Any",
     stderr: "Any",
-    stdin: "Any" = subprocess.DEVNULL,
     env: "Optional[Dict[str, str]]" = None,
-    text: bool = False,
 ) -> "subprocess.Popen[Any]":
     """Spawn one worker interpreter with the standard pool settings.
 
@@ -83,18 +81,14 @@ def spawn_worker(
     ``["-m", "repro.runner.worker", ...]``); the current interpreter is
     always used so parent and child agree on the environment.  The
     process is spawned fresh (never forked), so no solver state, locks
-    or file descriptors leak across the isolation boundary.  ``text``
-    opens any PIPE streams in line-oriented text mode — what the
-    JSON-lines protocol workers speak.
+    or file descriptors leak across the isolation boundary.
     """
     return subprocess.Popen(
         [sys.executable, *args],
         stdout=stdout,
         stderr=stderr,
-        stdin=stdin,
+        stdin=subprocess.DEVNULL,
         env=env if env is not None else worker_env(),
-        text=text,
-        bufsize=1 if text else -1,
     )
 
 

@@ -159,7 +159,7 @@ class TestPipelineUnderChaos:
         assert outcome.design is not None
         assert outcome.status is SolveStatus.FEASIBLE
         record = outcome.telemetry()
-        assert record["schema"] == "repro.solve_telemetry/v10"
+        assert record["schema"] == "repro.solve_telemetry/v11"
         assert record["degraded"] is True
         assert record["degradation_cause"] is not None
         row = outcome.summary_row()

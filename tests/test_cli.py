@@ -127,7 +127,7 @@ class TestMain:
         )
         assert code == 0
         record = json.loads(telemetry_path.read_text())
-        assert record["schema"] == "repro.solve_telemetry/v10"
+        assert record["schema"] == "repro.solve_telemetry/v11"
         assert record["status"] == "optimal"
         assert record["solve"]["nodes_explored"] >= 1
 

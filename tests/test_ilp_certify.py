@@ -1,9 +1,9 @@
 """Certified solves: proof logging and the independent exact checker.
 
-Three layers under test.  First, honest logs: sequential, parallel,
-resumed and chaos-faulted solves must audit CERTIFIED or
-CERTIFIED-WITH-FORFEITURES — an honest run is *never* REFUTED, however
-degraded its certificates.  Second, tampered logs: each fixture mutates
+Three layers under test.  First, honest logs: sequential, resumed and
+chaos-faulted solves, and logs kept from older solvers, must audit
+CERTIFIED or CERTIFIED-WITH-FORFEITURES — an honest run is *never*
+REFUTED, however degraded its certificates.  Second, tampered logs: each fixture mutates
 one record (re-sealing its checksum so the semantic check, not the CRC,
 is what fires) and must be REFUTED with the specific reason the
 mutation deserves.  Third, the trust boundary itself: a static AST scan
@@ -29,7 +29,6 @@ from repro.ilp.certify.proof import ProofLogMismatch, ProofWriter
 from repro.ilp.certify.records import seal_record
 from repro.ilp.expr import lin_sum
 from repro.ilp.model import Model
-from repro.ilp.parallel import ParallelBranchAndBound, coordinator
 from repro.ilp.resilience import FaultPlan
 from repro.ilp.resilience.faults import FAULT_KINDS, FaultInjectingBackend
 from repro.ilp.resilience.resilient import ResilientLPBackend
@@ -64,6 +63,12 @@ def infeasible_model():
 #: ``rc_fix`` records and an ``rcbox`` prune.  The writer no longer
 #: emits these records, but the checker must keep verifying old logs.
 RC_FIX_LOG = Path(__file__).parent / "data" / "proof_v1_rc_fix.jsonl"
+
+#: A v1 log of the same knapsack, written when the solver could shard
+#: its frontier across worker processes: node ids from several ``c{k}n``
+#: chunk namespaces next to the coordinator's ``m`` ids.  The sharded
+#: search is gone; its logs must still audit.
+SHARDED_LOG = Path(__file__).parent / "data" / "proof_v1_sharded.jsonl"
 
 
 def _config(**overrides):
@@ -124,6 +129,15 @@ class TestCertifiedSequential:
         assert report.counts.get("root", 0) == 1
         assert report.verdict == "CERTIFIED"
         assert report.certified_objective == -56.0
+        chunks = {
+            record["id"].split("n")[0]
+            for record in _load_records(SHARDED_LOG)
+            if str(record.get("id", "")).startswith("c")
+        }
+        assert len(chunks) >= 2
+        sharded = audit_proof(SHARDED_LOG)
+        assert sharded.verdict == "CERTIFIED"
+        assert sharded.certified_objective == -56.0
 
     def test_infeasible_model_certified(self, tmp_path):
         path = tmp_path / "infeasible.jsonl"
@@ -373,48 +387,6 @@ class TestKillAndResume:
         assert report.verdict == "CERTIFIED"
         assert report.counts["resume"] == 1
         assert report.certified_objective == resumed.objective == -56.0
-
-
-class TestParallelProof:
-    @pytest.fixture(autouse=True)
-    def _small_chunks(self, monkeypatch):
-        monkeypatch.setattr(coordinator, "CHUNK_NODE_BUDGET", 2)
-        monkeypatch.setattr(coordinator, "RAMPUP_NODES", 2)
-
-    def test_worker_counts_produce_identical_verdicts(self, tmp_path):
-        outcomes = {}
-        for workers in (1, 2):
-            path = tmp_path / f"w{workers}.jsonl"
-            result = ParallelBranchAndBound(
-                bigger_model(),
-                config=_config(proof_path=str(path)),
-                workers=workers,
-            ).solve()
-            assert result.status is SolveStatus.OPTIMAL
-            report = audit_proof(path)
-            outcomes[workers] = (
-                report.verdict, report.certified_objective, result.objective
-            )
-        assert outcomes[1] == outcomes[2]
-        assert outcomes[1][0] == "CERTIFIED"
-
-    @pytest.mark.chaos
-    def test_worker_crash_requeue_keeps_log_sound(self, tmp_path):
-        # Worker 0 dies (real os._exit) two nodes into its first chunk:
-        # its proof buffer is lost with it, the coordinator requeues the
-        # chunk, and the merged log must still close every subtree.
-        path = tmp_path / "crash.jsonl"
-        result = ParallelBranchAndBound(
-            bigger_model(),
-            config=_config(proof_path=str(path)),
-            workers=2,
-            crash_after_nodes={0: 2},
-        ).solve()
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == -56.0
-        report = audit_proof(path)
-        assert report.verdict == "CERTIFIED"
-        assert report.certified_objective == -56.0
 
 
 class TestHeuristicIncumbent:

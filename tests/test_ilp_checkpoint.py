@@ -348,8 +348,10 @@ class TestOlderCheckpointsResume:
         assert resumed.objective == pytest.approx(baseline.objective)
 
     def test_reduced_cost_state_of_older_writers_is_ignored(self, tmp_path):
-        """A v2 checkpoint that still carries the root-LP snapshot and
-        reduced-cost box of the removed fixing resumes without them."""
+        """A checkpoint that still carries the root-LP snapshot and
+        reduced-cost box of the removed fixing, and the ``parallel``
+        stats block of the removed sharded search, resumes without
+        them, sequentially."""
         path = str(tmp_path / "ck.json")
         BranchAndBound(
             bigger_model(),
@@ -368,6 +370,12 @@ class TestOlderCheckpointsResume:
         }
         # A box that would cut off the optimum (x0 = 1) if it applied.
         payload["rc_box"] = {"lb": {}, "ub": {"0": 0.0}}
+        payload["stats"]["parallel"] = {
+            "workers": 2, "replay": False, "rampup_nodes": 2,
+            "chunks_dispatched": 3, "chunks_requeued": 0,
+            "chunks_timed_out": 0, "worker_crashes": 0,
+            "incumbent_broadcasts": 1, "inline_fallback_nodes": 0,
+        }
         write_checkpoint_atomic(path, payload)
         resumed = BranchAndBound(
             bigger_model(), config=self._config()
@@ -378,3 +386,4 @@ class TestOlderCheckpointsResume:
         assert resumed.status is SolveStatus.OPTIMAL
         assert resumed.objective == pytest.approx(baseline.objective)
         assert resumed.stats.nodes_explored == baseline.stats.nodes_explored
+        assert "parallel" not in resumed.stats.as_dict()
