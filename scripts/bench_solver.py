@@ -1,17 +1,25 @@
 #!/usr/bin/env python
-"""Solver performance benchmark: nodes/sec and LP-ms/node per table row.
+"""Solver performance gate: solve signatures and reference-relative cost per row.
 
-Runs the paper's Table 1-4 experiment rows through the branch and bound
-(every node LP on the persistent warm-starting ``incremental`` kernel)
-and reports, per row:
+Runs the paper's Table 1-4 experiment rows through the default branch
+and bound (every node LP on the warm-starting ``incremental`` kernel)
+and compares each row, keyed ``{row}:incremental``, with the committed
+``BENCH_solver.json`` baseline:
 
-* deterministic solve signature — status, objective, nodes explored,
-  LP solves (must match the committed baseline exactly; any drift
-  means the search changed, not just the clock);
-* throughput — nodes/sec and LP milliseconds per node (compared
-  against the baseline within a tolerance, 30% by default: generous
-  enough for shared CI runners, tight enough to catch a real
-  regression like an accidental per-node model rebuild).
+* **solve signature** — status, objective, nodes explored, LP solves.
+  These must match exactly: any drift means the search tree changed,
+  which a perf change must never do silently.
+* **cost relative to a reference solve** — search seconds per node
+  (``node_cost``) and LP seconds per LP call (``lp_cost``), each
+  divided by the time of a reference batch: ``REFERENCE_SOLVES``
+  SciPy ``linprog`` calls on one seeded random LP, code this repo
+  does not own.  Each row runs ``REPEATS`` times, each run right
+  after a reference batch in the same process, and keeps its best
+  cost over its best reference.  A busier or slower host moves both
+  sides of the ratio; a slower solver moves only the row.  Either
+  cost more than ``--tolerance`` (30%) above its baseline fails the
+  row.  The LP cost catches a slower LP kernel even on rows where
+  node bookkeeping dominates the search time.
 
 Usage::
 
@@ -22,15 +30,24 @@ Usage::
     python scripts/bench_solver.py --quick --audit                # certify rows
     python scripts/bench_solver.py --tables t3,t4 --ablation      # heuristics gate
 
-Exit status is non-zero when any deterministic field drifts or any
-row's nodes/sec regresses more than ``--tolerance`` below the
-committed ``BENCH_solver.json`` baseline.  A row that misses the
-nodes/sec tolerance is re-timed up to ``RETIMES`` times and keeps its
-best nodes/sec, so one noisy run on a shared host does not fail the
-gate; every re-run's deterministic fields are still compared.
-Regenerate the baseline with ``--update-baseline`` after an
-intentional perf or search change (on the same class of machine the
-comparison will run on).
+``--update-baseline`` merges the measured rows into the baseline after
+an intentional perf or search change; commit the diff, since the
+baseline file is the reviewable perf contract.
+
+``--audit`` re-runs each row with proof logging (``repro.bnb_proof/v1``,
+DESIGN.md §14) and audits the log with the exact rational checker
+(stdlib ``Fraction`` arithmetic, no LP solver).  Every ``optimal`` row
+must audit ``CERTIFIED``, and no status may diverge from the baseline.
+
+``--ablation`` runs each row plain (``:off``) and with the primal
+heuristics (``:heur``, DESIGN.md §17).  Gates: identical status and
+objective; strictly fewer nodes on every Table 3/4 row that solves to
+optimality; and no aggregate end-to-end regression beyond
+``--tolerance``, summed over ``end_to_end_s`` (the whole ``run_row``
+call, model build and presolve included).  ``--update-baseline`` merges
+these rows too; their keys never collide with ``:incremental``.
+
+Exit status: 0 pass, 1 a gate failed, 2 no usable baseline.
 """
 
 from __future__ import annotations
@@ -48,8 +65,18 @@ from repro.artifacts import read_snapshot, write_snapshot  # noqa: E402
 from repro.errors import ArtifactError  # noqa: E402
 from repro.reporting.experiments import run_row, table_rows  # noqa: E402
 
-BASELINE_SCHEMA = "repro.bench_solver/v1"
+BASELINE_SCHEMA = "repro.bench_solver/v2"
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_solver.json"
+
+#: Fields that must match the baseline bit-for-bit: any drift means
+#: the *search* changed (different tree, different answer), which a
+#: perf PR must never silently do.
+DETERMINISTIC_FIELDS = ("status", "objective", "nodes_explored", "lp_solves")
+
+#: Interleaved (reference, row) runs per row; each cost is the best.
+REPEATS = 3
+#: ``linprog`` calls in one reference batch (about 0.1 s on a 2-core VM).
+REFERENCE_SOLVES = 20
 
 
 def load_baseline(path: Path) -> "dict | None":
@@ -70,13 +97,20 @@ def load_baseline(path: Path) -> "dict | None":
         return None
     return baseline
 
-#: Fields that must match the baseline bit-for-bit: any drift means
-#: the *search* changed (different tree, different answer), which a
-#: perf PR must never silently do.
-DETERMINISTIC_FIELDS = ("status", "objective", "nodes_explored", "lp_solves")
 
-#: Extra timings a row gets when its nodes/sec falls past the tolerance.
-RETIMES = 2
+def reference_solve_s() -> float:
+    """Seconds one reference batch of SciPy LP solves takes right now."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(0)
+    a_ub = rng.uniform(0.0, 1.0, (40, 60))
+    b_ub = 0.3 * a_ub.sum(axis=1)
+    cost = -rng.uniform(0.0, 1.0, 60)
+    start = time.perf_counter()
+    for _ in range(REFERENCE_SOLVES):
+        linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")
+    return time.perf_counter() - start
 
 
 def bench_row(
@@ -123,20 +157,68 @@ def bench_row(
     return record
 
 
+def timed_row(row, time_limit_s: float) -> "tuple[dict, list]":
+    """Best-of-``REPEATS`` record with reference-relative costs.
+
+    Returns the record and every run, so each run's signature can be
+    compared.
+    """
+    refs, runs = [], []
+    for _ in range(REPEATS):
+        refs.append(reference_solve_s())
+        runs.append(bench_row(row, time_limit_s))
+    ref = min(refs)
+    record = dict(min(runs, key=lambda r: r["wall_time_s"]))
+    nodes = record["nodes_explored"]
+    record["ref_s"] = round(ref, 5)
+    record["node_cost"] = (
+        round(record["wall_time_s"] / nodes / ref, 6) if nodes else None
+    )
+    lp_ms = [r["lp_ms_per_node"] for r in runs if r["lp_ms_per_node"]]
+    record["lp_cost"] = round(min(lp_ms) / 1000.0 / ref, 6) if lp_ms else None
+    return record, runs
+
+
+def run_bench(tables, time_limit_s: float) -> "tuple[dict, dict]":
+    rows, all_runs = {}, {}
+    for table in tables:
+        for row in table_rows(table):
+            key = f"{row.key}:incremental"
+            print(f"  bench {key} ...", flush=True)
+            rows[key], all_runs[key] = timed_row(row, time_limit_s)
+    return rows, all_runs
+
+
+def compare(rows: dict, all_runs: dict, baseline: dict, tolerance: float) -> list:
+    """Failure strings (empty = pass): signature drift, then cost."""
+    failures = []
+    base_rows = baseline.get("rows", {})
+    for key, record in rows.items():
+        base = base_rows.get(key)
+        if base is None:
+            continue  # new row: nothing to regress against
+        for i, run in enumerate(all_runs[key], 1):
+            failures.extend(
+                f"{key} (run {i}): {field} drifted "
+                f"(baseline {base.get(field)!r}, now {run.get(field)!r})"
+                for field in DETERMINISTIC_FIELDS
+                if run.get(field) != base.get(field)
+            )
+        for field in ("node_cost", "lp_cost"):
+            limit = base.get(field)
+            now = record.get(field)
+            if limit and now and now > limit * (1.0 + tolerance):
+                failures.append(
+                    f"{key}: {field} regressed >{tolerance:.0%} "
+                    f"(baseline {limit}, now {now})"
+                )
+    return failures
+
+
 def run_ablation_bench(
     tables, time_limit_s: float, tolerance: float,
 ) -> "tuple[dict, list, list]":
-    """Heuristics ablation mode: (rows, hard failures, notes).
-
-    Every row runs twice — plain, then with the primal heuristics
-    enabled.  The enabled run must reach the *identical* status and
-    objective (the heuristics may only speed the search up, never
-    change the answer), and on Table 3/4 rows that solve to
-    optimality it must explore strictly fewer nodes.  Aggregate
-    end-to-end time (the whole ``run_row`` call, presolve and model
-    build included) across the sweep must not regress beyond
-    ``tolerance``.
-    """
+    """Heuristics ablation mode: (rows, hard failures, notes)."""
     rows, failures, notes = {}, [], []
     off_time = on_time = 0.0
     for table in tables:
@@ -176,40 +258,10 @@ def run_ablation_bench(
     return rows, failures, notes
 
 
-def print_ablation_rows(rows: dict) -> None:
-    width = max(len(k) for k in rows)
-    print(f"{'row':<{width}}  {'status':<10} {'nodes':>7} {'e2e s':>8} "
-          f"{'heur inc':>8}")
-    for key, record in rows.items():
-        print(
-            f"{key:<{width}}  {record['status']:<10} "
-            f"{record['nodes_explored']:>7} "
-            f"{record['end_to_end_s']:>8} "
-            f"{record.get('heuristic_incumbents', '-'):>8}"
-        )
-
-
-def run_bench(tables, time_limit_s: float) -> dict:
-    rows = {}
-    for table in tables:
-        for row in table_rows(table):
-            key = f"{row.key}:incremental"
-            print(f"  bench {key} ...", flush=True)
-            rows[key] = bench_row(row, time_limit_s)
-    return rows
-
-
 def run_audit_bench(
     tables, time_limit_s: float, baseline: dict,
 ) -> "tuple[dict, list]":
-    """Certification mode: (rows, hard failures).
-
-    Re-runs each table row with proof logging on and
-    verifies the log with the independent exact-arithmetic checker
-    (:func:`repro.ilp.certify.audit_proof`).  Any row that solves to
-    optimality must audit ``CERTIFIED`` — a weaker verdict means the
-    logged tree does not actually prove the claimed optimum.
-    """
+    """Certification mode: (rows, hard failures)."""
     import tempfile
 
     from repro.ilp.certify import audit_proof
@@ -246,95 +298,14 @@ def run_audit_bench(
     return rows, failures
 
 
-def print_audit_rows(rows: dict) -> None:
+def print_table(rows: dict, columns) -> None:
     width = max(len(k) for k in rows)
-    print(f"{'row':<{width}}  {'status':<10} {'verdict':<28} reason")
+    print(f"{'row':<{width}}  " + " ".join(f"{c:>14}" for c in columns))
     for key, record in rows.items():
-        print(
-            f"{key:<{width}}  {record['status']:<10} "
-            f"{record['verdict']:<28} {record['reason'] or '-'}"
-        )
-
-
-def drift(key: str, record: dict, base: dict) -> list:
-    """Failure strings for the deterministic fields that differ."""
-    return [
-        f"{key}: {field} drifted "
-        f"(baseline {base.get(field)!r}, now {record.get(field)!r})"
-        for field in DETERMINISTIC_FIELDS
-        if record.get(field) != base.get(field)
-    ]
-
-
-def too_slow(record: dict, base: dict, tolerance: float) -> bool:
-    base_nps = base.get("nodes_per_s")
-    cur_nps = record.get("nodes_per_s")
-    return bool(base_nps and cur_nps and cur_nps < base_nps * (1.0 - tolerance))
-
-
-def retime_slow_rows(
-    rows: dict, baseline: dict, tolerance: float, tables, time_limit_s: float,
-) -> list:
-    """Re-time each row whose nodes/sec fell past the tolerance.
-
-    A flagged row runs again, at most :data:`RETIMES` times and only
-    while it is still flagged; it keeps its best nodes/sec.  Returns
-    the deterministic drifts of the re-runs (every re-run is compared).
-    """
-    failures = []
-    base_rows = baseline.get("rows", {})
-    by_key = {
-        f"{row.key}:incremental": row
-        for table in tables for row in table_rows(table)
-    }
-    for key, record in rows.items():
-        base = base_rows.get(key)
-        for attempt in range(1, RETIMES + 1):
-            if base is None or not too_slow(record, base, tolerance):
-                break
-            rerun = bench_row(by_key[key], time_limit_s)
-            print(
-                f"  re-time {key} ({attempt}/{RETIMES}): "
-                f"{record['nodes_per_s']} -> {rerun['nodes_per_s']} nodes/s "
-                f"(baseline {base['nodes_per_s']})", flush=True,
-            )
-            failures.extend(
-                f"re-time {attempt}: {failure}"
-                for failure in drift(key, rerun, base)
-            )
-            if (rerun["nodes_per_s"] or 0) > (record["nodes_per_s"] or 0):
-                rows[key] = record = rerun
-    return failures
-
-
-def compare(current: dict, baseline: dict, tolerance: float) -> list:
-    """Return a list of human-readable failure strings (empty = pass)."""
-    failures = []
-    base_rows = baseline.get("rows", {})
-    for key, record in current.items():
-        base = base_rows.get(key)
-        if base is None:
-            continue  # new row: nothing to regress against
-        failures.extend(drift(key, record, base))
-        if too_slow(record, base, tolerance):
-            failures.append(
-                f"{key}: nodes/sec regressed >{tolerance:.0%} "
-                f"(baseline {base['nodes_per_s']}, now {record['nodes_per_s']})"
-            )
-    return failures
-
-
-def print_rows(rows: dict) -> None:
-    width = max(len(k) for k in rows)
-    print(f"{'row':<{width}}  {'status':<10} {'nodes':>7} {'nodes/s':>10} "
-          f"{'lp ms/node':>11}")
-    for key, record in rows.items():
-        print(
-            f"{key:<{width}}  {record['status']:<10} "
-            f"{record['nodes_explored']:>7} "
-            f"{record['nodes_per_s'] if record['nodes_per_s'] is not None else '-':>10} "
-            f"{record['lp_ms_per_node'] if record['lp_ms_per_node'] is not None else '-':>11}"
-        )
+        cells = (record.get(c) for c in columns)
+        print(f"{key:<{width}}  " + " ".join(
+            f"{'-' if v is None else v!s:>14}" for v in cells
+        ))
 
 
 def main(argv=None) -> int:
@@ -357,11 +328,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.30,
-        help="allowed fractional nodes/sec regression vs baseline",
+        help="allowed fractional cost regression vs baseline",
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
-        help="write the measured results as the new baseline and exit 0",
+        help="merge the measured rows into the baseline and exit 0",
     )
     parser.add_argument(
         "--json", type=Path, default=None,
@@ -388,118 +359,60 @@ def main(argv=None) -> int:
     else:
         tables = ["t1", "t2", "t3", "t4"]
 
-    if args.ablation:
-        rows, failures, notes = run_ablation_bench(
-            tables, args.time_limit, args.tolerance,
-        )
-        payload = {
-            "schema": BASELINE_SCHEMA,
-            "mode": "ablation",
-            "tables": tables,
-            "rows": rows,
-        }
-        if args.json:
-            args.json.write_text(
-                json.dumps(payload, indent=1, sort_keys=True) + "\n"
-            )
-            print(f"wrote {args.json}")
-        if args.update_baseline:
-            # Merge into the committed baseline: ablation keys
-            # (":off"/":heur") never collide with the ":incremental"
-            # keys the default compare mode reads.
-            merged = {}
-            if args.baseline.exists():
-                loaded = load_baseline(args.baseline)
-                if loaded is None:
-                    return 2
-                merged = loaded
-            merged.setdefault("schema", BASELINE_SCHEMA)
-            merged.setdefault("rows", {}).update(rows)
-            write_snapshot(args.baseline, merged, indent=1)
-            print(f"baseline updated: {args.baseline}")
-        print()
-        print_ablation_rows(rows)
-        for note in notes:
-            print(f"\nNOTE: {note}")
-        if failures:
-            print("\nFAIL:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"\nOK: heuristics ablation gates hold "
-              f"({len(rows)} measurements)")
-        return 0
-
-    if args.audit:
-        baseline = {}
-        if args.baseline.exists():
-            loaded = load_baseline(args.baseline)
-            if loaded is None:
-                return 2
-            baseline = loaded
-        rows, failures = run_audit_bench(tables, args.time_limit, baseline)
-        if args.json:
-            args.json.write_text(json.dumps({
-                "schema": BASELINE_SCHEMA,
-                "mode": "audit",
-                "tables": tables,
-                "rows": rows,
-            }, indent=1, sort_keys=True) + "\n")
-            print(f"wrote {args.json}")
-        print()
-        print_audit_rows(rows)
-        if failures:
-            print("\nFAIL:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"\nOK: all proof logs verified ({len(rows)} audits)")
-        return 0
-
-    rows = run_bench(tables, args.time_limit)
-    baseline = None
-    failures = []
-    if not args.update_baseline and args.baseline.exists():
+    baseline = {"schema": BASELINE_SCHEMA, "rows": {}}
+    if args.baseline.exists():
         baseline = load_baseline(args.baseline)
         if baseline is None:
             return 2
-        failures = retime_slow_rows(
-            rows, baseline, args.tolerance, tables, args.time_limit,
+    elif not (args.update_baseline or args.ablation or args.audit):
+        print(f"no baseline at {args.baseline}; run with --update-baseline "
+              f"to create one", file=sys.stderr)
+        return 2
+
+    notes = []
+    if args.ablation:
+        mode = "ablation"
+        rows, failures, notes = run_ablation_bench(
+            tables, args.time_limit, args.tolerance,
         )
-    payload = {
-        "schema": BASELINE_SCHEMA,
-        "tables": tables,
-        "time_limit_s": args.time_limit,
-        "tolerance": args.tolerance,
-        "rows": rows,
-    }
+        columns = ("status", "nodes_explored", "end_to_end_s",
+                   "heuristic_incumbents")
+    elif args.audit:
+        mode = "audit"
+        rows, failures = run_audit_bench(tables, args.time_limit, baseline)
+        columns = ("status", "verdict", "reason")
+    else:
+        mode = "bench"
+        rows, all_runs = run_bench(tables, args.time_limit)
+        failures = compare(rows, all_runs, baseline, args.tolerance)
+        columns = ("status", "nodes_explored", "ref_s", "node_cost", "lp_cost")
 
     if args.json:
-        args.json.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        args.json.write_text(json.dumps({
+            "schema": BASELINE_SCHEMA,
+            "mode": mode,
+            "tables": tables,
+            "tolerance": args.tolerance,
+            "rows": rows,
+        }, indent=1, sort_keys=True) + "\n")
         print(f"wrote {args.json}")
-
-    if args.update_baseline:
-        write_snapshot(args.baseline, payload, indent=1)
+    if args.update_baseline and mode != "audit":
+        baseline["rows"].update(rows)
+        baseline["tolerance"] = args.tolerance
+        write_snapshot(args.baseline, baseline, indent=1)
         print(f"baseline updated: {args.baseline}")
         return 0
 
-    if baseline is None:
-        print(
-            f"no baseline at {args.baseline}; run with --update-baseline "
-            f"to create one", file=sys.stderr,
-        )
-        return 2
-    failures += compare(rows, baseline, args.tolerance)
-
     print()
-    print_rows(rows)
+    print_table(rows, columns)
+    for note in notes:
+        print(f"\nNOTE: {note}")
     if failures:
         print("\nFAIL:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print(f"\nOK: within {args.tolerance:.0%} of baseline "
-          f"({len(rows)} measurements)")
+    print(f"\nOK: {mode} gates hold ({len(rows)} rows)")
     return 0
 
 

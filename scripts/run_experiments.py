@@ -1,12 +1,22 @@
 #!/usr/bin/env python3
-"""Run every reproduction experiment and (re)generate EXPERIMENTS.md.
+"""Solve the paper's tables and ablations, check its claims, write EXPERIMENTS.md.
 
-This is the document-producing twin of the pytest-benchmark harness:
-it executes the same rows (Tables 1-4, Figures 3-4, Ablations A-D) and
-writes the paper-vs-measured record.  Run it whenever the experiment
-platform or seeds change:
+This script is the one owner of Tables 1-4 and Ablations A-D.  Every
+result sentence it writes comes from a check over the measured rows.
+A **reproduced** claim must hold: the script exits 1 when one does
+not.  A **reported** claim is checked and printed with its verdict but
+does not fail the run: either its verdict depends on the time limit
+(it names the limit it was checked at), or it is a paper figure this
+reproduction does not show.  Figures 3 and 4 are exact facts of tiny
+models; the tier-1 tests in ``tests/test_paper_figures.py`` check them
+and the document cites their ids.
 
     python scripts/run_experiments.py [--time-limit 60] [--out EXPERIMENTS.md]
+
+Tables 1-3 and Ablations A, C and D solve at ``--time-limit``, Table 4
+at twice it and Ablation B's sixteen solves at half of it.  Ablation A
+reuses Table 1's graph-1 rows as its Glover arm, and Ablations C and D
+reuse Table 3's feasible rows as their default arm.
 """
 
 from __future__ import annotations
@@ -14,80 +24,272 @@ from __future__ import annotations
 import argparse
 import datetime
 import platform
+import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
-from repro.graph.generators import PAPER_GRAPH_SPECS
+from repro.core.formulation import FormulationOptions, build_model
+from repro.core.spec import ProblemSpec
+from repro.graph.generators import PAPER_GRAPH_SPECS, paper_graph
+from repro.ilp.analysis import presolve
+from repro.library.catalogs import mix_from_string
 from repro.reporting.experiments import (
-    journal_to_rows,
     reference_device,
     reference_memory,
     run_row,
-    table_manifest,
     table_rows,
 )
 
+Rows = List[Dict]
 
-def fmt_paper_time(value) -> str:
-    return ">limit" if value is None else f"{value}"
+RULES = ["paper", "first", "most-fractional", "pseudo-random"]
+
+COLUMNS = [
+    "key", "N", "mix", "L", "vars", "consts", "runtime_s", "status",
+    "objective", "partitions_used",
+    "paper_vars", "paper_consts", "paper_runtime_s", "paper_feasible",
+]
+ABLATION_COLUMNS = [
+    "key", "variant", "int_vars", "consts", "runtime_s", "status", "nodes",
+    "objective",
+]
+
+FIGURE_TESTS = [
+    ("test_figure3_w_values_and_cut_sums",
+     "Figure 3: with t1, t2, t3 mapped to partitions 1, 2, 3, exactly "
+     "w[2,t1,t2], w[2,t1,t3], w[3,t1,t3] and w[3,t2,t3] are 1, and the "
+     "memory sums are 7 at cut 2 and 6 at cut 3 (the t1->t3 edge is "
+     "charged at both cuts)."),
+    ("test_figure4_cuts_remove_spurious_w[t2-before-cut]",
+     "Figure 4, both tasks before cut 3: eq 31 alone lets the LP set "
+     "w[3,t1,t2] = 1; eq 29 cuts it to 0."),
+    ("test_figure4_cuts_remove_spurious_w[t1-after-cut]",
+     "Figure 4, both tasks at or after cut 3: eq 28 cuts the spurious "
+     "w = 1 to 0."),
+    ("test_figure4_cuts_remove_spurious_w[colocated]",
+     "Figure 4, both tasks in one partition: eq 30 cuts the spurious "
+     "w = 1 to 0."),
+    ("test_figure4_legitimate_crossing_survives",
+     "Figure 4, t1 in partition 1 and t2 in 4: the edge really crosses "
+     "cut 3, and with all three cuts in place w may still be 1."),
+]
 
 
-#: Populated from --runner/--runner-dir/--jobs in main(); None means
-#: solve in-process (the historical behavior).
-RUNNER: "Dict" = {}
+class Claim(NamedTuple):
+    text: str
+    holds: bool
+    gated: bool = True
+
+    def line(self) -> str:
+        if self.gated:
+            verdict = "reproduced" if self.holds else "NOT REPRODUCED"
+        else:
+            verdict = "reported: " + ("holds" if self.holds else "does not hold")
+        return f"- **{verdict}** — {self.text}"
 
 
-def measure_table(table: str, time_limit: float, **kwargs) -> "List[Dict]":
-    if RUNNER:
-        return measure_table_isolated(table, time_limit, **kwargs)
-    rows = []
-    for row in table_rows(table):
-        print(f"  running {row.key} ...", flush=True)
-        rows.append(run_row(row, time_limit_s=time_limit, **kwargs))
-    return rows
+def measure(rows, time_limit: float, variant: str = "", **kwargs) -> Rows:
+    """``run_row`` over experiment rows, each result tagged ``variant``."""
+    measured = []
+    for row in rows:
+        print(f"  {row.key} {variant} ...", flush=True)
+        result = run_row(row, time_limit_s=time_limit, **kwargs)
+        result["variant"] = variant
+        measured.append(result)
+    return measured
 
 
-def measure_table_isolated(table: str, time_limit: float, **kwargs) -> "List[Dict]":
-    """Run one table through the process-isolated batch runner.
+def finished(rows: Rows) -> Rows:
+    return [r for r in rows if not r["hit_limit"]]
 
-    Each row solves in its own resource-limited worker subprocess, so a
-    pathological row costs one TIMEOUT/OOM entry instead of the sweep;
-    the journal under --runner-dir is resumable after a kill
-    (``repro batch --resume`` semantics apply on rerun).
-    """
-    from repro.runner import BatchConfig, BatchRunner, load_manifest
 
-    # run_row kwargs the manifest path does not model (in-process-only
-    # ablation knobs) are rejected loudly rather than silently ignored.
-    supported = {"tighten", "branching", "plain_search", "linearization"}
-    unsupported = set(kwargs) - supported
-    if unsupported:
-        raise SystemExit(
-            f"--runner does not support measure kwargs {sorted(unsupported)}"
+def when_done(rows: Rows) -> str:
+    return ", ".join(
+        f"{r['key']} in {r['runtime_s']:.1f} s" for r in finished(rows)
+    ) or "none"
+
+
+def rows_removed(row: Dict) -> int:
+    solve = row["telemetry"].get("solve") or {}
+    return (solve.get("presolve") or {}).get("rows_removed", 0)
+
+
+def table1_claims(t1: Rows, limit: float) -> "List[Claim]":
+    stalled = len(t1) - len(finished(t1))
+    return [Claim(
+        f"The base model stalls: {stalled} of {len(t1)} rows hit the "
+        f"{limit:g} s limit, at least half (paper: 3 of 4 ran past "
+        "7200 s).",
+        2 * stalled >= len(t1),
+    )]
+
+
+def table2_claims(t1: Rows, t2: Rows, limit: float) -> "List[Claim]":
+    both = [
+        (base, tight) for base, tight in zip(t1, t2)
+        if not base["hit_limit"] and not tight["hit_limit"]
+    ]
+    claims = [Claim(
+        f"Tightening finishes at least as many rows within {limit:g} s: "
+        f"{len(finished(t2))} of {len(t2)} tightened vs "
+        f"{len(finished(t1))} of {len(t1)} base.",
+        len(finished(t2)) >= len(finished(t1)),
+    )]
+    if both:  # at short limits no base row finishes
+        nodes = ", ".join(
+            f"{tight['key'][3:]} {base['nodes']} -> {tight['nodes']}"
+            for base, tight in both
         )
-    jobs = load_manifest(table_manifest(
-        table,
-        time_limit_s=time_limit,
-        memory_limit_mb=RUNNER.get("memory_limit_mb"),
-        # Watchdog slack over the solver's own limit: the worker also
-        # spends time importing and writing artifacts.
-        wall_limit_s=time_limit * 2 + 30.0,
-        **kwargs,
-    ))
-    journal = Path(RUNNER["dir"]) / f"{table}.jsonl"
-    runner = BatchRunner(
-        jobs,
-        journal_path=journal,
-        config=BatchConfig(concurrency=RUNNER.get("jobs", 1)),
-        on_event=lambda kind, payload: print(
-            f"  [{table}] {kind}: {payload.get('job_id', '')}", flush=True
+        claims.append(Claim(
+            "Every row both models finish takes fewer nodes tightened "
+            f"(base -> tightened): {nodes}.",
+            all(tight["nodes"] < base["nodes"] for base, tight in both),
+        ))
+    return claims + [
+        Claim(
+            "Paper: 3 of 4 tightened rows finish (86 s, 4670 s, 9.7 s). "
+            f"Measured at {limit:g} s: {when_done(t2)}.",
+            len(finished(t2)) >= 3,
+            gated=False,
         ),
+    ]
+
+
+def table3_claims(t3: Rows, limit: float) -> "List[Claim]":
+    matched = [
+        r for r in t3
+        if r["status"] in ("optimal", "infeasible")
+        and r["feasible"] == r["paper_feasible"]
+    ]
+    last = next(r for r in t3 if r["L"] == 3)
+    return [
+        Claim(
+            f"Every row is decided within {limit:g} s with the paper's "
+            f"feasibility, infeasible at L=0 and feasible from L=1: "
+            f"{len(matched)} of {len(t3)}.",
+            len(matched) == len(t3),
+        ),
+        Claim(
+            f"At L=3 the optimal design of {last['key']} uses "
+            f"{last['partitions_used']} partition(s) of the N=2 allowed "
+            "(paper: one configuration suffices).",
+            last["partitions_used"] == 1,
+        ),
+    ]
+
+
+def table4_claims(t4: Rows, limit: float) -> "List[Claim]":
+    done = finished(t4)
+    matched = [r for r in done if r["feasible"] == r["paper_feasible"]]
+    return [
+        Claim(
+            f"Every row is decided within {limit:g} s: {len(done)} of "
+            f"{len(t4)}.",
+            len(done) == len(t4),
+        ),
+        Claim(
+            "Feasibility matches the paper's column on every decided row: "
+            f"{len(matched)} of {len(done)}.  The paper's graphs are "
+            "unpublished; ours are regenerated at the published sizes "
+            "with seeds calibrated to this column.",
+            len(matched) == len(done),
+        ),
+    ]
+
+
+def ablation_a_claims(glover: Rows, fortet: Rows, limit: float) -> "List[Claim]":
+    sizes = ", ".join(
+        f"{g['key']} {g['int_vars']} vs {f['int_vars']}"
+        for g, f in zip(glover, fortet)
     )
-    results = runner.run(resume=journal.exists())
-    return journal_to_rows(results, table)
+    return [
+        Claim(
+            "Fortet enlarges the search space: its product variables are "
+            "0-1 integers, so every row has more integer variables than "
+            f"under Glover (Glover vs Fortet: {sizes}).",
+            all(f["int_vars"] > g["int_vars"] for g, f in zip(glover, fortet)),
+        ),
+        Claim(
+            f"Glover completes at least as many rows as Fortet at {limit:g} s. "
+            f"Glover: {when_done(glover)}; Fortet: {when_done(fortet)}.  "
+            "The verdict depends on the limit through these times.",
+            len(finished(glover)) >= len(finished(fortet)),
+            gated=False,
+        ),
+    ]
 
 
-def md_table(rows: "List[Dict]", columns: "List[str]") -> str:
+def ablation_b_claims(by_rule: "Dict[str, Rows]", limit: float) -> "List[Claim]":
+    done = {rule: len(finished(rows)) for rule, rows in by_rule.items()}
+    counts = ", ".join(
+        f"{rule} {n} of {len(by_rule[rule])}" for rule, n in done.items()
+    )
+    return [Claim(
+        "The paper's Section-8 rule completes more rows than every "
+        f"unguided rule at {limit:g} s: {counts}.",
+        done["paper"] > max(n for rule, n in done.items() if rule != "paper"),
+    )]
+
+
+def ablation_c_claims(pairwise: Rows, aggregated: Rows) -> "List[Claim]":
+    pairs = list(zip(pairwise, aggregated))
+    consts = ", ".join(
+        f"{p['key']} {p['consts']} -> {a['consts']}" for p, a in pairs
+    )
+    return [Claim(
+        "Aggregated eq 8 reaches the same optimum with no more "
+        f"constraints on every row (pairwise -> aggregated: {consts}).",
+        all(
+            p["status"] == a["status"] == "optimal"
+            and p["objective"] == a["objective"]
+            and a["consts"] <= p["consts"]
+            for p, a in pairs
+        ),
+    )]
+
+
+def root_lp_rows_removed(row) -> "Dict[str, int]":
+    """Rows presolve removes from the base and the tightened root LP."""
+    spec = ProblemSpec.create(
+        graph=paper_graph(row.graph),
+        allocation=mix_from_string(row.mix),
+        device=reference_device(),
+        memory=reference_memory(),
+        n_partitions=row.n_partitions,
+        relaxation=row.relaxation,
+    )
+    removed = {}
+    for variant, tighten in (("base", False), ("tightened", True)):
+        model, _ = build_model(spec, FormulationOptions(tighten=tighten))
+        removed[variant] = presolve(model, eliminate=False).stats.rows_removed
+    return removed
+
+
+def ablation_d_claims(on: Rows, off: Rows, root: "Dict[str, int]", key: str) -> "List[Claim]":
+    pairs = list(zip(off, on))
+    removed = ", ".join(f"{r['key']} {rows_removed(r)}" for r in on)
+    return [
+        Claim(
+            "Presolve keeps every optimum and removes rows on every row "
+            f"(rows removed: {removed}).",
+            all(
+                a["status"] == b["status"] == "optimal"
+                and a["objective"] == b["objective"]
+                and rows_removed(b) > 0
+                for a, b in pairs
+            ),
+        ),
+        Claim(
+            f"On {key}'s root LP presolve removes rows from both models, "
+            "and at least as many from the Section-5 base model (its "
+            "eq-4 rows are implied by eq 5) as from the tightened one: "
+            f"base {root['base']}, tightened {root['tightened']}.",
+            root["tightened"] > 0 and root["base"] >= root["tightened"],
+        ),
+    ]
+
+
+def md_table(rows: Rows, columns: "List[str]") -> str:
     def fmt(v):
         if v is None:
             return "-"
@@ -107,220 +309,139 @@ def md_table(rows: "List[Dict]", columns: "List[str]") -> str:
     return "\n".join([head, rule, *body])
 
 
-COLUMNS = [
-    "key", "N", "mix", "L", "vars", "consts", "runtime_s", "status",
-    "objective", "partitions_used",
-    "paper_vars", "paper_consts", "paper_runtime_s", "paper_feasible",
-]
+def section(title: str, intro: str, rows: Rows, columns, claims) -> str:
+    return "\n\n".join([
+        title, intro, md_table(rows, columns),
+        "\n".join(c.line() for c in claims),
+    ]) + "\n"
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--time-limit", type=float, default=60.0)
     parser.add_argument("--out", default="EXPERIMENTS.md")
-    parser.add_argument(
-        "--runner", action="store_true",
-        help="solve each table row in a process-isolated worker via "
-        "repro.runner (resource limits, watchdog, resumable journal) "
-        "instead of in-process",
-    )
-    parser.add_argument(
-        "--runner-dir", default="runner_journals",
-        help="directory for per-table batch journals (with --runner); "
-        "rerunning resumes completed rows from the journals",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="concurrent workers per table (with --runner)",
-    )
-    parser.add_argument(
-        "--memory-limit-mb", type=int, default=None,
-        help="per-worker RLIMIT_AS cap in MB (with --runner)",
-    )
     args = parser.parse_args()
     tl = args.time_limit
-    if args.runner:
-        Path(args.runner_dir).mkdir(parents=True, exist_ok=True)
-        RUNNER.update({
-            "dir": args.runner_dir,
-            "jobs": args.jobs,
-            "memory_limit_mb": args.memory_limit_mb,
-        })
 
-    sections: "List[str]" = []
-    sections.append("# EXPERIMENTS — paper vs measured\n")
-    sections.append(
+    print("Table 1 (base model, raw search, unguided)...")
+    raw = {"branching": "pseudo-random", "plain_search": True}
+    t1 = measure(table_rows("t1"), tl, "glover", tighten=False, **raw)
+    print("Table 2 (tightened model, raw search, unguided)...")
+    t2 = measure(table_rows("t2"), tl, tighten=True, **raw)
+    print("Table 3 (graph-1 exploration, default solver)...")
+    t3 = measure(table_rows("t3"), tl, "default")
+    print("Table 4 (graphs 1-6, default solver)...")
+    t4 = measure(table_rows("t4"), tl * 2)
+
+    print("Ablation A (Fortet arm)...")
+    glover = [r for r in t1 if r["graph"] == 1]
+    fortet = measure(
+        [r for r in table_rows("t1") if r.graph == 1], tl, "fortet",
+        tighten=False, linearization="fortet", **raw,
+    )
+    print("Ablation B (branching rules)...")
+    by_rule = {
+        rule: measure(table_rows("t3"), tl / 2, rule, branching=rule,
+                      plain_search=True)
+        for rule in RULES
+    }
+    feasible_rows = [r for r in table_rows("t3") if r.paper_feasible]
+    feasible3 = [r for r in t3 if r["paper_feasible"]]
+    print("Ablation C (aggregated eq 8)...")
+    aggregated = measure(feasible_rows, tl, "aggregated",
+                         aggregated_dependencies=True)
+    print("Ablation D (presolve off)...")
+    no_presolve = measure(feasible_rows, tl, "no presolve", presolve=False)
+    root_row = feasible_rows[0]
+    root = root_lp_rows_removed(root_row)
+
+    device = reference_device()
+    sections = [
+        "# EXPERIMENTS — paper vs measured\n",
         f"Generated by `scripts/run_experiments.py` on "
         f"{datetime.date.today().isoformat()}, Python "
-        f"{platform.python_version()}, time limit {tl:.0f} s per solve "
-        f"(stands in for the paper's 7200 s cutoff on a 175 MHz "
-        f"UltraSparc).\n"
-    )
-    sections.append(
-        "Platform: device capacity "
-        f"{reference_device().capacity} effective FGs at alpha = "
-        f"{reference_device().alpha}, scratch memory "
-        f"{reference_memory().size} units.  Graph seeds: "
-        + ", ".join(
+        f"{platform.python_version()}, time limit {tl:g} s per solve "
+        f"(Table 4: {tl * 2:g} s, Ablation B: {tl / 2:g} s), standing in "
+        "for the paper's 7200 s cutoff on a 175 MHz UltraSparc.  Rerun "
+        "the script to change this file; it is not edited by hand.\n",
+        f"Platform: device capacity {device.capacity} effective FGs at "
+        f"alpha = {device.alpha}, scratch memory {reference_memory().size} "
+        "units.  Graph seeds: " + ", ".join(
             f"g{n}={seed}" for n, (_, _, seed) in sorted(PAPER_GRAPH_SPECS.items())
-        )
-        + ".\n"
-    )
-    sections.append(
-        "Reading guide: `runtime_s`/`status` are this machine; "
-        "`paper_*` columns are the 1998 numbers.  Absolute runtimes are "
-        "not comparable across 25 years of hardware and LP technology; "
-        "the reproduction targets are the *feasibility pattern*, the "
-        "*model-size ballpark*, and the *orderings* (tightened beats "
-        "base; guided branching beats unguided).\n"
-    )
-    sections.append(
-        "Telemetry: every row carries the solver's "
-        "`repro.solve_telemetry/v11` record (DESIGN.md \u00a77) \u2014 node "
-        "counters, LP call/time totals, bound, gap, the incumbent "
-        "event log, the presolve reduction summary (`solve.presolve`), "
-        "and the infeasibility `certificate` when a structural "
-        "precheck or the presolve proved the instance infeasible "
-        "before any LP ran (`stop_reason` then reads "
-        "`precheck_infeasible`/`presolve_infeasible` and does not "
-        "count as a limit hit).  `scripts/run_experiments.py` embeds "
-        "the record in each JSON row, and the pytest-benchmark harness "
-        "attaches it as `extra_info[\"telemetry\"]` plus a condensed "
-        "`extra_info[\"presolve\"]` root-LP-size block "
-        "(`benchmarks/conftest.py`), so it lands in `--benchmark-json` "
-        "output.  Rows that hit the time limit are counted by the "
-        "`hit_limit` flag, not by status string.\n"
-    )
-    sections.append(
-        "Kernel: solves run through the incremental warm-start LP "
-        "kernel (`repro.ilp.incremental`, DESIGN.md §11); "
-        "`solve.kernel` in each row's telemetry records the engine "
-        "(`incremental-highs`/`incremental-linprog`), warm-start hits, "
-        "and the node-cache hit rate.  Perf regressions against these "
-        "rows are tracked separately by `scripts/bench_solver.py` vs "
-        "the committed `BENCH_solver.json` baseline: the deterministic "
-        "solve signature (status/objective/nodes/LP calls) must match "
-        "exactly, nodes/sec within 30%.\n"
-    )
-    if RUNNER:
-        sections.append(
-            "Execution: this run used `--runner` — every row solved in "
-            "its own process-isolated worker (`repro.runner`, DESIGN.md "
-            "§10) with a wall-clock watchdog at twice the solve "
-            "limit"
-            + (
-                f" and a {RUNNER['memory_limit_mb']} MB RLIMIT_AS cap"
-                if RUNNER.get("memory_limit_mb") else ""
-            )
-            + f", {RUNNER.get('jobs', 1)} worker(s) per table.  "
-            "Per-table journals under "
-            f"`{RUNNER['dir']}/` make an interrupted sweep resumable "
-            "(finished rows replay from the journal, never re-solve); "
-            "a row that dies at a limit lands as `TIMEOUT`/`OOM`/"
-            "`CRASH` in its `outcome` column instead of aborting the "
-            "sweep.\n"
-        )
+        ) + ".\n",
+        "Reading guide: `runtime_s`/`status` are this machine; `paper_*` "
+        "columns are the 1998 numbers.  Absolute runtimes are not "
+        "comparable across 25 years of hardware and LP technology; the "
+        "reproduction targets are the feasibility pattern and the "
+        "orderings (tightened beats base; guided branching beats "
+        "unguided).  A row *finishes* when it is decided, optimal or "
+        "infeasible, inside its limit (`hit_limit` false); `timeout` "
+        "means no incumbent, `feasible` an incumbent without proof.  "
+        "Each bullet is a check over the rows above it: a "
+        "**reproduced** claim fails the script when it does not hold, "
+        "a **reported** one is printed with its verdict and does not.\n",
+    ]
+    all_claims: "List[Claim]" = []
 
-    print("Table 1 (base formulation, raw B&B, unguided)...")
-    t1 = measure_table(
-        "t1", tl, tighten=False, branching="pseudo-random", plain_search=True
-    )
-    sections.append("## Table 1 — base formulation (Section 5)\n")
-    sections.append(md_table(t1, COLUMNS) + "\n")
-    timeouts = sum(1 for r in t1 if r["hit_limit"])
-    sections.append(
-        f"Paper shape: 3 of 4 rows exceeded the cutoff.  Measured: "
-        f"{timeouts} of {len(t1)} rows hit the limit.\n"
-    )
+    def add(title, intro, rows, columns, claims):
+        all_claims.extend(claims)
+        sections.append(section(title, intro, rows, columns, claims))
 
-    print("Table 2 (tightened formulation, raw B&B, unguided)...")
-    t2 = measure_table(
-        "t2", tl, tighten=True, branching="pseudo-random", plain_search=True
-    )
-    sections.append("## Table 2 — tightened constraints (Section 6)\n")
-    sections.append(md_table(t2, COLUMNS) + "\n")
-    s1 = sum(1 for r in t1 if not r["hit_limit"])
-    s2 = sum(1 for r in t2 if not r["hit_limit"])
-    speedups = []
-    for r1, r2 in zip(t1, t2):
-        if not r1["hit_limit"] and not r2["hit_limit"]:
-            speedups.append(
-                f"{r1['key'].replace('t1-', '')}: "
-                f"{r1['runtime_s']:.2f}s -> {r2['runtime_s']:.2f}s"
-            )
-    sections.append(
-        f"Paper shape: tightening turned timeouts into completions "
-        f"(3 of 4 finish).  Measured: base finishes {s1}/4, tightened "
-        f"finishes {s2}/4; rows finished by both speed up "
-        f"({'; '.join(speedups) if speedups else 'none common'}).  "
-        "Note the unguided selection baseline here is deliberately "
-        "primitive (deterministic pseudo-random, standing in for "
-        "lp_solve's default); the tightening gain shows fully once "
-        "combined with the Section-8 heuristic — compare these rows "
-        "against the same models in Tables 3-4, where every row "
-        "terminates in seconds.\n"
-    )
-
-    print("Table 3 (N/L exploration, production solver)...")
-    t3 = measure_table("t3", tl)
-    sections.append("## Table 3 — graph 1 latency/partition exploration\n")
-    sections.append(md_table(t3, COLUMNS) + "\n")
-    match3 = sum(1 for r in t3 if r["feasible"] == r["paper_feasible"])
-    sections.append(
-        f"Feasibility column matches the paper on {match3}/4 rows "
-        "(infeasible at L=0; feasible from L=1; single partition at "
-        "L=3).\n"
-    )
-
-    print("Table 4 (all graphs, production solver)...")
-    t4 = measure_table("t4", tl * 2)
-    sections.append("## Table 4 — graphs 1-6\n")
-    sections.append(md_table(t4, COLUMNS) + "\n")
-    finished = sum(1 for r in t4 if not r["hit_limit"])
-    match4 = sum(
-        1 for r in t4
-        if not r["hit_limit"] and r["feasible"] == r["paper_feasible"]
-    )
-    sections.append(
-        f"Measured: {finished}/{len(t4)} rows terminate; feasibility "
-        f"matches the paper's column on {match4}/{finished} terminated "
-        "rows.  The paper's random graphs are unpublished; ours are "
-        "regenerated at the published sizes with calibrated seeds, so "
-        "row-level divergences are expected and recorded here.\n"
-    )
+    add("## Table 1 — base formulation (Section 5)",
+        "Base model, raw 1998-style search, unguided selection "
+        "(deterministic pseudo-random, standing in for lp_solve's "
+        "default).", t1, COLUMNS, table1_claims(t1, tl))
+    add("## Table 2 — tightened constraints (Section 6)",
+        "Same rows and search with the Section-6 tightening.",
+        t2, COLUMNS, table2_claims(t1, t2, tl))
+    add("## Table 3 — graph 1 latency/partition exploration",
+        "Default solver: tightened model, paper branching rule, SOS1 "
+        "propagation, slot prober and leaf sub-solves.",
+        t3, COLUMNS, table3_claims(t3, tl))
+    add("## Table 4 — graphs 1-6", "Default solver.",
+        t4, COLUMNS, table4_claims(t4, tl * 2))
 
     sections.append("## Figures 3 and 4\n")
     sections.append(
-        "Executable counterparts live in `benchmarks/test_bench_fig3.py` "
-        "(w-variable values and per-cut memory sums of the 3-task "
-        "example — the t1->t3 edge is charged across both cuts) and "
-        "`benchmarks/test_bench_fig4.py` (the three spurious w=1 cases "
-        "of Figure 4, each eliminated by its eq-28/29/30 family already "
-        "in the LP relaxation).  Both pass; see also "
-        "`examples/memory_cuts.py` for the narrated version.\n"
+        "Checked by tier-1 tests, not by this script:\n\n" + "\n".join(
+            f"- `tests/test_paper_figures.py::{test_id}` — {text}"
+            for test_id, text in FIGURE_TESTS
+        ) + "\n"
     )
 
     sections.append("## Ablations\n")
-    sections.append(
-        "* **A (linearization)** — `benchmarks/test_bench_ablation_"
-        "linearization.py`: Fortet's integer product variables enlarge "
-        "the search; Glover completes at least as many rows.\n"
-        "* **B (variable selection)** — `benchmarks/test_bench_ablation_"
-        "branching.py`: the paper's rule completes the most rows under "
-        "the raw search.\n"
-        "* **C (eq-8 aggregation)** — `benchmarks/test_bench_ablation_"
-        "dependencies.py`: aggregated dependencies give the same optima "
-        "with fewer constraints.\n"
-        "* **D (presolve)** — `benchmarks/test_bench_ablation_"
-        "presolve.py`: the static presolve keeps every optimum while "
-        "shrinking the root LP; the Section-5 base model shrinks most "
-        "(its eq-4 rows are proven implied by eq 5), mirroring the "
-        "Table 1 -> Table 2 tightening by mechanical means.\n"
-    )
+    add("### A — Glover vs Fortet linearization (Section 4)",
+        "Table 1's graph-1 rows: base model, raw search, unguided.",
+        glover + fortet, ABLATION_COLUMNS,
+        ablation_a_claims(glover, fortet, tl))
+    add("### B — variable selection (Section 8)",
+        "Table 3 rows, tightened model, raw search, four branching rules.",
+        [r for rows in by_rule.values() for r in rows], ABLATION_COLUMNS,
+        ablation_b_claims(by_rule, tl / 2))
+    add("### C — pairwise vs aggregated eq 8",
+        "Feasible Table 3 rows, default solver.",
+        feasible3 + aggregated, ABLATION_COLUMNS,
+        ablation_c_claims(feasible3, aggregated))
+    add("### D — static presolve on vs off",
+        "Feasible Table 3 rows, default solver with and without the "
+        "prechecks and presolve.",
+        feasible3 + no_presolve, ABLATION_COLUMNS,
+        ablation_d_claims(feasible3, no_presolve, root, root_row.key))
 
+    failed = [c for c in all_claims if c.gated and not c.holds]
+    gated = [c for c in all_claims if c.gated]
+    reported = [c for c in all_claims if not c.gated]
+    sections.append(
+        f"## Summary\n\n{len(gated) - len(failed)} of {len(gated)} "
+        f"reproduced claims hold; {sum(c.holds for c in reported)} of "
+        f"{len(reported)} reported claims hold at these limits.\n"
+    )
     Path(args.out).write_text("\n".join(sections))
     print(f"wrote {args.out}")
+    for claim in failed:
+        print(f"NOT REPRODUCED: {claim.text}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -34,7 +34,9 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import Optional
 
@@ -141,11 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         "resilience",
         "LP-fault injection (chaos testing) and search checkpointing; "
         "see DESIGN.md section 9",
-    )
-    resilience.add_argument(
-        "--no-resilience", action="store_true",
-        help="solve with the bare LP backend instead of the validating "
-        "retry/fallback chain",
     )
     resilience.add_argument(
         "--chaos-faults", metavar="KINDS",
@@ -686,6 +683,20 @@ def batch_main(argv: "Optional[list]" = None) -> int:
     return 0 if all(r.outcome.value in healthy for r in results) else 1
 
 
+@contextlib.contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at stderr for the duration of the block."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    try:
+        os.dup2(2, 1)
+        yield
+    finally:
+        sys.stdout.flush()
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def main(argv: "Optional[list]" = None) -> int:
     arguments = list(argv) if argv is not None else sys.argv[1:]
     if arguments and arguments[0] == "lint":
@@ -749,7 +760,6 @@ def main(argv: "Optional[list]" = None) -> int:
         on_node=on_node,
         on_incumbent=on_incumbent,
         callback_every=args.trace_every if args.verbose_solve else 1,
-        resilient=not args.no_resilience,
         chaos=chaos,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
@@ -767,9 +777,13 @@ def main(argv: "Optional[list]" = None) -> int:
               f"constraints to {args.dump_lp}")
         return 0
 
-    outcome = partitioner.partition(
-        graph, mix_from_string(args.mix), args.partitions, args.relaxation
-    )
+    # HiGHS writes debug lines straight to fd 1; under --json they
+    # would land in front of the document.
+    quiet = _stdout_to_stderr() if args.as_json else contextlib.nullcontext()
+    with quiet:
+        outcome = partitioner.partition(
+            graph, mix_from_string(args.mix), args.partitions, args.relaxation
+        )
 
     if args.as_json:
         payload = outcome.summary_row()

@@ -19,8 +19,9 @@ Glover's version is tighter: its LP relaxation already confines ``c``
 to the convex hull of the product, so branch and bound never needs to
 branch on ``c``.  Fortet's version admits fractional ``c`` (e.g.
 ``a=1, b=0`` allows ``c`` up to 0.5), so ``c`` must be integer and the
-relaxation is weaker — the paper reports, and our linearization
-ablation benchmark reproduces, a marked runtime difference.
+relaxation is weaker.  The paper reports a marked runtime difference;
+Ablation A in ``scripts/run_experiments.py`` checks the larger integer
+search space and reports which rows each method completes.
 """
 
 from __future__ import annotations

@@ -77,8 +77,8 @@ def add_dependencies(
 
         sum_k x[i1,j1,k] + sum_{j2 <= j1} sum_k x[i2,j2,k] <= 1
 
-    It is exposed as a formulation option and measured by the
-    dependency-aggregation ablation benchmark.
+    It is exposed as a formulation option and measured by Ablation C
+    in ``scripts/run_experiments.py``.
     """
     for (i1, i2) in spec.op_edges():
         steps1 = spec.op_steps[i1]

@@ -39,7 +39,7 @@ class FormulationOptions:
     aggregated_dependencies:
         ``False`` (default) uses the paper's pairwise eq-8 form;
         ``True`` uses the aggregated, LP-tighter variant (measured by
-        the dependency ablation benchmark).
+        Ablation C in ``scripts/run_experiments.py``).
     """
 
     tighten: bool = True

@@ -29,23 +29,22 @@ from repro.ilp.scipy_backend import solve_lp_scipy
 
 
 def make_lp_backend(
-    resilient: bool = True,
     chaos: "Optional[FaultPlan]" = None,
     plain_search: bool = False,
 ):
     """LP backend for a bnb solve: bare, chaos-wrapped, or armored.
 
     Called by :func:`solve_context`.  ``plain_search`` keeps the
-    historical bare SciPy backend; otherwise the warm-starting
+    historical bare SciPy backend, with only its primary wrapped in
+    fault injection under ``chaos``.  Otherwise the warm-starting
     incremental kernel heads the chain with the stateless backends
     behind it, a :class:`~repro.ilp.resilience.ResilientLPBackend`
     wraps the chain, and a :class:`~repro.ilp.resilience.FaultPlan`
     additionally wraps the primary (or, with ``targets="all"``, every)
     backend in seeded fault injection with infeasible double-checking.
     """
-    use_resilient = resilient and not plain_search
-    if not use_resilient and chaos is None:
-        return solve_lp_scipy if plain_search else IncrementalLPSolver()
+    if plain_search and chaos is None:
+        return solve_lp_scipy
     chain = default_backend_chain()
     if not plain_search:
         chain = [("incremental", IncrementalLPSolver())] + chain
@@ -56,7 +55,7 @@ def make_lp_backend(
             if (wrap_all or i == 0) else (name, fn)
             for i, (name, fn) in enumerate(chain)
         ]
-    if not use_resilient:
+    if plain_search:
         return chain[0][1]
     return ResilientLPBackend(
         backends=chain,
@@ -99,7 +98,6 @@ def solve_context(
     *,
     plain_search: bool,
     presolve: bool,
-    resilient: bool,
     chaos: "Optional[FaultPlan]",
 ) -> "Dict[str, object]":
     """Everything one branch-and-bound solve of ``model`` needs.
@@ -138,11 +136,7 @@ def solve_context(
         "certificate": certificate,
         "node_prober": node_prober,
         "leaf_solver": leaf_solver,
-        "lp_backend": make_lp_backend(
-            resilient=resilient,
-            chaos=chaos,
-            plain_search=plain_search,
-        ),
+        "lp_backend": make_lp_backend(chaos=chaos, plain_search=plain_search),
         "incumbent_auditor": make_incumbent_auditor(spec, space),
     }
 

@@ -12,7 +12,7 @@
 5. decode and *verify* the design.
 
 Every stage's statistics are kept on the returned
-:class:`PartitionOutcome`, so the benchmark harness can print the
+:class:`PartitionOutcome`, so the experiment script can print the
 paper's Var/Const/RunTime/Feasible columns directly.
 
 Graceful degradation
@@ -193,10 +193,14 @@ class TemporalPartitioner:
     plain_search:
         When True, run the branch and bound *without* its SOS1
         propagation and exact leaf sub-solve — the raw 1998-style
-        search the formulation benchmarks (Tables 1-2) measure.
-        Also disables presolve (the 1998 flow had none), and solver
-        faults raise instead of degrading to the heuristic baselines
-        (the cross-check suites want the crash).
+        search Tables 1-2 measure.
+        Also disables presolve (the 1998 flow had none), its LPs go
+        to the bare SciPy backend instead of the validating
+        retry/fallback chain
+        (:class:`~repro.ilp.resilience.ResilientLPBackend`) every
+        other ``"bnb"`` solve uses, and solver faults raise instead
+        of degrading to the heuristic baselines (the cross-check
+        suites want the crash).
     presolve:
         When True (default), run the structural prechecks
         (:mod:`repro.core.precheck`, eqs. 3 and 11 plus cycle
@@ -214,14 +218,6 @@ class TemporalPartitioner:
         Ignored by the ``"milp"`` backend.
     callback_every:
         Node-callback decimation factor (1 = every node).
-    resilient:
-        When True (default), the ``"bnb"`` backend solves its LP
-        relaxations through the validating retry/fallback chain
-        (:class:`~repro.ilp.resilience.ResilientLPBackend`, SciPy
-        HiGHS then the in-repo simplex) instead of a bare backend.
-        Fault-free runs are result-identical (asserted by property
-        test); faulty runs recover or degrade instead of crashing.
-        ``plain_search`` disables it (the 1998 flow had no armor).
     chaos:
         Optional :class:`~repro.ilp.resilience.FaultPlan`: wrap the
         LP backend(s) in seeded fault injection — the CLI's
@@ -266,7 +262,6 @@ class TemporalPartitioner:
         on_node=None,
         on_incumbent=None,
         callback_every: int = 1,
-        resilient: bool = True,
         chaos: "Optional[FaultPlan]" = None,
         checkpoint_path: "Optional[str]" = None,
         checkpoint_every: int = 256,
@@ -300,7 +295,6 @@ class TemporalPartitioner:
         self.on_node = on_node
         self.on_incumbent = on_incumbent
         self.callback_every = callback_every
-        self.resilient = resilient
         self.chaos = chaos
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
@@ -372,7 +366,6 @@ class TemporalPartitioner:
                 model,
                 plain_search=self.plain_search,
                 presolve=self.presolve,
-                resilient=self.resilient,
                 chaos=self.chaos,
             )
             if context["certificate"] is not None:

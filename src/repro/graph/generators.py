@@ -4,7 +4,8 @@ The paper evaluates on six random graphs but publishes only their sizes
 (Table 4: graph 1 has 5 tasks / 22 operations, graphs 2-6 have 10 tasks
 and 37-72 operations).  This module regenerates graphs of the exact
 published sizes with a deterministic, seeded construction, so every
-experiment in :mod:`benchmarks` is reproducible bit-for-bit.
+experiment in ``scripts/run_experiments.py`` is reproducible
+bit-for-bit.
 
 Construction guarantees
 -----------------------

@@ -135,7 +135,7 @@ def _mix(seed: int, value: int) -> int:
     return (x ^ (x >> 31)) & 0x7FFFFFFF
 
 
-#: Registry used by benchmarks/CLI to select rules by name.
+#: Registry the CLI and the experiment scripts select rules from by name.
 RULES: "Dict[str, type]" = {
     "paper": PaperBranching,
     "first": FirstFractionalBranching,

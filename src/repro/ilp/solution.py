@@ -19,7 +19,7 @@ Beyond the status, a solve produces a structured telemetry record:
   callbacks for live traces.
 
 Everything is JSON-serializable via ``as_dict`` so reports and the
-benchmark harness can persist a run without reaching into solver
+experiment scripts can persist a run without reaching into solver
 internals.
 """
 

@@ -2,7 +2,7 @@
 
 :mod:`~repro.reporting.experiments` pins the reference experiment
 setup (device, memory, FU mixes, per-table row definitions) shared by
-the benchmark harness and the calibration script, and provides the
+the experiment and calibration scripts, and provides the
 runner that executes rows with timeouts.  :mod:`~repro.reporting.tables`
 renders rows as aligned ASCII tables shaped like the paper's.
 """

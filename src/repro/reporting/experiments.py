@@ -2,8 +2,8 @@
 
 The paper's experiment platform (component characterization, FPGA
 capacity, scratch memory) is fixed but unpublished; this module pins
-our reproduction's equivalents in one place so every benchmark, test
-and script runs the *same* platform:
+our reproduction's equivalents in one place so every test, script
+and bench workload runs the *same* platform:
 
 * **device** — capacity 265 effective FGs at ``alpha = 0.7``.  Chosen
   deliberately: one segment can hold two multipliers plus one small FU
@@ -15,8 +15,8 @@ and script runs the *same* platform:
   traffic but finite (the eq-3 constraints are real).
 
 Every row of Tables 1-4 is encoded as an :class:`ExperimentRow` with
-the values the paper reports, so the benchmark harness can print
-paper-vs-measured side by side.
+the values the paper reports, so ``scripts/run_experiments.py`` can
+print paper-vs-measured side by side.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ def run_row(
     plain_search: bool = False,
     aggregated_dependencies: bool = False,
     presolve: bool = True,
-    resilient: bool = True,
     chaos=None,
     proof_path: "Optional[str]" = None,
     heuristics: bool = False,
@@ -126,19 +125,14 @@ def run_row(
     """Execute one experiment row and return a measured-result dict.
 
     ``plain_search=True`` runs the raw 1998-style branch and bound
-    (no SOS1 propagation, slot prober or leaf sub-solve) — what the
-    formulation-quality benchmarks (Tables 1-2) measure.
-    ``presolve=False`` skips the structural prechecks and the static
-    presolve pass (the presolve ablation benchmark compares both).
-    ``resilient=False`` solves through the bare LP backend instead of
-    the validating retry/fallback chain, and ``chaos`` (a
-    :class:`~repro.ilp.resilience.FaultPlan`) turns on seeded fault
-    injection — the resilience-overhead benchmark measures both.
-    ``proof_path`` writes a ``repro.bnb_proof/v1``
-    certificate log of the branch-and-bound tree for independent
-    verification with ``repro audit`` (bnb backend only).
-    ``heuristics`` enables the primal heuristics — the tree-size
-    ablation benchmark measures them.
+    (no SOS1 propagation, slot prober or leaf sub-solve) — what
+    Tables 1-2 measure.  ``presolve=False`` skips the structural
+    prechecks and the static presolve pass (Ablation D compares
+    both).  ``chaos`` (a :class:`~repro.ilp.resilience.FaultPlan`)
+    turns on seeded fault injection.  ``proof_path`` writes a
+    ``repro.bnb_proof/v1`` certificate log of the branch-and-bound
+    tree for independent verification with ``repro audit`` (bnb
+    backend only).  ``heuristics`` enables the primal heuristics.
     The returned dict carries both the measurement and the paper's
     reported values, ready for
     :func:`repro.reporting.tables.render_rows`.
@@ -158,7 +152,6 @@ def run_row(
         time_limit_s=time_limit_s,
         plain_search=plain_search,
         presolve=presolve,
-        resilient=resilient,
         chaos=chaos,
         proof_path=proof_path,
         heuristics=heuristics,
@@ -180,6 +173,7 @@ def run_row(
         "mix": row.mix,
         "L": row.relaxation,
         "vars": outcome.model_stats["vars"],
+        "int_vars": outcome.model_stats["integer_vars"],
         "consts": outcome.model_stats["constraints"],
         "runtime_s": round(elapsed, 2),
         "status": outcome.status.value,
@@ -201,138 +195,3 @@ def run_row(
         "paper_feasible": row.paper_feasible,
         "telemetry": outcome.telemetry(),
     }
-
-
-# ----------------------------------------------------------------------
-# batch-runner integration: run the tables through process isolation
-#
-# ``run_row`` executes in-process — fine interactively, but one
-# pathological row (a runaway solve, an OOM) kills the whole sweep.
-# These helpers express the same table rows as a
-# ``repro.batch_manifest/v1`` batch so ``repro.runner`` executes each
-# row in its own resource-limited worker, and convert the resulting
-# journal back into ``run_row``-shaped dicts for the report generators.
-
-
-def row_to_job_entry(
-    row: ExperimentRow,
-    time_limit_s: "Optional[float]" = 60.0,
-    tighten: bool = True,
-    branching: str = "paper",
-    linearization: str = "glover",
-    plain_search: bool = False,
-) -> "Dict[str, object]":
-    """One :class:`ExperimentRow` as a batch-manifest job entry.
-
-    ``spec_class`` is the row key, so journal results merge back onto
-    their table rows by identity rather than position, and the circuit
-    breaker groups per table row family.
-    """
-    entry: "Dict[str, object]" = {
-        "paper_graph": row.graph,
-        "mix": row.mix,
-        "n_partitions": row.n_partitions,
-        "relaxation": row.relaxation,
-        "spec_class": row.key,
-        "time_limit_s": time_limit_s,
-    }
-    if not tighten:
-        entry["base_model"] = True
-    if linearization == "fortet":
-        entry["fortet"] = True
-    if plain_search:
-        entry["plain_search"] = True
-    if branching != "paper":
-        entry["branching"] = branching
-    return entry
-
-
-def table_manifest(
-    table: str,
-    time_limit_s: "Optional[float]" = 60.0,
-    memory_limit_mb: "Optional[int]" = None,
-    wall_limit_s: "Optional[float]" = None,
-    **row_kwargs,
-) -> "Dict[str, object]":
-    """A ``repro.batch_manifest/v1`` document for one paper table.
-
-    The defaults pin the reference experiment platform (same device
-    capacity/alpha and scratch memory every in-process benchmark uses),
-    plus optional per-worker OS limits.  ``row_kwargs`` forward to
-    :func:`row_to_job_entry` (``tighten``, ``branching``,
-    ``plain_search``, ``linearization``).
-    """
-    device = reference_device()
-    defaults: "Dict[str, object]" = {
-        "device": f"{device.capacity}:{device.alpha}",
-        "memory": reference_memory().size,
-    }
-    if memory_limit_mb is not None:
-        defaults["memory_limit_mb"] = int(memory_limit_mb)
-    if wall_limit_s is not None:
-        defaults["wall_limit_s"] = float(wall_limit_s)
-    return {
-        "schema": "repro.batch_manifest/v1",
-        "defaults": defaults,
-        "jobs": [
-            row_to_job_entry(row, time_limit_s=time_limit_s, **row_kwargs)
-            for row in table_rows(table)
-        ],
-    }
-
-
-def journal_to_rows(results, table: str) -> "List[Dict[str, object]]":
-    """Merge batch-runner results back onto a table's paper columns.
-
-    ``results`` is an iterable of :class:`repro.runner.JobResult` (from
-    ``BatchRunner.run`` or ``repro.runner.replay``); rows come back in
-    table order, shaped like :func:`run_row` output.  A row whose job
-    never produced a solve (TIMEOUT/OOM/CRASH/SKIPPED) keeps its
-    ``outcome``/``error`` but has ``None`` measurements and counts as a
-    limit hit — exactly how the paper reports its ">7200 s" rows.
-    """
-    by_class: "Dict[str, object]" = {}
-    for result in results:
-        by_class[result.spec_class] = result
-    rows: "List[Dict[str, object]]" = []
-    for row in table_rows(table):
-        result = by_class.get(row.key)
-        solve = dict(getattr(result, "solve", None) or {})
-        timing = dict(getattr(result, "timing", None) or {})
-        status = solve.get("status")
-        merged: "Dict[str, object]" = {
-            "key": row.key,
-            "graph": row.graph,
-            "tasks": solve.get("tasks"),
-            "opers": solve.get("opers"),
-            "N": row.n_partitions,
-            "mix": row.mix,
-            "L": row.relaxation,
-            "vars": solve.get("vars"),
-            "consts": solve.get("consts"),
-            "runtime_s": timing.get("duration_s"),
-            "status": status,
-            "feasible": solve.get("feasible"),
-            "hit_limit": (
-                status in ("timeout", "node_limit")
-                or (result is not None
-                    and result.outcome.value in ("TIMEOUT", "OOM", "CRASH"))
-            ),
-            "objective": solve.get("objective"),
-            "gap": solve.get("gap"),
-            "degraded": solve.get("degraded"),
-            "fallback": solve.get("fallback"),
-            "degradation_cause": solve.get("degradation_cause"),
-            "partitions_used": None,
-            "nodes": solve.get("nodes"),
-            "lp_calls": solve.get("lp_calls"),
-            "outcome": None if result is None else result.outcome.value,
-            "attempts": None if result is None else result.attempts,
-            "error": None if result is None else result.error,
-            "paper_vars": row.paper_vars,
-            "paper_consts": row.paper_consts,
-            "paper_runtime_s": row.paper_runtime_s,
-            "paper_feasible": row.paper_feasible,
-        }
-        rows.append(merged)
-    return rows

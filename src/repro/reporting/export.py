@@ -12,7 +12,7 @@ status, objective, proven bound and gap, the node/LP counter set, the
 incumbent improvement event log, the presolve reduction summary, and
 the infeasibility certificate when a precheck or the presolve proved
 the instance infeasible before any LP ran.  The CLI's ``--telemetry`` flag
-and the benchmark harness both emit exactly this document, so solver
+and the experiment rows both carry exactly this document, so solver
 trajectories are comparable across runs and machines.
 """
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -159,3 +160,29 @@ class TestMain:
             "--backend", "milp", "--json",
         )
         assert json.loads(out)["status"] == "optimal"
+
+    def test_json_stdout_holds_only_the_document(
+        self, capfd, monkeypatch, tmp_path, chain3_graph
+    ):
+        # HiGHS writes debug lines to fd 1 from native code, below
+        # sys.stdout; they must not land in front of the document.
+        from repro.core import partitioner
+
+        real = partitioner.solve_milp_scipy
+
+        def noisy(*args, **kwargs):
+            os.write(1, b"HighsMipSolverData::transformNewIntegerFeasibleSolution\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(partitioner, "solve_milp_scipy", noisy)
+        path = tmp_path / "g.json"
+        save_task_graph(chain3_graph, path)
+        code = main([
+            "--graph", str(path), "--mix", "1A+1M+1S",
+            "-N", "2", "-L", "2", "--device", "2048:0.7",
+            "--backend", "milp", "--json",
+        ])
+        captured = capfd.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["status"] == "optimal"
+        assert "HighsMipSolverData" in captured.err

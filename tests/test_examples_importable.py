@@ -1,7 +1,7 @@
 """Smoke tests: every example script parses and exposes a main().
 
 Executing the examples end to end takes minutes (they solve real
-instances); the benchmark/EXPERIMENTS harness covers that ground.  Here
+instances); ``scripts/run_experiments.py`` covers that ground.  Here
 we pin the cheaper contract: each script compiles, imports cleanly with
 its module-level builders usable, and defines ``main``.
 """
