@@ -40,25 +40,21 @@ import os
 import sys
 from typing import Optional
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecificationError
 from repro.graph.generators import paper_graph
 from repro.graph.io import load_task_graph
 from repro.ilp.branching import RULES
 from repro.ilp.resilience import FAULT_KINDS, FaultPlan
 from repro.ilp.lp_io import write_lp_format
-from repro.library.catalogs import default_library, mix_from_string
-from repro.target.fpga import FPGADevice, device_catalog
-from repro.target.memory import ScratchMemory
-from repro.core.formulation import FormulationOptions, build_model
-from repro.core.partitioner import TemporalPartitioner
+from repro.library.catalogs import DEFAULT_MIX
+from repro.target.fpga import DEFAULT_DEVICE
+from repro.core.formulation import build_model
+from repro.runner.jobs import OPTION_FLAGS, JobSpec
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-tps",
-        description="Optimal temporal partitioning and synthesis "
-        "(Kaul & Vemuri, DATE 1998).",
-    )
+def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags that name a spec: graph, FU mix, N, L, device, memory
+    and formulation (shared by the solve and lint parsers)."""
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--graph", help="path to a task-graph JSON file (see repro.graph.io)"
@@ -80,13 +76,51 @@ def build_parser() -> argparse.ArgumentParser:
         help="latency relaxation L over the critical path (default 0)",
     )
     parser.add_argument(
-        "--device", default="xc4010",
+        "--device", default=DEFAULT_DEVICE,
         help="device name from the catalog, or CAPACITY[:ALPHA]",
     )
     parser.add_argument(
         "--memory", type=int, default=None,
         help="scratch memory Ms in data units (default: unbounded)",
     )
+    parser.add_argument(
+        "--base-model", action="store_true",
+        help="use the untightened Section-5 formulation",
+    )
+    parser.add_argument(
+        "--fortet", action="store_true",
+        help="use Fortet's linearization instead of Glover's",
+    )
+
+
+def job_from_args(args: argparse.Namespace, **fields) -> JobSpec:
+    """The solve request the :func:`add_spec_arguments` flags describe;
+    ``fields`` are further :class:`JobSpec` fields."""
+    source = (
+        {"kind": "paper", "number": args.paper_graph}
+        if args.paper_graph is not None
+        else {"kind": "file", "path": args.graph}
+    )
+    return JobSpec(
+        index=0,
+        source=source,
+        mix=args.mix,
+        n_partitions=args.partitions,
+        relaxation=args.relaxation,
+        device=args.device,
+        memory=args.memory,
+        options={flag: getattr(args, flag, False) for flag in OPTION_FLAGS},
+        **fields,
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-tps",
+        description="Optimal temporal partitioning and synthesis "
+        "(Kaul & Vemuri, DATE 1998).",
+    )
+    add_spec_arguments(parser)
     parser.add_argument(
         "--branching", default="paper", choices=sorted(RULES),
         help="branch-and-bound variable selection rule",
@@ -100,14 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the primal heuristics (LP diving + incumbent "
              "polishing); every heuristic point is audited with "
              "verify_design before adoption (requires --backend bnb)",
-    )
-    parser.add_argument(
-        "--base-model", action="store_true",
-        help="use the untightened Section-5 formulation",
-    )
-    parser.add_argument(
-        "--fortet", action="store_true",
-        help="use Fortet's linearization instead of Glover's",
     )
     parser.add_argument(
         "--plain-search", action="store_true",
@@ -213,24 +239,6 @@ def make_solve_trace(trace_every: int):
     return on_node, on_incumbent
 
 
-def resolve_device(text: str) -> FPGADevice:
-    catalog = device_catalog()
-    if text in catalog:
-        return catalog[text]
-    capacity, _, alpha = text.partition(":")
-    try:
-        return FPGADevice(
-            "custom",
-            capacity=int(capacity),
-            alpha=float(alpha) if alpha else 0.7,
-        )
-    except (ValueError, ReproError) as exc:
-        raise SystemExit(
-            f"unknown device {text!r} (catalog: {sorted(catalog)}; or "
-            f"CAPACITY[:ALPHA]): {exc}"
-        ) from exc
-
-
 def build_lint_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-tps lint",
@@ -239,42 +247,7 @@ def build_lint_parser() -> argparse.ArgumentParser:
         "counts, and infeasibility certificates.  Exit status: 0 "
         "clean, 1 warnings, 2 errors or proven infeasible.",
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--graph", help="path to a task-graph JSON file (see repro.graph.io)"
-    )
-    source.add_argument(
-        "--paper-graph", type=int, choices=range(1, 7), metavar="1..6",
-        help="one of the paper's regenerated experimental graphs",
-    )
-    parser.add_argument(
-        "--mix", required=True,
-        help="FU mix in the paper's notation, e.g. 2A+2M+1S",
-    )
-    parser.add_argument(
-        "-N", "--partitions", type=int, default=None,
-        help="partition bound N (default: estimate heuristically)",
-    )
-    parser.add_argument(
-        "-L", "--relaxation", type=int, default=0,
-        help="latency relaxation L over the critical path (default 0)",
-    )
-    parser.add_argument(
-        "--device", default="xc4010",
-        help="device name from the catalog, or CAPACITY[:ALPHA]",
-    )
-    parser.add_argument(
-        "--memory", type=int, default=None,
-        help="scratch memory Ms in data units (default: unbounded)",
-    )
-    parser.add_argument(
-        "--base-model", action="store_true",
-        help="analyze the untightened Section-5 formulation",
-    )
-    parser.add_argument(
-        "--fortet", action="store_true",
-        help="use Fortet's linearization instead of Glover's",
-    )
+    add_spec_arguments(parser)
     parser.add_argument(
         "--no-presolve", action="store_true",
         help="lint only; skip the presolve reduction pass",
@@ -317,14 +290,12 @@ def _lint_report(payload: "dict", as_json: bool) -> None:
 def lint_main(argv: "Optional[list]" = None) -> int:
     from repro.ilp.analysis import analyze_model
     from repro.core.precheck import precheck_graph, precheck_spec
-    from repro.core.spec import ProblemSpec
-    from repro.errors import InfeasibleSpecError, SpecificationError
-    from repro.schedule.estimator import estimate_num_segments
-    from repro.target.memory import ScratchMemory as _ScratchMemory
+    from repro.errors import InfeasibleSpecError
 
     args = build_lint_parser().parse_args(argv)
     as_json = args.format == "json"
 
+    # Loaded unvalidated: precheck_graph reports cycles as certificates.
     if args.paper_graph is not None:
         graph = paper_graph(args.paper_graph)
     else:
@@ -343,20 +314,14 @@ def lint_main(argv: "Optional[list]" = None) -> int:
             graph.validate()
         except SpecificationError as exc:
             raise SystemExit(f"malformed specification: {exc}") from exc
-        library = default_library()
+        job = job_from_args(args)
         try:
-            allocation = mix_from_string(args.mix, library)
-            device = resolve_device(args.device)
-            memory = (
-                _ScratchMemory(args.memory)
-                if args.memory is not None
-                else _ScratchMemory.unbounded_for(graph.total_bandwidth())
-            )
-            n_partitions = args.partitions
-            if n_partitions is None:
-                n_partitions = estimate_num_segments(graph, library, device)
-            spec = ProblemSpec.create(
-                graph, allocation, device, memory, n_partitions, args.relaxation
+            partitioner = job.partitioner()
+        except SpecificationError as exc:
+            raise SystemExit(str(exc)) from exc
+        try:
+            spec = partitioner.make_spec(
+                graph, job.mix, job.n_partitions, job.relaxation
             )
         except InfeasibleSpecError as exc:
             payload["certificates"] = [{
@@ -368,11 +333,7 @@ def lint_main(argv: "Optional[list]" = None) -> int:
             _lint_report(payload, as_json)
             return 2
         certificates.extend(precheck_spec(spec))
-        options = FormulationOptions(
-            tighten=not args.base_model,
-            linearization="fortet" if args.fortet else "glover",
-        )
-        model, _ = build_model(spec, options)
+        model, _ = build_model(spec, partitioner.options)
         report = analyze_model(model, run_presolve=not args.no_presolve)
         certificates.extend(report.certificates)
         payload["model"] = dict(model.stats())
@@ -524,10 +485,10 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "solve defaults (for --specs jobs and manifest entries that "
         "omit them)"
     )
-    defaults.add_argument("--mix", default="2A+2M+1S")
+    defaults.add_argument("--mix", default=DEFAULT_MIX)
     defaults.add_argument("-N", "--partitions", type=int, default=None)
     defaults.add_argument("-L", "--relaxation", type=int, default=0)
-    defaults.add_argument("--device", default="xc4010")
+    defaults.add_argument("--device", default=DEFAULT_DEVICE)
     defaults.add_argument("--memory", type=int, default=None)
     defaults.add_argument("--time-limit", type=float, default=60.0)
     parser.add_argument(
@@ -717,17 +678,6 @@ def main(argv: "Optional[list]" = None) -> int:
         return serve_main(arguments[1:])
     args = build_parser().parse_args(arguments)
 
-    if args.paper_graph is not None:
-        graph = paper_graph(args.paper_graph)
-    else:
-        graph = load_task_graph(args.graph)
-
-    device = resolve_device(args.device)
-    memory = ScratchMemory(args.memory) if args.memory is not None else None
-    options = FormulationOptions(
-        tighten=not args.base_model,
-        linearization="fortet" if args.fortet else "glover",
-    )
     if args.trace_every < 1:
         raise SystemExit(f"--trace-every must be >= 1, got {args.trace_every}")
     on_node = on_incumbent = None
@@ -748,30 +698,24 @@ def main(argv: "Optional[list]" = None) -> int:
         raise SystemExit(
             f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
         )
-    partitioner = TemporalPartitioner(
-        library=default_library(),
-        device=device,
-        memory=memory,
-        options=options,
-        branching=args.branching,
-        backend=args.backend,
-        time_limit_s=args.time_limit,
-        plain_search=args.plain_search,
-        on_node=on_node,
-        on_incumbent=on_incumbent,
-        callback_every=args.trace_every if args.verbose_solve else 1,
-        chaos=chaos,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        proof_path=args.proof,
-        heuristics=args.heuristics,
-    )
+    job = job_from_args(args, time_limit_s=args.time_limit, branching=args.branching)
+    try:
+        partitioner, spec = job.solve_inputs(
+            backend=args.backend,
+            heuristics=args.heuristics,
+            chaos=chaos,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            proof_path=args.proof,
+            on_node=on_node,
+            on_incumbent=on_incumbent,
+            callback_every=args.trace_every if args.verbose_solve else 1,
+        )
+    except SpecificationError as exc:
+        raise SystemExit(str(exc)) from exc
 
     if args.dump_lp:
-        spec = partitioner.make_spec(
-            graph, mix_from_string(args.mix), args.partitions, args.relaxation
-        )
-        model, _ = build_model(spec, options)
+        model, _ = build_model(spec, partitioner.options)
         write_lp_format(model, args.dump_lp)
         print(f"wrote {model.num_vars} vars / {model.num_constraints} "
               f"constraints to {args.dump_lp}")
@@ -781,9 +725,7 @@ def main(argv: "Optional[list]" = None) -> int:
     # would land in front of the document.
     quiet = _stdout_to_stderr() if args.as_json else contextlib.nullcontext()
     with quiet:
-        outcome = partitioner.partition(
-            graph, mix_from_string(args.mix), args.partitions, args.relaxation
-        )
+        outcome = partitioner.partition_spec(spec)
 
     if args.as_json:
         payload = outcome.summary_row()

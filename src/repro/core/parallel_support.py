@@ -1,17 +1,17 @@
-"""One recipe for the temporal-partitioning solve context.
+"""Two factories for the partitioner's branch-and-bound configuration.
 
-The partitioner's branch-and-bound configuration is full of closures —
-the slot-counting node prober, the compact leaf solver, the resilient
-LP chain.  :func:`solve_context` assembles all of them, plus the
-presolved model, from the spec and the knobs;
-:class:`~repro.core.partitioner.TemporalPartitioner` calls it right
-after ``build_model``.
+:func:`make_lp_backend` builds the LP chain and
+:func:`make_incumbent_auditor` the semantic audit of heuristic
+incumbents.  :class:`~repro.core.partitioner.TemporalPartitioner`
+calls both when it builds a
+:class:`~repro.ilp.branch_bound.BranchAndBoundConfig`.
 
-The search itself is sequential; specs run in parallel only across
-processes (``repro batch --jobs`` and the solve service).  The module
-keeps its name because ``bench/spans.py`` patches
-:func:`make_lp_backend` and :func:`make_incumbent_auditor` here by
-name.
+The name is historical: the search is sequential, and specs run in
+parallel only across processes (``repro batch --jobs`` and the solve
+service).  The module keeps the name because ``bench/spans.py`` looks
+both factories up here by module and name, and swaps in timed
+versions at run time; a rename would change what the benchmark
+measures.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ def make_lp_backend(
 ):
     """LP backend for a bnb solve: bare, chaos-wrapped, or armored.
 
-    Called by :func:`solve_context`.  ``plain_search`` keeps the
-    historical bare SciPy backend, with only its primary wrapped in
-    fault injection under ``chaos``.  Otherwise the warm-starting
-    incremental kernel heads the chain with the stateless backends
-    behind it, a :class:`~repro.ilp.resilience.ResilientLPBackend`
-    wraps the chain, and a :class:`~repro.ilp.resilience.FaultPlan`
+    ``plain_search`` keeps the historical bare SciPy backend, with only
+    its primary wrapped in fault injection under ``chaos``.  Otherwise
+    the warm-starting incremental kernel heads the chain with the
+    stateless backends behind it, a
+    :class:`~repro.ilp.resilience.ResilientLPBackend` wraps the chain,
+    and a :class:`~repro.ilp.resilience.FaultPlan`
     additionally wraps the primary (or, with ``targets="all"``, every)
     backend in seeded fault injection with infeasible double-checking.
     """
@@ -89,54 +89,3 @@ def make_incumbent_auditor(spec, space):
         return True
 
     return audit
-
-
-def solve_context(
-    spec,
-    space,
-    model,
-    *,
-    plain_search: bool,
-    presolve: bool,
-    chaos: "Optional[FaultPlan]",
-) -> "Dict[str, object]":
-    """Everything one branch-and-bound solve of ``model`` needs.
-
-    Presolve (non-eliminating, so the variable indices the prober,
-    leaf solver and branching metadata use stay valid) runs when
-    ``presolve`` is set and ``plain_search`` is not.  Returns a dict:
-    ``model`` (the presolved model, or ``model`` itself when presolve
-    is off or proved infeasibility), ``presolve`` (the reduction
-    counters, or ``None``), ``certificate`` (presolve's infeasibility
-    certificate, or ``None``), ``node_prober`` and ``leaf_solver``
-    (``None`` under ``plain_search``), ``lp_backend`` and
-    ``incumbent_auditor``.
-    """
-    stats = certificate = None
-    if presolve and not plain_search:
-        from repro.ilp.analysis.presolve import presolve as run_presolve
-
-        reduced = run_presolve(model, eliminate=False)
-        stats = reduced.stats.as_dict()
-        certificate = reduced.certificate
-        if certificate is None:
-            model = reduced.model
-
-    node_prober = leaf_solver = None
-    if not plain_search:
-        from repro.core.leafsolve import make_leaf_solver
-        from repro.core.probe import make_slot_prober
-
-        node_prober = make_slot_prober(spec, space)
-        leaf_solver = make_leaf_solver(spec, space)
-
-    return {
-        "model": model,
-        "presolve": stats,
-        "certificate": certificate,
-        "node_prober": node_prober,
-        "leaf_solver": leaf_solver,
-        "lp_backend": make_lp_backend(chaos=chaos, plain_search=plain_search),
-        "incumbent_auditor": make_incumbent_auditor(spec, space),
-    }
-

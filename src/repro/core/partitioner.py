@@ -56,8 +56,9 @@ from repro.ilp.solution import MilpResult, SolveStats, SolveStatus, relative_gap
 from repro.library.catalogs import default_library, mix_from_string
 from repro.library.components import Allocation, ComponentLibrary
 from repro.schedule.estimator import estimate_num_segments
-from repro.target.fpga import FPGADevice, device_catalog
+from repro.target.fpga import DEFAULT_DEVICE, FPGADevice, device_catalog
 from repro.target.memory import ScratchMemory
+from repro.core import leafsolve, parallel_support, probe
 from repro.core.decode import decode_solution
 from repro.core.formulation import FormulationOptions, build_model, model_size_report
 from repro.core.precheck import precheck_spec
@@ -205,10 +206,9 @@ class TemporalPartitioner:
         When True (default), run the structural prechecks
         (:mod:`repro.core.precheck`, eqs. 3 and 11 plus cycle
         detection) before formulating, and the static presolve pass
-        (:mod:`repro.ilp.analysis`) right after (see
-        :func:`repro.core.parallel_support.solve_context`).  A
-        certificate ends the run with an INFEASIBLE outcome carrying
-        it — no branch and bound is built, no LP is ever solved.  Only
+        (:mod:`repro.ilp.analysis`) right after.  A certificate ends
+        the run with an INFEASIBLE outcome carrying it — no branch and
+        bound is built, no LP is ever solved.  Only
         the ``"bnb"`` backend presolves the model; prechecks apply to
         both backends.
     on_node / on_incumbent:
@@ -281,7 +281,7 @@ class TemporalPartitioner:
                 "backend is a single opaque HiGHS call)"
             )
         self.library = library if library is not None else default_library()
-        self.device = device if device is not None else device_catalog()["xc4010"]
+        self.device = device if device is not None else device_catalog()[DEFAULT_DEVICE]
         self.memory = memory
         self.options = options if options is not None else FormulationOptions()
         self.branching: BranchingRule = (
@@ -356,28 +356,28 @@ class TemporalPartitioner:
                 spec, model_stats, start, certificates[0],
                 SolveStats(stop_reason="precheck_infeasible"),
             )
-        context = None
+        config = presolved = None
         if self.backend == "bnb":
-            from repro.core.parallel_support import solve_context
+            if self.presolve and not self.plain_search:
+                # Non-eliminating, so the variable indices the prober,
+                # leaf solver and branching metadata use stay valid.
+                from repro.ilp.analysis.presolve import presolve
 
-            context = solve_context(
-                spec,
-                space,
-                model,
-                plain_search=self.plain_search,
-                presolve=self.presolve,
-                chaos=self.chaos,
-            )
-            if context["certificate"] is not None:
-                stats = SolveStats(stop_reason="presolve_infeasible")
-                stats.presolve = context["presolve"]
-                return self._certified_infeasible(
-                    spec, model_stats, start, context["certificate"], stats
-                )
+                reduced = presolve(model, eliminate=False)
+                presolved = reduced.stats.as_dict()
+                if reduced.certificate is not None:
+                    return self._certified_infeasible(
+                        spec, model_stats, start, reduced.certificate,
+                        SolveStats(
+                            stop_reason="presolve_infeasible", presolve=presolved
+                        ),
+                    )
+                model = reduced.model
+            config = self._bnb_config(spec, space)
         allow_degrade = not self.plain_search
 
         try:
-            result = self._solve(model, context, start)
+            result = self._solve(model, config, start)
         except SolverError as exc:
             if not allow_degrade:
                 raise
@@ -386,8 +386,7 @@ class TemporalPartitioner:
                 cause="solver_error", detail=str(exc),
                 solve_stats=SolveStats(stop_reason="solver_error"),
             )
-        if context is not None:
-            result.stats.presolve = context["presolve"]
+        result.stats.presolve = presolved
 
         design: "Optional[PartitionedDesign]" = None
         objective: "Optional[float]" = None
@@ -523,13 +522,43 @@ class TemporalPartitioner:
             return None
         return max(self.time_limit_s - (time.monotonic() - start), 0.0)
 
-    def _solve(self, model, context, start: float) -> MilpResult:
-        """Solve the model: one HiGHS call when ``context`` is None, else
-        the branch and bound over the solve context from
-        :func:`~repro.core.parallel_support.solve_context`.  Either gets
-        the time left of ``time_limit_s`` since ``start``.
+    def _bnb_config(self, spec: ProblemSpec, space) -> BranchAndBoundConfig:
+        """The branch-and-bound configuration of one solve of ``spec``.
+
+        The node prober and the leaf solver are off under
+        ``plain_search``.  The factories are looked up on their modules
+        at call time, so a wrapped one (as ``bench/spans.py`` installs)
+        takes effect.
         """
-        if context is None:
+        node_prober = leaf_solver = None
+        if not self.plain_search:
+            node_prober = probe.make_slot_prober(spec, space)
+            leaf_solver = leafsolve.make_leaf_solver(spec, space)
+        return BranchAndBoundConfig(
+            node_limit=self.node_limit,
+            objective_is_integral=True,
+            propagate_sos1=not self.plain_search,
+            node_prober=node_prober,
+            leaf_solver=leaf_solver,
+            on_node=self.on_node,
+            on_incumbent=self.on_incumbent,
+            callback_every=self.callback_every,
+            lp_backend=parallel_support.make_lp_backend(
+                chaos=self.chaos, plain_search=self.plain_search
+            ),
+            checkpoint_path=self.checkpoint_path,
+            checkpoint_every=self.checkpoint_every,
+            heuristics=self.heuristics,
+            incumbent_auditor=parallel_support.make_incumbent_auditor(spec, space),
+            proof_path=self.proof_path,
+        )
+
+    def _solve(self, model, config, start: float) -> MilpResult:
+        """Solve the model: one HiGHS call when ``config`` is None, else
+        the branch and bound under ``config``.  Either gets the time
+        left of ``time_limit_s`` since ``start``.
+        """
+        if config is None:
             time_left = self._time_left(start)
             if time_left == 0.0:
                 # HiGHS rejects a zero time limit: the limit already
@@ -539,23 +568,6 @@ class TemporalPartitioner:
                     stats=SolveStats(stop_reason="time_limit"),
                 )
             return solve_milp_scipy(model, time_limit_s=time_left)
-        config = BranchAndBoundConfig(
-            node_limit=self.node_limit,
-            objective_is_integral=True,
-            propagate_sos1=not self.plain_search,
-            node_prober=context["node_prober"],
-            leaf_solver=context["leaf_solver"],
-            on_node=self.on_node,
-            on_incumbent=self.on_incumbent,
-            callback_every=self.callback_every,
-            lp_backend=context["lp_backend"],
-            checkpoint_path=self.checkpoint_path,
-            checkpoint_every=self.checkpoint_every,
-            heuristics=self.heuristics,
-            incumbent_auditor=context["incumbent_auditor"],
-            proof_path=self.proof_path,
-        )
-        model = context["model"]
         solver = BranchAndBound(model, rule=self.branching, config=config)
         # Set after the solver compiled the model: set-up counts too.
         config.time_limit_s = self._time_left(start)

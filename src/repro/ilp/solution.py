@@ -172,17 +172,6 @@ class SolveStats:
         """Alias for ``lp_solves`` (the telemetry schema's name)."""
         return self.lp_solves
 
-    @property
-    def nodes_pruned(self) -> int:
-        """Nodes closed without branching, by any cause."""
-        return (
-            self.nodes_pruned_bound
-            + self.nodes_pruned_infeasible
-            + self.nodes_integral
-            + self.nodes_leaf_solved
-            + self.nodes_dropped
-        )
-
     def as_dict(self) -> "Dict[str, object]":
         """Plain JSON-serializable view for reports and artifacts."""
         return {

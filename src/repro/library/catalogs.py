@@ -33,6 +33,9 @@ MIX_LETTERS: "Dict[str, str]" = {
     "L": "alu16",
 }
 
+#: The FU mix a solve explores unless told otherwise.
+DEFAULT_MIX = "2A+2M+1S"
+
 
 def default_library() -> ComponentLibrary:
     """The default XC4000-class characterized component library.

@@ -38,13 +38,23 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.errors import ManifestError
+from repro.errors import ManifestError, SpecificationError
+from repro.library.catalogs import DEFAULT_MIX
 from repro.runner.limits import ResourceLimits
+from repro.target.fpga import DEFAULT_DEVICE, resolve_device
+
+if TYPE_CHECKING:
+    from repro.core.partitioner import TemporalPartitioner
+    from repro.core.spec import ProblemSpec
+    from repro.graph.taskgraph import TaskGraph
 
 #: Manifest schema identifier; bump on incompatible layout changes.
 MANIFEST_SCHEMA = "repro.batch_manifest/v1"
+
+#: Formulation flags a job carries under ``options``.
+OPTION_FLAGS = ("base_model", "fortet", "plain_search")
 
 #: Drill modes the worker knows how to execute without a solver.
 DRILL_MODES = ("ok", "sleep", "busy_loop", "hog_memory", "segfault")
@@ -97,15 +107,19 @@ class JobSpec:
 
     ``spec_class`` groups jobs for the circuit breaker (defaults to a
     name derived from the source).  ``options`` carries formulation
-    flags (``base_model``/``fortet``/``plain_search``) verbatim.
+    flags (:data:`OPTION_FLAGS`) verbatim.
+
+    Every entry point describes a solve this way: the CLI, ``repro
+    lint``, and the batch and service workers.  :meth:`partitioner` and
+    :meth:`solve_inputs` are the one translation into solver inputs.
     """
 
     index: int
     source: "Dict[str, object]"
-    mix: str = "2A+2M+1S"
+    mix: str = DEFAULT_MIX
     n_partitions: "Optional[int]" = None
     relaxation: int = 0
-    device: str = "xc4010"
+    device: str = DEFAULT_DEVICE
     memory: "Optional[int]" = None
     time_limit_s: "Optional[float]" = 60.0
     node_limit: "Optional[int]" = None
@@ -171,44 +185,83 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: "Dict[str, object]") -> "JobSpec":
+        """A job from the :meth:`as_dict` layout, each field coerced to its type."""
+        def optional(key, kind):
+            return None if data.get(key) is None else kind(data[key])
+
         try:
             return cls(
                 index=int(data["index"]),  # type: ignore[arg-type]
                 source=dict(data["source"]),  # type: ignore[arg-type]
-                mix=str(data.get("mix", "2A+2M+1S")),
-                n_partitions=(
-                    None if data.get("n_partitions") is None
-                    else int(data["n_partitions"])  # type: ignore[arg-type]
-                ),
+                mix=str(data.get("mix", DEFAULT_MIX)),
+                n_partitions=optional("n_partitions", int),
                 relaxation=int(data.get("relaxation", 0)),  # type: ignore[arg-type]
-                device=str(data.get("device", "xc4010")),
-                memory=(
-                    None if data.get("memory") is None
-                    else int(data["memory"])  # type: ignore[arg-type]
-                ),
-                time_limit_s=(
-                    None if data.get("time_limit_s") is None
-                    else float(data["time_limit_s"])  # type: ignore[arg-type]
-                ),
-                node_limit=(
-                    None if data.get("node_limit") is None
-                    else int(data["node_limit"])  # type: ignore[arg-type]
-                ),
+                device=str(data.get("device", DEFAULT_DEVICE)),
+                memory=optional("memory", int),
+                time_limit_s=optional("time_limit_s", float),
+                node_limit=optional("node_limit", int),
                 options={
                     str(k): bool(v)
                     for k, v in dict(data.get("options", {})).items()  # type: ignore[arg-type]
                 },
-                branching=(
-                    None if data.get("branching") is None
-                    else str(data["branching"])
-                ),
+                branching=optional("branching", str),
                 spec_class=str(data.get("spec_class", "")),
                 limits=ResourceLimits.from_dict(dict(data.get("limits", {}))),  # type: ignore[arg-type]
             )
         except ManifestError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(f"malformed job description: {exc}") from exc
+            raise ManifestError(
+                f"job {data.get('index')}: malformed job description: {exc}"
+            ) from exc
+
+    def partitioner(self, **extras) -> "TemporalPartitioner":
+        """A partitioner for this job's device, memory, formulation
+        options, branching rule and limits.
+
+        ``extras`` are :class:`~repro.core.partitioner.TemporalPartitioner`
+        keywords a job does not carry: the CLI's backend, heuristics,
+        chaos plan, checkpoint, proof log and trace callbacks, or the
+        worker's checkpoint.  Raises
+        :class:`~repro.errors.SpecificationError` on an unknown device
+        or branching rule.
+        """
+        from repro.core.formulation import FormulationOptions
+        from repro.core.partitioner import TemporalPartitioner
+        from repro.ilp.branching import RULES
+        from repro.target.memory import ScratchMemory
+
+        branching = self.branching or "paper"
+        if branching not in RULES:
+            raise SpecificationError(
+                f"unknown branching rule {branching!r} (known: {sorted(RULES)})"
+            )
+        return TemporalPartitioner(
+            device=resolve_device(self.device),
+            memory=None if self.memory is None else ScratchMemory(self.memory),
+            options=FormulationOptions(
+                tighten=not self.options.get("base_model", False),
+                linearization="fortet" if self.options.get("fortet") else "glover",
+            ),
+            branching=branching,
+            time_limit_s=self.time_limit_s,
+            node_limit=self.node_limit,
+            plain_search=bool(self.options.get("plain_search", False)),
+            **extras,
+        )
+
+    def solve_inputs(self, **extras) -> "Tuple[TemporalPartitioner, ProblemSpec]":
+        """The partitioner (see :meth:`partitioner`) and the spec it solves.
+
+        Raises a :class:`~repro.errors.ReproError` subclass on a source,
+        mix, device or branching rule that names nothing, or on a spec
+        proven infeasible before the model is built.
+        """
+        partitioner = self.partitioner(**extras)
+        spec = partitioner.make_spec(
+            build_graph(self.source), self.mix, self.n_partitions, self.relaxation
+        )
+        return partitioner, spec
 
     def with_shrunk_budget(self, shrink: float) -> "JobSpec":
         """A retry copy with time/node budgets scaled down by ``shrink``.
@@ -228,6 +281,67 @@ class JobSpec:
                 else max(1, int(self.node_limit * shrink))
             ),
         )
+
+
+def build_graph(source: "Dict[str, object]") -> "TaskGraph":
+    """Materialize a job source's task graph; SpecificationError on bad input."""
+    kind = source.get("kind")
+    if kind == "file":
+        from repro.graph.io import load_task_graph
+
+        path = str(source["path"])
+        try:
+            return load_task_graph(path)
+        except OSError as exc:
+            # An unreadable spec file is a bad *specification*, not a
+            # worker fault — the job classifies INVALID_SPEC.
+            raise SpecificationError(f"cannot read spec file {path}: {exc}") from exc
+        except ValueError as exc:  # json.JSONDecodeError subclasses ValueError
+            raise SpecificationError(f"spec file {path} is not valid JSON: {exc}") from exc
+    if kind == "inline":
+        from repro.graph.io import task_graph_from_dict
+
+        data = source.get("data")
+        if not isinstance(data, dict):
+            raise SpecificationError(
+                f"inline source needs a spec dict under 'data', got "
+                f"{type(data).__name__}"
+            )
+        # Defense in depth: the service guards admission with (usually
+        # stricter) limits, but the worker re-applies the default caps
+        # so an inline job reaching it any other way is still bounded.
+        return task_graph_from_dict(data)
+    if kind == "paper":
+        from repro.graph.generators import paper_graph
+
+        try:
+            number = int(source["number"])  # type: ignore[arg-type]
+        except (KeyError, TypeError, ValueError):
+            raise SpecificationError(
+                f"bad paper-graph number: {source.get('number')!r}"
+            ) from None
+        return paper_graph(number)
+    if kind == "random":
+        from repro.graph.generators import RandomGraphConfig, random_task_graph
+
+        config = source.get("config")
+        if not isinstance(config, dict):
+            raise SpecificationError("random source needs a config object")
+        allowed = {
+            "n_tasks", "n_ops", "seed", "max_task_preds", "intra_edge_prob",
+            "intra_chain_prob", "extra_task_edge_prob", "cluster_skew",
+            "pred_locality",
+        }
+        unknown = set(config) - allowed
+        if unknown:
+            raise SpecificationError(
+                f"unknown random-generator keys: {sorted(unknown)}"
+            )
+        try:
+            return random_task_graph(RandomGraphConfig(**config))
+        except TypeError as exc:
+            raise SpecificationError(f"bad random-generator config: {exc}") from exc
+    raise SpecificationError(f"unknown job source kind: {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -421,68 +535,22 @@ def _job_from_entry(
             if key in merged:
                 source[key] = merged.pop(key)
 
-    options = {
-        name: bool(merged.pop(name))
-        for name in ("base_model", "fortet", "plain_search")
+    options = {name: merged.pop(name) for name in OPTION_FLAGS if name in merged}
+    limits = {
+        name: merged.pop(name)
+        for name in ("memory_limit_mb", "cpu_limit_s", "wall_limit_s")
         if name in merged
     }
     known = {
         "mix", "n_partitions", "relaxation", "device", "memory",
         "time_limit_s", "node_limit", "branching", "spec_class",
-        "memory_limit_mb", "cpu_limit_s", "wall_limit_s",
     }
     unknown = set(merged) - known
     if unknown:
         raise ManifestError(f"job {index}: unknown manifest keys {sorted(unknown)}")
-    try:
-        limits = ResourceLimits(
-            memory_limit_mb=(
-                None if merged.get("memory_limit_mb") is None
-                else int(merged["memory_limit_mb"])  # type: ignore[arg-type]
-            ),
-            cpu_limit_s=(
-                None if merged.get("cpu_limit_s") is None
-                else float(merged["cpu_limit_s"])  # type: ignore[arg-type]
-            ),
-            wall_limit_s=(
-                None if merged.get("wall_limit_s") is None
-                else float(merged["wall_limit_s"])  # type: ignore[arg-type]
-            ),
-        )
-        return JobSpec(
-            index=index,
-            source=source,
-            mix=str(merged.get("mix", "2A+2M+1S")),
-            n_partitions=(
-                None if merged.get("n_partitions") is None
-                else int(merged["n_partitions"])  # type: ignore[arg-type]
-            ),
-            relaxation=int(merged.get("relaxation", 0)),  # type: ignore[arg-type]
-            device=str(merged.get("device", "xc4010")),
-            memory=(
-                None if merged.get("memory") is None
-                else int(merged["memory"])  # type: ignore[arg-type]
-            ),
-            time_limit_s=(
-                None if merged.get("time_limit_s") is None
-                else float(merged["time_limit_s"])  # type: ignore[arg-type]
-            ),
-            node_limit=(
-                None if merged.get("node_limit") is None
-                else int(merged["node_limit"])  # type: ignore[arg-type]
-            ),
-            options=options,
-            branching=(
-                None if merged.get("branching") is None
-                else str(merged["branching"])
-            ),
-            spec_class=str(merged.get("spec_class", "")),
-            limits=limits,
-        )
-    except ManifestError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"job {index}: {exc}") from exc
+    return JobSpec.from_dict(
+        {**merged, "index": index, "source": source, "options": options, "limits": limits}
+    )
 
 
 def load_manifest(data: "Dict[str, object] | str | Path") -> "List[JobSpec]":

@@ -52,88 +52,6 @@ _DETERMINISTIC_ROW_KEYS = (
 )
 
 
-def _resolve_device(text: str):
-    """Catalog name or ``CAPACITY[:ALPHA]`` — worker-side, exception-typed."""
-    from repro.errors import SpecificationError
-    from repro.target.fpga import FPGADevice, device_catalog
-
-    catalog = device_catalog()
-    if text in catalog:
-        return catalog[text]
-    capacity, _, alpha = text.partition(":")
-    try:
-        return FPGADevice(
-            "custom", capacity=int(capacity), alpha=float(alpha) if alpha else 0.7
-        )
-    except ValueError as exc:
-        raise SpecificationError(
-            f"unknown device {text!r} (not in catalog, not CAPACITY[:ALPHA])"
-        ) from exc
-
-
-def _build_graph(source: "Dict[str, object]"):
-    """Materialize the job's task graph; SpecificationError on bad input."""
-    from repro.errors import SpecificationError
-
-    kind = source.get("kind")
-    if kind == "file":
-        from repro.graph.io import load_task_graph
-
-        path = str(source["path"])
-        try:
-            return load_task_graph(path)
-        except OSError as exc:
-            # An unreadable spec file is a bad *specification*, not a
-            # worker fault — the job classifies INVALID_SPEC.
-            raise SpecificationError(f"cannot read spec file {path}: {exc}") from exc
-        except ValueError as exc:  # json.JSONDecodeError subclasses ValueError
-            raise SpecificationError(f"spec file {path} is not valid JSON: {exc}") from exc
-    if kind == "inline":
-        from repro.graph.io import task_graph_from_dict
-
-        data = source.get("data")
-        if not isinstance(data, dict):
-            raise SpecificationError(
-                f"inline source needs a spec dict under 'data', got "
-                f"{type(data).__name__}"
-            )
-        # Defense in depth: the service guards admission with (usually
-        # stricter) limits, but the worker re-applies the default caps
-        # so an inline job reaching it any other way is still bounded.
-        return task_graph_from_dict(data)
-    if kind == "paper":
-        from repro.graph.generators import paper_graph
-
-        try:
-            number = int(source["number"])  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError):
-            raise SpecificationError(
-                f"bad paper-graph number: {source.get('number')!r}"
-            ) from None
-        return paper_graph(number)
-    if kind == "random":
-        from repro.graph.generators import RandomGraphConfig, random_task_graph
-
-        config = source.get("config")
-        if not isinstance(config, dict):
-            raise SpecificationError("random source needs a config object")
-        allowed = {
-            "n_tasks", "n_ops", "seed", "max_task_preds", "intra_edge_prob",
-            "intra_chain_prob", "extra_task_edge_prob", "cluster_skew",
-            "pred_locality",
-        }
-        unknown = set(config) - allowed
-        if unknown:
-            raise SpecificationError(
-                f"unknown random-generator keys: {sorted(unknown)}"
-            )
-        try:
-            return random_task_graph(RandomGraphConfig(**config))
-        except TypeError as exc:
-            raise SpecificationError(f"bad random-generator config: {exc}") from exc
-    raise SpecificationError(f"unknown job source kind: {kind!r}")
-
-
 def _run_drill(source: "Dict[str, object]") -> "Dict[str, object]":
     """Built-in isolation drills; see :data:`repro.runner.jobs.DRILL_MODES`."""
     mode = source.get("mode")
@@ -181,70 +99,18 @@ def _run_solve(job: "Dict[str, object]") -> "Dict[str, object]":
         SpecificationError,
         TargetError,
     )
+    from repro.runner.jobs import JobSpec
 
     try:
-        graph = _build_graph(dict(job.get("source", {})))
-        device = _resolve_device(str(job.get("device", "xc4010")))
-        from repro.core.formulation import FormulationOptions
-        from repro.core.partitioner import TemporalPartitioner
-        from repro.library.catalogs import default_library, mix_from_string
-        from repro.target.memory import ScratchMemory
-
-        options_in = dict(job.get("options", {}))
-        options = FormulationOptions(
-            tighten=not options_in.get("base_model", False),
-            linearization="fortet" if options_in.get("fortet") else "glover",
-        )
-        library = default_library()
-        allocation = mix_from_string(str(job.get("mix", "2A+2M+1S")), library)
-        memory = (
-            ScratchMemory(int(job["memory"]))  # type: ignore[arg-type]
-            if job.get("memory") is not None else None
-        )
-        from repro.ilp.branching import RULES
-
-        branching = str(job.get("branching") or "paper")
-        if branching not in RULES:
-            raise SpecificationError(
-                f"unknown branching rule {branching!r} "
-                f"(known: {sorted(RULES)})"
-            )
-        partitioner = TemporalPartitioner(
-            library=library,
-            device=device,
-            memory=memory,
-            options=options,
-            branching=branching,
-            time_limit_s=(
-                None if job.get("time_limit_s") is None
-                else float(job["time_limit_s"])  # type: ignore[arg-type]
-            ),
-            node_limit=(
-                None if job.get("node_limit") is None
-                else int(job["node_limit"])  # type: ignore[arg-type]
-            ),
-            plain_search=bool(options_in.get("plain_search", False)),
-            checkpoint_path=(
-                str(job["checkpoint_path"])
-                if job.get("checkpoint_path") else None
-            ),
+        partitioner, spec = JobSpec.from_dict(job).solve_inputs(
+            checkpoint_path=job.get("checkpoint_path") or None,
             checkpoint_every=int(job.get("checkpoint_every", 64)),  # type: ignore[arg-type]
         )
-        n_partitions = (
-            None if job.get("n_partitions") is None
-            else int(job["n_partitions"])  # type: ignore[arg-type]
-        )
-        relaxation = int(job.get("relaxation", 0))  # type: ignore[arg-type]
+        outcome = partitioner.partition_spec(spec)
     except (SpecificationError, InfeasibleSpecError, LibraryError,
             TargetError, ManifestError) as exc:
-        return {"outcome": "INVALID_SPEC", "error": str(exc)}
-
-    try:
-        outcome = partitioner.partition(graph, allocation, n_partitions, relaxation)
-    except (SpecificationError, InfeasibleSpecError, LibraryError,
-            TargetError) as exc:
-        # A spec the partitioner itself rejects (e.g. an allocation with
-        # no FU for some op type) is the job's fault, not the worker's.
+        # A spec that is malformed, names nothing, or is proven
+        # infeasible up front is the job's fault, not the worker's.
         return {"outcome": "INVALID_SPEC", "error": str(exc)}
 
     artifacts: "Dict[str, str]" = {}

@@ -25,6 +25,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError, SpecificationError, SpecTooLargeError
 from repro.graph.io import GraphLimits, task_graph_from_dict
+from repro.library.catalogs import DEFAULT_MIX
+from repro.runner.jobs import OPTION_FLAGS
+from repro.target.fpga import DEFAULT_DEVICE
 
 #: Wire schema of request and response documents.
 PROTOCOL_SCHEMA = "repro.service/v1"
@@ -38,7 +41,7 @@ _ALLOWED_KEYS = {
     "device", "memory", "options", "branching", "node_limit",
     "tenant", "priority", "deadline_s", "wait",
 }
-_ALLOWED_OPTIONS = {"base_model", "fortet", "plain_search"}
+_ALLOWED_OPTIONS = set(OPTION_FLAGS)
 
 
 def _bad(message: str) -> ServiceError:
@@ -76,10 +79,10 @@ class SolveRequest:
 
     spec: "Optional[Dict[str, Any]]" = None
     paper_graph: "Optional[int]" = None
-    mix: str = "2A+2M+1S"
+    mix: str = DEFAULT_MIX
     n_partitions: "Optional[int]" = None
     relaxation: int = 0
-    device: str = "xc4010"
+    device: str = DEFAULT_DEVICE
     memory: "Optional[int]" = None
     options: "Dict[str, bool]" = field(default_factory=dict)
     branching: "Optional[str]" = None
@@ -163,10 +166,10 @@ def parse_solve_request(
     if paper is not None and not 1 <= paper <= 6:
         raise _bad(f"'paper_graph' must be in 1..6, got {paper}")
 
-    mix = data.get("mix", "2A+2M+1S")
+    mix = data.get("mix", DEFAULT_MIX)
     if not isinstance(mix, str) or not mix:
         raise _bad(f"'mix' must be a non-empty string, got {mix!r}")
-    device = data.get("device", "xc4010")
+    device = data.get("device", DEFAULT_DEVICE)
     if not isinstance(device, str) or not device:
         raise _bad(f"'device' must be a non-empty string, got {device!r}")
 

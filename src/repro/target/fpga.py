@@ -19,7 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.errors import TargetError
+from repro.errors import SpecificationError, TargetError
+
+#: The device a solve targets unless told otherwise.
+DEFAULT_DEVICE = "xc4010"
 
 #: Default synthesis-efficiency factor (eq. 11's alpha).
 DEFAULT_ALPHA = 0.7
@@ -96,3 +99,25 @@ def device_catalog() -> "Dict[str, FPGADevice]":
         FPGADevice("xc4025", capacity=2048),
     )
     return {dev.name: dev for dev in devices}
+
+
+def resolve_device(text: str) -> FPGADevice:
+    """A catalog name, or ``CAPACITY[:ALPHA]`` for a custom device.
+
+    Raises :class:`~repro.errors.SpecificationError` on anything else.
+    """
+    catalog = device_catalog()
+    if text in catalog:
+        return catalog[text]
+    capacity, _, alpha = text.partition(":")
+    try:
+        return FPGADevice(
+            "custom",
+            capacity=int(capacity),
+            alpha=float(alpha) if alpha else DEFAULT_ALPHA,
+        )
+    except (ValueError, TargetError) as exc:
+        raise SpecificationError(
+            f"unknown device {text!r} (catalog: {sorted(catalog)}; or "
+            f"CAPACITY[:ALPHA]): {exc}"
+        ) from exc

@@ -5,8 +5,10 @@ import os
 
 import pytest
 
-from repro.cli import build_parser, main, resolve_device
+from repro.cli import build_parser, main
+from repro.errors import SpecificationError
 from repro.graph.io import save_task_graph
+from repro.target.fpga import resolve_device
 
 
 class TestParser:
@@ -42,8 +44,13 @@ class TestResolveDevice:
         assert dev.alpha == 0.5
 
     def test_garbage_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SpecificationError, match="unknown device"):
             resolve_device("not-a-device")
+
+    def test_cli_turns_a_bad_device_into_an_exit(self):
+        with pytest.raises(SystemExit, match="unknown device"):
+            main(["--paper-graph", "1", "--mix", "2A+2M+1S",
+                  "--device", "not-a-device"])
 
 
 class TestMain:
@@ -186,3 +193,27 @@ class TestMain:
         assert code == 0
         assert json.loads(captured.out)["status"] == "optimal"
         assert "HighsMipSolverData" in captured.err
+
+
+class TestBatch:
+    #: The journal digest of ``--specs g.json`` under the default solve
+    #: flags, as written before the manifest coercion was merged into
+    #: ``JobSpec.from_dict``; a journal only resumes when it matches.
+    SPECS_DIGEST = "7cf52866a0906d8c0f314ae0704e1d29327ab859f9d8e43847791ffda9f7809f"
+
+    def test_specs_batch_runs_in_process(
+        self, capsys, monkeypatch, tmp_path, chain3_graph
+    ):
+        monkeypatch.chdir(tmp_path)
+        save_task_graph(chain3_graph, "g.json")
+        code = main([
+            "batch", "--specs", "g.json", "--journal", "j.jsonl",
+            "--format", "json", "--quiet",
+        ])
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert summary["outcomes"] == {"OK": 1}
+        assert summary["rows"][0]["status"] == "optimal"
+        with open("j.jsonl", encoding="utf-8") as journal:
+            header = json.loads(journal.readline())
+        assert header["manifest_digest"] == self.SPECS_DIGEST

@@ -301,6 +301,39 @@ class TestTransientStatusMapping:
         assert exc.backend == "scipy-highs" and exc.raw_status == 4
 
 
+def _fails_when_fixed(form, lb, ub):
+    """An LP backend that fails on every fully fixed box."""
+    if np.array_equal(lb, ub):
+        raise SolverError("injected: LP failure on a fixed box")
+    return solve_lp_scipy(form, lb, ub)
+
+
+def _failing_leaf(lb, ub, budget):
+    raise SolverError("injected: leaf sub-solve failure")
+
+
+def two_box_model():
+    """min -(4a+3b) s.t. 2a+2b <= 3: the b=1 branch reaches both of its
+    fully fixed boxes, (1, 1) infeasible and (0, 1) integral; the b=0
+    branch finds the optimum (1, 0) while ``a`` is still free."""
+    model = Model("two-box")
+    a = model.add_binary("a")
+    b = model.add_binary("b")
+    model.add(2 * a + 2 * b <= 3)
+    model.set_objective(-4 * a - 3 * b)
+    return model
+
+
+def odd_sum_model():
+    """2(y0+y1+y2) == 3: every LP with a free ``y`` is fractional, and
+    no fully fixed box is feasible."""
+    model = Model("odd-sum")
+    ys = [model.add_binary(f"y{i}") for i in range(3)]
+    model.add(2 * lin_sum(ys) == 3)
+    model.set_objective(lin_sum(-1 * y for y in ys))
+    return model
+
+
 class TestBranchAndBoundSurvival:
     def test_primary_dead_still_optimal_via_fallback(self):
         config = BranchAndBoundConfig(
@@ -344,6 +377,46 @@ class TestBranchAndBoundSurvival:
             + stats.nodes_leaf_solved
             + stats.nodes_dropped
         )
+
+    def test_leaf_decides_a_fully_fixed_node_whose_lp_failed(self):
+        # Both fully fixed boxes of the b=1 branch fail their LP; the
+        # exact leaf sub-solve decides them, so the answer stays exact.
+        config = BranchAndBoundConfig(lp_backend=_fails_when_fixed)
+        result = BranchAndBound(two_box_model(), config=config).solve()
+        stats = result.stats
+        assert stats.lp_failures == 2
+        assert stats.nodes_leaf_solved == 2
+        assert stats.nodes_dropped == 0
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(-4.0)
+
+    def test_leaf_decides_an_infeasible_model_exactly(self):
+        config = BranchAndBoundConfig(lp_backend=_fails_when_fixed)
+        result = BranchAndBound(odd_sum_model(), config=config).solve()
+        assert result.stats.nodes_leaf_solved > 0
+        assert result.stats.nodes_dropped == 0
+        assert result.status is SolveStatus.INFEASIBLE
+
+    def test_failed_leaf_drops_the_node_and_downgrades_to_feasible(self):
+        config = BranchAndBoundConfig(
+            lp_backend=_fails_when_fixed, leaf_solver=_failing_leaf
+        )
+        result = BranchAndBound(two_box_model(), config=config).solve()
+        stats = result.stats
+        assert stats.nodes_dropped == 2
+        assert stats.resilience["exactness_lost"] is True
+        # The incumbent from the b=0 branch survives without its proof.
+        assert result.status is SolveStatus.FEASIBLE
+        assert result.objective == pytest.approx(-4.0)
+
+    def test_failed_leaf_without_incumbent_is_an_error(self):
+        config = BranchAndBoundConfig(
+            lp_backend=_fails_when_fixed, leaf_solver=_failing_leaf
+        )
+        result = BranchAndBound(odd_sum_model(), config=config).solve()
+        assert result.stats.nodes_dropped > 0
+        # Not INFEASIBLE: the dropped leaves were never decided.
+        assert result.status is SolveStatus.ERROR
 
     def test_fault_free_resilient_run_has_no_resilience_noise(self):
         config = BranchAndBoundConfig(lp_backend=ResilientLPBackend())

@@ -87,16 +87,16 @@ class TestJobSpec:
         job = JobSpec(0, {"kind": "inline", "data": data})
         clone = JobSpec.from_dict(json.loads(json.dumps(job.as_dict())))
         assert clone == job
-        from repro.runner.worker import _build_graph
-        graph = _build_graph(clone.source)
+        from repro.runner.jobs import build_graph
+        graph = build_graph(clone.source)
         assert graph.name == "tiny"
         assert graph.num_operations == 1
 
     def test_inline_source_without_dict_data_is_invalid_spec(self):
         from repro.errors import SpecificationError
-        from repro.runner.worker import _build_graph
+        from repro.runner.jobs import build_graph
         with pytest.raises(SpecificationError, match="inline source"):
-            _build_graph({"kind": "inline", "data": "not-a-dict"})
+            build_graph({"kind": "inline", "data": "not-a-dict"})
 
     def test_job_id_is_stable(self):
         job = JobSpec(7, {"kind": "drill", "mode": "ok"}, spec_class="sentinel")

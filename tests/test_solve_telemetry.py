@@ -300,9 +300,19 @@ CLOCK_BOUND_SPECS = {
 }
 
 
+#: Draw gen44 (same parameter layout): the slot prober prunes 12 of
+#: its 73 nodes on the way to INFEASIBLE.
+PROBER_SPEC = (5, 16, 2, 1, "3A+2M+2S", 2088631029)
+
+
 def clock_bound_spec(tp, key):
     """The spec of one :data:`CLOCK_BOUND_SPECS` draw under ``tp``."""
-    n_tasks, n_ops, n_parts, relax, mix, seed = CLOCK_BOUND_SPECS[key]
+    return seeded_spec(tp, CLOCK_BOUND_SPECS[key])
+
+
+def seeded_spec(tp, draw):
+    """The spec of one seeded draw ``(tasks, ops, N, L, mix, seed)``."""
+    n_tasks, n_ops, n_parts, relax, mix, seed = draw
     graph = random_task_graph(
         RandomGraphConfig(
             n_tasks=n_tasks,
@@ -381,3 +391,22 @@ class TestLimitsHold:
         assert time.monotonic() - start < 2.0
         assert outcome.solve_stats.stop_reason == "time_limit"
         assert outcome.solve_stats.wall_time_s < 1.0
+
+
+class TestProberPrunes:
+    def test_prober_hits_keep_the_verdict(self):
+        tp = TemporalPartitioner(
+            device=reference_device(), memory=reference_memory(),
+        )
+        outcome = tp.partition_spec(seeded_spec(tp, PROBER_SPEC))
+        stats = outcome.solve_stats
+        assert stats.prober_hits > 0
+        assert_counters_reconcile(stats)
+        assert outcome.status is SolveStatus.INFEASIBLE
+        milp = TemporalPartitioner(
+            device=reference_device(), memory=reference_memory(),
+            backend="milp",
+        )
+        assert milp.partition_spec(seeded_spec(milp, PROBER_SPEC)).status is (
+            SolveStatus.INFEASIBLE
+        )
