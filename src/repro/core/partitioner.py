@@ -187,8 +187,9 @@ class TemporalPartitioner:
         ``"milp"`` for SciPy HiGHS.
     time_limit_s / node_limit:
         Search limits passed to the backend.  The time limit covers
-        the whole :meth:`partition_spec` call: the solver gets what
-        precheck, model build and presolve left of it.  Expiry with an
+        the whole :meth:`partition_spec` call: presolve starts no pass
+        after it has run out, and the solver gets what precheck, model
+        build and presolve left of it.  Expiry with an
         incumbent yields a FEASIBLE outcome carrying the proven bound
         and gap.
     plain_search:
@@ -363,7 +364,8 @@ class TemporalPartitioner:
                 # leaf solver and branching metadata use stay valid.
                 from repro.ilp.analysis.presolve import presolve
 
-                reduced = presolve(model, eliminate=False)
+                deadline = None if self.time_limit_s is None else start + self.time_limit_s
+                reduced = presolve(model, eliminate=False, deadline=deadline)
                 presolved = reduced.stats.as_dict()
                 if reduced.certificate is not None:
                     return self._certified_infeasible(

@@ -17,6 +17,9 @@ The pass iterates four classic MILP reductions to a fixpoint:
   and how the Section-6 tightening cuts are recognized when the
   bounds already subsume them).
 
+Rounds are incremental: a pass revisits only the rows whose inputs
+changed since it last saw them (see :class:`_Engine`).
+
 A bound contradiction or a row with no satisfiable point yields an
 :class:`~repro.ilp.analysis.diagnostics.InfeasibilityCertificate`
 instead of a reduced model — the certificate path never solves an LP.
@@ -38,6 +41,8 @@ Two output modes (``presolve(model, eliminate=...)``):
 from __future__ import annotations
 
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -52,6 +57,10 @@ _SUBST_EQ_SUPPORT = 64
 
 #: Cap on the fixpoint iteration.
 MAX_ROUNDS = 10
+
+#: Dirty bits of a row: the passes that must look at it again.
+_PROPAGATE, _TIGHTEN, _IMPLIED = 1, 2, 4
+_ALL = _PROPAGATE | _TIGHTEN | _IMPLIED
 
 #: Absolute feasibility/rounding tolerance.
 FEAS_TOL = 1e-9
@@ -168,12 +177,17 @@ class _Infeasible(Exception):
         self.certificate = certificate
 
 
-def presolve(model: Model, *, eliminate: bool = True) -> PresolveResult:
+def presolve(
+    model: Model, *, eliminate: bool = True, deadline: "Optional[float]" = None
+) -> PresolveResult:
     """Run the presolve pass on ``model`` (which is left untouched).
 
     ``eliminate`` selects the output mode (see module docstring).
+    ``deadline`` is a :func:`time.monotonic` instant: once it has
+    passed, no further pass starts and the reductions made so far are
+    returned (each is valid on its own).
     """
-    engine = _Engine(model, eliminate)
+    engine = _Engine(model, eliminate, deadline)
     try:
         engine.run()
     except _Infeasible as stop:
@@ -183,11 +197,24 @@ def presolve(model: Model, *, eliminate: bool = True) -> PresolveResult:
 
 
 class _Engine:
-    """The mutable working state of one presolve run."""
+    """The mutable working state of one presolve run.
 
-    def __init__(self, model: Model, eliminate: bool) -> None:
+    Each row has a dirty bit per pass that reads bounds.  A bound change
+    sets all bits on the rows of its column, and the implied bit on the
+    rows sharing a column with an equality of that column; a coefficient
+    change sets all bits on its row.  A pass visits, in row order, the
+    live rows whose bit is set, so rows marked earlier in the same pass
+    are visited too.  Skipping a clean row is exact: its coefficients and
+    the bounds the pass reads are those of the last visit, which changed
+    nothing.  (Equalities never change and only die, and fewer of them
+    cannot make a failed substitution succeed.)  The duplicate pass reads
+    no bounds and compares only rows of equal sense and support.
+    """
+
+    def __init__(self, model: Model, eliminate: bool, deadline: "Optional[float]") -> None:
         self.model = model
         self.eliminate = eliminate
+        self.deadline = deadline
         self.stats = PresolveStats(
             vars_before=model.num_vars,
             rows_before=model.num_constraints,
@@ -205,19 +232,63 @@ class _Engine:
                 self.rows.append(_Row(coeffs, Sense.LE, -con.rhs, tag, con.name))
             else:
                 self.rows.append(_Row(coeffs, con.sense, con.rhs, tag, con.name))
+        self.dirty: "List[int]" = [_ALL] * len(self.rows)
+        # Column -> rows, and column -> equalities small enough to
+        # substitute; both in row order.
+        self.rows_of: "List[List[int]]" = [[] for _ in self.lb]
+        self.eqs_of: "Dict[int, List[int]]" = {}
+        for index, row in enumerate(self.rows):
+            small_eq = row.sense is Sense.EQ and len(row.coeffs) <= _SUBST_EQ_SUPPORT
+            for idx in row.coeffs:
+                self.rows_of[idx].append(index)
+                if small_eq:
+                    self.eqs_of.setdefault(idx, []).append(index)
+        # Rows of equal sense and support hash alike; int keys keep no
+        # object alive, and a collision costs only a signature.
+        keys = [hash((r.sense is Sense.EQ, frozenset(r.coeffs))) for r in self.rows]
+        counts = Counter(keys)
+        self.twins = [i for i, key in enumerate(keys) if counts[key] > 1 and self.rows[i].coeffs]
+        self.signatures: "Dict[int, Tuple]" = {}
 
     # ------------------------------------------------------------------
     # driver
 
     def run(self) -> None:
+        passes = (self._propagate_pass, self._tighten_pass, self._duplicate_pass,
+                  self._implied_pass)
         for round_no in range(1, MAX_ROUNDS + 1):
-            self.stats.rounds = round_no
-            changed = self._propagate_pass()
-            changed |= self._tighten_pass()
-            changed |= self._duplicate_pass()
-            changed |= self._implied_pass()
+            changed = False
+            for step in passes:
+                if self.deadline is not None and time.monotonic() >= self.deadline:
+                    return
+                self.stats.rounds = round_no
+                changed |= step()
             if not changed:
                 break
+
+    def _stale(self, bit: int):
+        """``(index, row)`` of each live row with dirty ``bit``, cleared."""
+        dirty, rows = self.dirty, self.rows
+        for index in range(len(rows)):
+            if dirty[index] & bit and rows[index].alive:
+                dirty[index] &= ~bit
+                yield index, rows[index]
+
+    def _moved(self, idx: int, was_free: bool) -> bool:
+        """Count a bound change of column ``idx`` and mark the rows that
+        read its bounds."""
+        self.stats.bounds_tightened += 1
+        if was_free and self._is_fixed(idx):
+            self.stats.vars_fixed += 1
+        dirty, rows_of = self.dirty, self.rows_of
+        for index in rows_of[idx]:
+            dirty[index] = _ALL
+        for eq in self.eqs_of.get(idx, ()):
+            if self.rows[eq].alive:
+                for col in self.rows[eq].coeffs:
+                    for index in rows_of[col]:
+                        dirty[index] |= _IMPLIED
+        return True
 
     # ------------------------------------------------------------------
     # activity helpers
@@ -225,21 +296,23 @@ class _Engine:
     def _is_fixed(self, idx: int) -> bool:
         return self.ub[idx] - self.lb[idx] <= FEAS_TOL
 
-    def _contrib_range(self, idx: int, coef: float) -> "Tuple[float, float]":
-        a = coef * self.lb[idx]
-        b = coef * self.ub[idx]
-        return (a, b) if a <= b else (b, a)
-
     def _activity(self, row: _Row) -> "Tuple[float, float]":
+        lb, ub = self.lb, self.ub
         lo = hi = 0.0
         for idx, coef in row.coeffs.items():
-            a, b = self._contrib_range(idx, coef)
-            lo += a
-            hi += b
+            a = coef * lb[idx]
+            b = coef * ub[idx]
+            if a <= b:
+                lo += a
+                hi += b
+            else:
+                lo += b
+                hi += a
         return lo, hi
 
     def _free_support(self, row: _Row) -> "List[int]":
-        return [idx for idx in row.coeffs if not self._is_fixed(idx)]
+        lb, ub = self.lb, self.ub
+        return [idx for idx in row.coeffs if not ub[idx] - lb[idx] <= FEAS_TOL]
 
     def _fixed_sum(self, row: _Row) -> float:
         return sum(
@@ -257,22 +330,10 @@ class _Engine:
         if value >= self.ub[idx] - FEAS_TOL:
             return False
         if value < self.lb[idx] - FEAS_TOL:
-            var = self.model.variables[idx]
-            raise _Infeasible(InfeasibilityCertificate(
-                code="bound-contradiction",
-                reason=(
-                    f"propagation forces {var.name} <= {value:g} while its "
-                    f"lower bound is {self.lb[idx]:g}"
-                ),
-                details={"variable": var.name, "implied_ub": value,
-                         "lb": self.lb[idx]},
-            ))
+            raise self._contradiction(idx, value, upper=True)
         was_free = not self._is_fixed(idx)
         self.ub[idx] = max(value, self.lb[idx])
-        self.stats.bounds_tightened += 1
-        if was_free and self._is_fixed(idx):
-            self.stats.vars_fixed += 1
-        return True
+        return self._moved(idx, was_free)
 
     def _set_lb(self, idx: int, value: float) -> bool:
         if self.is_int[idx]:
@@ -280,22 +341,26 @@ class _Engine:
         if value <= self.lb[idx] + FEAS_TOL:
             return False
         if value > self.ub[idx] + FEAS_TOL:
-            var = self.model.variables[idx]
-            raise _Infeasible(InfeasibilityCertificate(
-                code="bound-contradiction",
-                reason=(
-                    f"propagation forces {var.name} >= {value:g} while its "
-                    f"upper bound is {self.ub[idx]:g}"
-                ),
-                details={"variable": var.name, "implied_lb": value,
-                         "ub": self.ub[idx]},
-            ))
+            raise self._contradiction(idx, value, upper=False)
         was_free = not self._is_fixed(idx)
         self.lb[idx] = min(value, self.ub[idx])
-        self.stats.bounds_tightened += 1
-        if was_free and self._is_fixed(idx):
-            self.stats.vars_fixed += 1
-        return True
+        return self._moved(idx, was_free)
+
+    def _contradiction(self, idx: int, value: float, upper: bool) -> _Infeasible:
+        var = self.model.variables[idx]
+        sense, side, other = (
+            ("<=", "lower", self.lb[idx]) if upper else (">=", "upper", self.ub[idx])
+        )
+        return _Infeasible(InfeasibilityCertificate(
+            code="bound-contradiction",
+            reason=(
+                f"propagation forces {var.name} {sense} {value:g} while its "
+                f"{side} bound is {other:g}"
+            ),
+            details={"variable": var.name,
+                     "implied_ub" if upper else "implied_lb": value,
+                     side[0] + "b": other},
+        ))
 
     def _fix(self, idx: int, value: float) -> bool:
         changed = False
@@ -323,99 +388,85 @@ class _Engine:
 
     def _propagate_pass(self) -> bool:
         changed = False
-        tol = FEAS_TOL
-        for index, row in enumerate(self.rows):
-            if not row.alive:
-                continue
-            lo, hi = self._activity(row)
-            if row.sense is Sense.LE:
-                if lo > row.rhs + max(tol, 1e-7):
-                    raise self._row_infeasible(row, index, lo, hi)
-                if hi <= row.rhs + tol:
-                    row.alive = False
-                    self.stats.note_removal("redundant")
-                    changed = True
-                    continue
-                if lo >= row.rhs - tol:
-                    # Forcing: only the minimum-activity point fits.
-                    for idx in self._free_support(row):
-                        bound = self.lb[idx] if row.coeffs[idx] > 0 else self.ub[idx]
-                        changed |= self._fix(idx, bound)
-                    row.alive = False
-                    self.stats.note_removal("forcing")
-                    changed = True
-                    continue
-                changed |= self._propagate_le(row)
-            else:  # EQ
-                if lo > row.rhs + max(tol, 1e-7) or hi < row.rhs - max(tol, 1e-7):
-                    raise self._row_infeasible(row, index, lo, hi)
-                free = self._free_support(row)
-                if not free:
-                    row.alive = False
-                    self.stats.note_removal("redundant")
-                    changed = True
-                    continue
-                if len(free) == 1:
-                    idx = free[0]
-                    coef = row.coeffs[idx]
-                    value = (row.rhs - self._fixed_sum(row)) / coef
-                    if self.is_int[idx] and abs(value - round(value)) > 1e-6:
-                        var = self.model.variables[idx]
-                        raise _Infeasible(InfeasibilityCertificate(
-                            code="row-infeasible",
-                            reason=(
-                                f"constraint {row.label(index)} forces integer "
-                                f"variable {var.name} to the fractional value "
-                                f"{value:g}"
-                            ),
-                            details={"row": row.label(index), "tag": row.tag,
-                                     "variable": var.name, "value": value},
-                        ))
-                    changed |= self._fix(idx, round(value) if self.is_int[idx] else value)
-                    row.alive = False
-                    self.stats.note_removal("singleton")
-                    changed = True
-                    continue
-                if hi <= row.rhs + tol:
-                    # Only the maximum-activity point attains the rhs.
-                    for idx in free:
-                        bound = self.ub[idx] if row.coeffs[idx] > 0 else self.lb[idx]
-                        changed |= self._fix(idx, bound)
-                    row.alive = False
-                    self.stats.note_removal("forcing")
-                    changed = True
-                    continue
-                if lo >= row.rhs - tol:
-                    for idx in free:
-                        bound = self.lb[idx] if row.coeffs[idx] > 0 else self.ub[idx]
-                        changed |= self._fix(idx, bound)
-                    row.alive = False
-                    self.stats.note_removal("forcing")
-                    changed = True
-                    continue
-                changed |= self._propagate_eq(row, lo, hi)
+        for index, row in self._stale(_PROPAGATE):
+            changed |= self._propagate_row(index, row)
         return changed
 
-    def _propagate_le(self, row: _Row) -> bool:
-        """Singleton conversion and bound propagation for one LE row."""
-        changed = False
+    def _propagate_row(self, index: int, row: _Row) -> bool:
+        tol = FEAS_TOL
+        lo, hi = self._activity(row)
+        if row.sense is Sense.LE:
+            if lo > row.rhs + max(tol, 1e-7):
+                raise self._row_infeasible(row, index, lo, hi)
+            if hi <= row.rhs + tol:
+                return self._remove(row, "redundant")
+            if lo >= row.rhs - tol:
+                # Forcing: only the minimum-activity point fits.
+                return self._force(row, self._free_support(row), low=True)
+            return self._propagate_le(row, lo)
+        if lo > row.rhs + max(tol, 1e-7) or hi < row.rhs - max(tol, 1e-7):
+            raise self._row_infeasible(row, index, lo, hi)
+        free = self._free_support(row)
+        if not free:
+            return self._remove(row, "redundant")
+        if len(free) == 1:
+            idx = free[0]
+            coef = row.coeffs[idx]
+            value = (row.rhs - self._fixed_sum(row)) / coef
+            if self.is_int[idx] and abs(value - round(value)) > 1e-6:
+                var = self.model.variables[idx]
+                raise _Infeasible(InfeasibilityCertificate(
+                    code="row-infeasible",
+                    reason=(
+                        f"constraint {row.label(index)} forces integer "
+                        f"variable {var.name} to the fractional value "
+                        f"{value:g}"
+                    ),
+                    details={"row": row.label(index), "tag": row.tag,
+                             "variable": var.name, "value": value},
+                ))
+            self._fix(idx, round(value) if self.is_int[idx] else value)
+            return self._remove(row, "singleton")
+        if hi <= row.rhs + tol:
+            # Only the maximum-activity point attains the rhs.
+            return self._force(row, free, low=False)
+        if lo >= row.rhs - tol:
+            return self._force(row, free, low=True)
+        return self._propagate_eq(row, lo, hi)
+
+    def _remove(self, row: _Row, reason: str) -> bool:
+        row.alive = False
+        self.stats.note_removal(reason)
+        return True
+
+    def _force(self, row: _Row, free: "List[int]", low: bool) -> bool:
+        """Fix ``free`` where the row's activity is lowest (``low``) or
+        highest, and remove the row."""
+        for idx in free:
+            at_lb = (row.coeffs[idx] > 0) == low
+            self._fix(idx, self.lb[idx] if at_lb else self.ub[idx])
+        return self._remove(row, "forcing")
+
+    def _propagate_le(self, row: _Row, lo: float) -> bool:
+        """Singleton conversion and bound propagation for one LE row
+        of minimum activity ``lo``."""
         free = self._free_support(row)
         if len(free) == 1:
             idx = free[0]
             coef = row.coeffs[idx]
             residual = row.rhs - self._fixed_sum(row)
             if coef > 0:
-                changed |= self._set_ub(idx, residual / coef)
+                self._set_ub(idx, residual / coef)
             else:
-                changed |= self._set_lb(idx, residual / coef)
-            row.alive = False
-            self.stats.note_removal("singleton")
-            return True
-        lo, _ = self._activity(row)
+                self._set_lb(idx, residual / coef)
+            return self._remove(row, "singleton")
+        changed = False
+        lb, ub = self.lb, self.ub
         for idx in free:
             coef = row.coeffs[idx]
-            min_contrib, _ = self._contrib_range(idx, coef)
-            residual = lo - min_contrib
+            a = coef * lb[idx]
+            b = coef * ub[idx]
+            residual = lo - (a if a <= b else b)
             limit = row.rhs - residual
             if coef > 0:
                 implied = limit / coef
@@ -432,7 +483,9 @@ class _Engine:
         changed = False
         for idx in self._free_support(row):
             coef = row.coeffs[idx]
-            min_contrib, max_contrib = self._contrib_range(idx, coef)
+            a = coef * self.lb[idx]
+            b = coef * self.ub[idx]
+            min_contrib, max_contrib = (a, b) if a <= b else (b, a)
             le_limit = row.rhs - (lo - min_contrib)
             ge_limit = row.rhs - (hi - max_contrib)
             if coef > 0:
@@ -452,18 +505,20 @@ class _Engine:
 
     def _tighten_pass(self) -> bool:
         changed = False
-        for row in self.rows:
-            if not row.alive or row.sense is not Sense.LE:
+        lb, ub, is_int = self.lb, self.ub, self.is_int
+        for index, row in self._stale(_TIGHTEN):
+            if row.sense is not Sense.LE:
                 continue
             _, hi = self._activity(row)
+            tightened = False
             for idx in list(row.coeffs):
-                if self._is_fixed(idx):
-                    continue
-                if not (self.is_int[idx] and self.lb[idx] == 0.0 and self.ub[idx] == 1.0):
+                # Binary columns only (a 0-1 box is never fixed).
+                if not (is_int[idx] and lb[idx] == 0.0 and ub[idx] == 1.0):
                     continue
                 coef = row.coeffs[idx]
-                _, max_contrib = self._contrib_range(idx, coef)
-                rest_max = hi - max_contrib
+                a = coef * lb[idx]
+                b = coef * ub[idx]
+                rest_max = hi - (b if a <= b else a)
                 if coef > 0:
                     # Valid when rhs - coef < rest_max < rhs: shrink both
                     # the coefficient and the rhs; 0-1 points unchanged,
@@ -474,7 +529,7 @@ class _Engine:
                         row.coeffs[idx] = new_coef
                         row.rhs = rest_max
                         self.stats.coeffs_tightened += 1
-                        changed = True
+                        tightened = True
                 else:
                     # Mirror case via the complement variable: shrink the
                     # magnitude of a negative coefficient, rhs unchanged.
@@ -482,18 +537,18 @@ class _Engine:
                         new_coef = row.rhs - rest_max
                         row.coeffs[idx] = new_coef
                         self.stats.coeffs_tightened += 1
-                        changed = True
+                        tightened = True
+            if tightened:
+                changed = True
+                self.dirty[index] = _ALL
+                self.signatures.pop(index, None)
         return changed
 
     # ------------------------------------------------------------------
     # duplicate / dominated rows
 
-    def _signature(self, row: _Row) -> "Optional[Tuple]":
-        items = sorted(
-            (idx, coef) for idx, coef in row.coeffs.items() if coef != 0.0
-        )
-        if not items:
-            return None
+    def _signature(self, row: _Row) -> "Tuple":
+        items = sorted(row.coeffs.items())
         scale = max(abs(c) for _, c in items)
         if row.sense is Sense.EQ and items[0][1] < 0:
             scale = -scale
@@ -503,12 +558,13 @@ class _Engine:
     def _duplicate_pass(self) -> bool:
         changed = False
         best: "Dict[Tuple, Tuple[int, float]]" = {}
-        for index, row in enumerate(self.rows):
+        for index in self.twins:
+            row = self.rows[index]
             if not row.alive:
                 continue
-            sig = self._signature(row)
+            sig = self.signatures.get(index)
             if sig is None:
-                continue
+                sig = self.signatures[index] = self._signature(row)
             key, rhs = sig
             if key not in best:
                 best[key] = (index, rhs)
@@ -516,9 +572,7 @@ class _Engine:
             kept_index, kept_rhs = best[key]
             if row.sense is Sense.EQ:
                 if abs(rhs - kept_rhs) <= 1e-9:
-                    row.alive = False
-                    self.stats.note_removal("duplicate")
-                    changed = True
+                    changed = self._remove(row, "duplicate")
                 else:
                     kept = self.rows[kept_index]
                     raise _Infeasible(InfeasibilityCertificate(
@@ -534,15 +588,11 @@ class _Engine:
                 continue
             # LE twins: keep the tighter rhs, drop the other.
             if rhs >= kept_rhs - 1e-9:
-                row.alive = False
                 reason = "duplicate" if abs(rhs - kept_rhs) <= 1e-9 else "dominated"
-                self.stats.note_removal(reason)
-                changed = True
+                changed = self._remove(row, reason)
             else:
-                self.rows[kept_index].alive = False
-                self.stats.note_removal("dominated")
+                changed = self._remove(self.rows[kept_index], "dominated")
                 best[key] = (index, rhs)
-                changed = True
         return changed
 
     # ------------------------------------------------------------------
@@ -550,42 +600,75 @@ class _Engine:
 
     def _implied_pass(self) -> bool:
         changed = False
-        eq_by_var: "Dict[int, List[_Row]]" = {}
-        for row in self.rows:
-            if row.alive and row.sense is Sense.EQ and len(row.coeffs) <= _SUBST_EQ_SUPPORT:
-                for idx in row.coeffs:
-                    eq_by_var.setdefault(idx, []).append(row)
-        for index, row in enumerate(self.rows):
-            if not row.alive or row.sense is not Sense.LE:
+        ranges: "Dict[int, Tuple[float, int, float, int]]" = {}
+        for _, row in self._stale(_IMPLIED):
+            if row.sense is not Sense.LE or len(row.coeffs) > _SUBST_INEQ_SUPPORT:
                 continue
-            if len(row.coeffs) > _SUBST_INEQ_SUPPORT:
-                continue
-            if self._implied_by_equality(row, eq_by_var):
-                row.alive = False
-                self.stats.note_removal("implied")
-                changed = True
+            if self._implied_by_equality(row, ranges):
+                changed = self._remove(row, "implied")
         return changed
 
-    def _implied_by_equality(self, row: _Row, eq_by_var) -> bool:
-        """Whether substituting some equality row proves ``row`` redundant."""
-        for j, a_j in row.coeffs.items():
-            for eq in eq_by_var.get(j, ()):
-                c_j = eq.coeffs.get(j, 0.0)
-                if c_j == 0.0:
+    def _eq_range(self, eq: _Row) -> "Tuple[float, int, float, int]":
+        """Min and max activity of ``eq``, each as (finite part, number of
+        infinite terms)."""
+        lo = hi = 0.0
+        lo_inf = hi_inf = 0
+        for idx, coef in eq.coeffs.items():
+            a, b = sorted((coef * self.lb[idx], coef * self.ub[idx]))
+            if math.isinf(a):
+                lo_inf += 1
+            else:
+                lo += a
+            if math.isinf(b):
+                hi_inf += 1
+            else:
+                hi += b
+        return lo, lo_inf, hi, hi_inf
+
+    def _implied_by_equality(self, row: _Row, ranges) -> bool:
+        """Whether substituting some equality row proves ``row`` redundant.
+
+        Eliminating ``x_j`` by ``c.x == d`` turns ``a.x <= b`` into
+        ``(a - r c).x <= b - r d``, ``r = a_j / c_j``.  Its maximum
+        activity is summed without building it: the equality's columns
+        outside ``a`` add ``-r`` times their minimum (``r > 0``) or
+        maximum activity, from the per-pass ``ranges``.
+        """
+        lb, ub, rows = self.lb, self.ub, self.rows
+        coeffs = row.coeffs
+        for j, a_j in coeffs.items():
+            for e in self.eqs_of.get(j, ()):
+                eq = rows[e]
+                if not eq.alive:
                     continue
-                ratio = a_j / c_j
-                new_coeffs: "Dict[int, float]" = dict(row.coeffs)
-                del new_coeffs[j]
-                for i, c_i in eq.coeffs.items():
-                    if i == j:
-                        continue
-                    new_coeffs[i] = new_coeffs.get(i, 0.0) - ratio * c_i
-                new_rhs = row.rhs - ratio * eq.rhs
-                hi = 0.0
-                for idx, coef in new_coeffs.items():
-                    _, top = self._contrib_range(idx, coef)
-                    hi += top
-                if hi <= new_rhs + 1e-9:
+                if e not in ranges:
+                    ranges[e] = self._eq_range(eq)
+                ratio = a_j / eq.coeffs[j]
+                lo, lo_inf, hi, hi_inf = ranges[e]
+                rest, infinite = (lo, lo_inf) if ratio > 0 else (hi, hi_inf)
+                top = 0.0
+                for i, a_i in coeffs.items():
+                    l_i, u_i = lb[i], ub[i]
+                    c_i = eq.coeffs.get(i)
+                    if c_i is not None:
+                        a = c_i * l_i
+                        b = c_i * u_i
+                        part = (a if a <= b else b) if ratio > 0 else (b if a <= b else a)
+                        if math.isinf(part):
+                            infinite -= 1
+                        else:
+                            rest -= part
+                        if i == j:
+                            continue
+                        a_i -= ratio * c_i
+                    a = a_i * l_i
+                    b = a_i * u_i
+                    term = b if a <= b else a
+                    if term == math.inf:
+                        infinite += 1
+                    else:
+                        top += term
+                if not infinite and top - ratio * rest <= row.rhs - ratio * eq.rhs + 1e-9:
                     return True
         return False
 
@@ -622,7 +705,7 @@ class _Engine:
             if not row.alive:
                 continue
             reduced.add(
-                Constraint(LinExpr(dict(row.coeffs)), row.sense, row.rhs, row.name),
+                Constraint(LinExpr(row.coeffs), row.sense, row.rhs, row.name),
                 tag=row.tag,
             )
         reduced.set_objective(model.objective.copy())

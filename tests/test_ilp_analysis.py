@@ -10,9 +10,17 @@ SciPy/HiGHS and the exhaustive enumerator on small random instances.
 
 from __future__ import annotations
 
+import importlib
+import itertools
+import math
+import random
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from tests.conftest import make_spec
+from tests.test_presolve_corpus import corpus_model, result_digest
 from repro.core.bruteforce import brute_force_optimum
 from repro.core.formulation import FormulationOptions, build_model
 from repro.core.precheck import (
@@ -34,11 +42,12 @@ from repro.ilp.analysis import (
     presolve,
     worst_severity,
 )
+from repro.ilp.analysis.presolve import _Engine
 from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.branching import make_rule
 from repro.ilp.expr import LinExpr
 from repro.ilp.milp_backend import solve_milp_scipy
-from repro.ilp.model import Model, Sense
+from repro.ilp.model import Constraint, Model, Sense
 from repro.ilp.solution import SolveStatus
 
 
@@ -361,6 +370,158 @@ class TestPresolvePreservesOptimum:
         assert reduced.objective == pytest.approx(baseline.objective, abs=1e-6)
 
 
+def _explicit_substitution(engine, row):
+    """The equality-substitution test done the plain way: build each
+    substituted row and sum its maximum activity."""
+    for j, a_j in row.coeffs.items():
+        for e in engine.eqs_of.get(j, ()):
+            eq = engine.rows[e]
+            ratio = a_j / eq.coeffs[j]
+            coeffs = dict(row.coeffs)
+            del coeffs[j]
+            for i, c_i in eq.coeffs.items():
+                if i != j:
+                    coeffs[i] = coeffs.get(i, 0.0) - ratio * c_i
+            hi = 0.0
+            for idx, coef in coeffs.items():
+                a, b = coef * engine.lb[idx], coef * engine.ub[idx]
+                hi += b if a <= b else a
+            if hi <= row.rhs - ratio * eq.rhs + 1e-9:
+                return True
+    return False
+
+
+class TestSubstitutionTest:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_explicit_substitution(self, seed):
+        # Small random models with infinite bounds on some columns: the
+        # presolve engine sums the substituted row's maximum from cached
+        # equality ranges and must decide every row as the plain
+        # construction does.
+        rng = random.Random(seed)
+        boxes = [(0.0, 1.0), (-2.0, 3.0), (-math.inf, 2.0), (0.0, math.inf),
+                 (-math.inf, math.inf)]
+        decided = []
+        for _ in range(60):
+            model = Model("subst")
+            for i in range(6):
+                lb, ub = rng.choice(boxes)
+                model.add_var(f"x{i}", lb, ub)
+            for sense in [Sense.EQ] * 2 + [Sense.LE] * 4:
+                support = rng.sample(range(6), rng.randint(2, 4))
+                coeffs = {i: float(rng.choice([-3, -2, -1, 1, 2, 3])) for i in support}
+                model.add(Constraint(LinExpr(coeffs), sense, float(rng.randint(-3, 3))))
+            engine = _Engine(model, False, None)
+            for row in engine.rows:
+                if row.sense is Sense.LE:
+                    expected = _explicit_substitution(engine, row)
+                    assert engine._implied_by_equality(row, {}) is expected
+                    decided.append(expected)
+        assert any(decided) and not all(decided)
+
+
+def _feasible_random_model(seed):
+    """Small integer model built around a random point, so it is
+    feasible; rows are often tight there, some come in scaled pairs."""
+    rng = random.Random(seed)
+    model = Model("incremental")
+    point = []
+    for i in range(7):
+        ub = 1 if rng.random() < 0.7 else rng.randint(2, 3)
+        model.add_var(f"x{i}", 0.0, float(ub), integer=True)
+        point.append(rng.randint(0, 1))
+    for _ in range(rng.randint(8, 14)):
+        support = rng.sample(range(7), rng.randint(2, 4))
+        coeffs = {i: float(rng.choice([-3, -1, 1, 2, 3, 4])) for i in support}
+        sense = rng.choice([Sense.LE, Sense.LE, Sense.LE, Sense.GE, Sense.EQ])
+        at = sum(c * point[i] for i, c in coeffs.items())
+        slack = {Sense.LE: 1, Sense.GE: -1, Sense.EQ: 0}[sense] * rng.randint(0, 3)
+        for k in range(2 if rng.random() < 0.3 else 1):
+            extra = k * rng.randint(0, 1) if sense is Sense.LE else 0
+            model.add(Constraint(
+                LinExpr({i: (k + 1) * c for i, c in coeffs.items()}),
+                sense, (k + 1) * (at + slack) + extra,
+            ))
+    return model
+
+
+class TestIncrementalPasses:
+    #: Seeds 538 and 3358 tighten a twin row after its signature was
+    #: cached, which no lower seed does.
+    SEEDS = [*range(400), 538, 3358]
+
+    def test_same_result_as_a_full_scan(self, monkeypatch):
+        # The reference run visits every live row in every pass, treats
+        # every row as a possible twin and recomputes every signature:
+        # what presolve did before its passes skipped clean rows.
+        models = [_feasible_random_model(seed) for seed in self.SEEDS]
+        runs = [presolve(m, eliminate=e) for m in models for e in (False, True)]
+        reasons = {r for run in runs for r in run.stats.rows_removed_by_reason}
+        assert {"implied", "duplicate", "forcing"} <= reasons
+        assert max(run.stats.rounds for run in runs) >= 5
+        assert sum(run.stats.coeffs_tightened for run in runs) > 0
+
+        def every_live_row(self, bit):
+            return ((i, row) for i, row in enumerate(self.rows) if row.alive)
+
+        init, duplicate_pass = _Engine.__init__, _Engine._duplicate_pass
+
+        def all_twins(self, *args):
+            init(self, *args)
+            self.twins = [i for i, row in enumerate(self.rows) if row.coeffs]
+
+        def fresh_signatures(self):
+            self.signatures.clear()
+            return duplicate_pass(self)
+
+        monkeypatch.setattr(_Engine, "_stale", every_live_row)
+        monkeypatch.setattr(_Engine, "__init__", all_twins)
+        monkeypatch.setattr(_Engine, "_duplicate_pass", fresh_signatures)
+        full = [presolve(m, eliminate=e) for m in models for e in (False, True)]
+        assert [result_digest(r) for r in runs] == [result_digest(r) for r in full]
+
+
+class TestPresolveDeadline:
+    """Presolve starts no pass after its deadline, and what it made by
+    then is a valid reduction on its own (seed-11 draw gen14, which
+    runs 12 passes: three rounds of four)."""
+
+    @staticmethod
+    def assert_lifts_to_an_optimum(model, result):
+        assert result.certificate is None
+        reduced = solve_milp_scipy(result.model)
+        original = solve_milp_scipy(model)
+        assert reduced.status is original.status is SolveStatus.OPTIMAL
+        assert model.check_feasible(result.map.lift(reduced.values)) == []
+        assert result.map.lift_objective(reduced.objective) == pytest.approx(
+            original.objective
+        )
+
+    def test_expired_deadline_returns_the_unreduced_model(self):
+        model = corpus_model("gen14")
+        result = presolve(model, eliminate=True, deadline=time.monotonic() - 1.0)
+        stats = result.stats
+        assert stats.rounds == 0
+        assert stats.rows_removed == stats.bounds_tightened == 0
+        assert result.model.num_constraints == model.num_constraints
+        self.assert_lifts_to_an_optimum(model, result)
+
+    @pytest.mark.parametrize("passes", [1, 4])
+    def test_deadline_mid_run_keeps_the_reductions_made(self, passes, monkeypatch):
+        # A clock reading 0, 1, 2, ... passes the deadline at the check
+        # before pass ``passes + 1``: after round 1's propagation, or
+        # after round 1 (round 2 still fixes variables).
+        reads = itertools.count()
+        module = importlib.import_module("repro.ilp.analysis.presolve")
+        monkeypatch.setattr(module, "time", SimpleNamespace(monotonic=lambda: next(reads)))
+        model = corpus_model("gen14")
+        result = presolve(model, eliminate=True, deadline=passes - 0.5)
+        assert next(reads) == passes + 1  # one read per pass, one refused
+        full = presolve(model, eliminate=True)
+        assert 0 < result.stats.rows_removed < full.stats.rows_removed
+        self.assert_lifts_to_an_optimum(model, result)
+
+
 # ---------------------------------------------------------------------------
 # structural prechecks (certificates before any model exists)
 # ---------------------------------------------------------------------------
@@ -532,7 +693,7 @@ class TestSolverIntegration:
         monkeypatch.setattr(
             presolve_module,
             "presolve",
-            lambda model, *, eliminate=True: PresolveResult(
+            lambda model, **options: PresolveResult(
                 stats=PresolveStats(rows_before=model.num_constraints),
                 certificate=certificate,
             ),
@@ -569,6 +730,29 @@ class TestSolverIntegration:
         ).partition(chain3_graph, "1A+1M+1S", n_partitions=3, relaxation=2)
         assert off_outcome.solve_stats.presolve is None
         assert off_outcome.objective == on_outcome.objective
+
+    def test_paper_row_presolve_block(self):
+        # Table 3 row t3-g1-N3-L0, the one paper row where presolve fixes
+        # variables; the values were recorded before presolve became
+        # incremental and must not move.
+        from repro.core.partitioner import TemporalPartitioner
+        from repro.graph.generators import paper_graph
+        from repro.reporting.experiments import reference_device, reference_memory
+
+        outcome = TemporalPartitioner(
+            device=reference_device(), memory=reference_memory()
+        ).partition(paper_graph(1), "2A+2M+1S", n_partitions=3, relaxation=0)
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert outcome.telemetry()["solve"]["presolve"] == {
+            "rounds": 2, "vars_fixed": 6, "bounds_tightened": 6,
+            "coeffs_tightened": 6, "rows_removed": 19,
+            "rows_removed_by_reason": {
+                "redundant": 10, "singleton": 2, "forcing": 4, "implied": 3,
+            },
+            "vars_before": 291, "vars_after": 291,
+            "rows_before": 839, "rows_after": 820,
+            "nonzeros_before": 2637, "nonzeros_after": 2590,
+        }
 
     def test_plain_search_disables_presolve(self, chain3_graph, big_device):
         from repro.core.partitioner import TemporalPartitioner
