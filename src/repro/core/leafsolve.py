@@ -19,6 +19,13 @@ size of the full model with a much tighter LP relaxation, so HiGHS
 decides typical leaves in tens of milliseconds — which is what makes
 the in-repo branch and bound competitive on the paper's Table-4 rows.
 
+:class:`LeafArrays` writes the MILP's CSR arrays directly rather than
+through ``Model``/``lin_sum`` and ``compile_standard_form``: the rows
+that do not depend on the assignment (eq 6, 7, 8) once per solve, the
+rest per call.  Its arrays equal the ``Model``-built form entry for
+entry, in the same order, so HiGHS sees the same problem either way;
+the closure builds it on first use and keeps it as long as it lives.
+
 On success the solver reports the objective (communication cost of the
 assignment) and a *complete* variable valuation of the main model —
 fundamental variables from the leaf solution, secondary variables
@@ -31,11 +38,11 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
-from repro.ilp.expr import lin_sum
 from repro.ilp.milp_backend import solve_milp_scipy
-from repro.ilp.model import Model
 from repro.ilp.solution import SolveStatus
+from repro.ilp.standard_form import StandardForm
 from repro.core.spec import ProblemSpec
 from repro.core.variables import VariableSpace
 
@@ -49,16 +56,19 @@ def make_leaf_solver(
     budget and returns ``("optimal", (objective, full_values))``,
     ``("infeasible", None)`` or ``("timeout", None)``.
     """
+    arrays: "Optional[LeafArrays]" = None
 
     def solver(lb: "np.ndarray", ub: "np.ndarray", budget: float):
+        nonlocal arrays
         assignment = _read_assignment(spec, space, lb, ub)
         if assignment is None:
             return "infeasible", None
         if not _order_and_memory_ok(spec, assignment):
             return "infeasible", None
 
-        leaf, x_map, leaf_u = _build_leaf_model(spec, assignment)
-        result = solve_milp_scipy(leaf, time_limit_s=budget)
+        if arrays is None:
+            arrays = LeafArrays(spec)
+        result = solve_milp_scipy(arrays.form(assignment), time_limit_s=budget)
         if result.status is SolveStatus.INFEASIBLE:
             return "infeasible", None
         if result.status is not SolveStatus.OPTIMAL:
@@ -66,8 +76,8 @@ def make_leaf_solver(
 
         placements = {
             op_id: (j, k)
-            for (op_id, j, k), var in x_map.items()
-            if result.values[var.index] > 0.5
+            for col, (op_id, j, k) in enumerate(arrays.x_keys)
+            if result.values[col] > 0.5
         }
         objective = float(_communication(spec, assignment))
         values = _full_values(spec, space, assignment, placements)
@@ -117,87 +127,154 @@ def _communication(spec, assignment) -> int:
     )
 
 
-def _build_leaf_model(spec, assignment):
-    """The compact scheduling-feasibility MILP for a fixed assignment."""
-    leaf = Model("leaf")
-    x_map = {}
-    for op_id in spec.op_ids:
-        for j in spec.op_steps[op_id]:
+class LeafArrays:
+    """The compact leaf MILP of one spec, as arrays.
+
+    Columns are ``x[i,j,k]`` (op, step, instance order), then ``s[j,p]``
+    (step-major over the assignment's used partitions), then ``u[p,k]``.
+    Rows are eq 6 (the equality system), then eq 7 and the aggregated
+    eq 8, which do not depend on the assignment and are built here once,
+    then the per-assignment rows :meth:`form` fills in: step ownership,
+    op-to-step links, FU usage and capacity.  The result equals, entry
+    for entry and in the same in-row order, what ``compile_standard_form``
+    makes of the same model written with ``Model``/``lin_sum``.
+    """
+
+    def __init__(self, spec: ProblemSpec) -> None:
+        self.spec = spec
+        self.x_keys = [
+            (op_id, j, k)
+            for op_id in spec.op_ids
+            for j in spec.op_steps[op_id]
+            for k in spec.op_fus[op_id]
+        ]
+        x_col = {key: col for col, key in enumerate(self.x_keys)}
+        self.nx = len(self.x_keys)
+        self.n_steps = len(spec.steps)
+        self.n_fus = len(spec.fu_names)
+        task_pos = {task: i for i, task in enumerate(spec.task_order)}
+        self.op_task = np.array([task_pos[spec.op_task[op_id]] for op_id in spec.op_ids])
+
+        # eq 6: unique placement.
+        self.eq_rows = _csr_parts([
+            [x_col[(op_id, j, k)]
+             for j in spec.op_steps[op_id] for k in spec.op_fus[op_id]]
+            for op_id in spec.op_ids
+        ])
+        # eq 7: FU exclusivity per (step, instance).
+        fixed = []
+        for j in spec.steps:
+            for k in spec.fu_names:
+                terms = [
+                    x_col[(op_id, j, k)]
+                    for op_id in spec.ops_at_step(j)
+                    if k in spec.op_fus[op_id]
+                ]
+                if len(terms) > 1:
+                    fixed.append(terms)
+        # eq 8 (aggregated): strict dependency ordering.
+        for (i1, i2) in spec.op_edges():
+            for j1 in spec.op_steps[i1]:
+                late2 = [
+                    x_col[(i2, j2, k2)]
+                    for j2 in spec.op_steps[i2]
+                    if j2 <= j1
+                    for k2 in spec.op_fus[i2]
+                ]
+                if late2:
+                    fixed.append([x_col[(i1, j1, k1)] for k1 in spec.op_fus[i1]] + late2)
+        self.fixed_rows = _csr_parts(fixed)
+
+        # Link rows (x[i,j,*] <= s[j,p]) and usage rows (x[i,*,k] <=
+        # u[p,k], written -u + sum x <= 0): ``None`` marks the one
+        # column that depends on the assignment, found per call as
+        # nx + slot_m * m + slot_p * (position of p among the m used
+        # partitions) + slot_offset.
+        step_pos = {j: pos for pos, j in enumerate(spec.steps)}
+        rows, slots = [], []
+        for op_pos, op_id in enumerate(spec.op_ids):
+            for j in spec.op_steps[op_id]:
+                rows.append([x_col[(op_id, j, k)] for k in spec.op_fus[op_id]] + [None])
+                slots.append((op_pos, step_pos[j], 1, 0))
+        n_link = len(rows)
+        for op_pos, op_id in enumerate(spec.op_ids):
             for k in spec.op_fus[op_id]:
-                x_map[(op_id, j, k)] = leaf.add_binary(f"x[{op_id},{j},{k}]")
-
-    used_partitions = sorted(set(assignment.values()))
-    s_map = {}
-    for j in spec.steps:
-        for p in used_partitions:
-            s_map[(j, p)] = leaf.add_binary(f"s[{j},{p}]")
-    u_map = {}
-    for p in used_partitions:
-        for k in spec.fu_names:
-            u_map[(p, k)] = leaf.add_binary(f"u[{p},{k}]")
-
-    # eq 6: unique placement.
-    for op_id in spec.op_ids:
-        leaf.add(
-            lin_sum(
-                x_map[(op_id, j, k)]
-                for j in spec.op_steps[op_id]
-                for k in spec.op_fus[op_id]
-            )
-            == 1
+                rows.append([None] + [x_col[(op_id, j, k)] for j in spec.op_steps[op_id]])
+                slots.append((op_pos, self.n_steps, self.n_fus, spec.fu_index(k)))
+        _, self.cover_indices, self.cover_indptr = _csr_parts(
+            [[-1 if col is None else col for col in row] for row in rows]
         )
-    # eq 7: FU exclusivity per (step, instance).
-    for j in spec.steps:
-        for k in spec.fu_names:
-            terms = [
-                x_map[(op_id, j, k)]
-                for op_id in spec.ops_at_step(j)
-                if k in spec.op_fus[op_id]
-            ]
-            if len(terms) > 1:
-                leaf.add(lin_sum(terms) <= 1)
-    # eq 8 (aggregated): strict dependency ordering.
-    for (i1, i2) in spec.op_edges():
-        for j1 in spec.op_steps[i1]:
-            late2 = [
-                x_map[(i2, j2, k2)]
-                for j2 in spec.op_steps[i2]
-                if j2 <= j1
-                for k2 in spec.op_fus[i2]
-            ]
-            if late2:
-                placed1 = lin_sum(
-                    x_map[(i1, j1, k1)] for k1 in spec.op_fus[i1]
-                )
-                leaf.add(placed1 + lin_sum(late2) <= 1)
-    # Step ownership: each step belongs to at most one partition, and
-    # an op may only run in a step its partition owns.
-    for j in spec.steps:
-        leaf.add(lin_sum(s_map[(j, p)] for p in used_partitions) <= 1)
-    for op_id in spec.op_ids:
-        p = assignment[spec.op_task[op_id]]
-        for j in spec.op_steps[op_id]:
-            leaf.add(
-                lin_sum(x_map[(op_id, j, k)] for k in spec.op_fus[op_id])
-                <= s_map[(j, p)]
-            )
-    # FU usage and capacity (eq 11).
-    for op_id in spec.op_ids:
-        p = assignment[spec.op_task[op_id]]
-        for k in spec.op_fus[op_id]:
-            leaf.add(
-                u_map[(p, k)]
-                >= lin_sum(x_map[(op_id, j, k)] for j in spec.op_steps[op_id])
-            )
-    alpha = spec.device.alpha
-    for p in used_partitions:
-        leaf.add(
-            lin_sum(
-                alpha * spec.fu_cost[k] * u_map[(p, k)] for k in spec.fu_names
-            )
-            <= spec.device.capacity
+        self.cover_slot = np.flatnonzero(self.cover_indices < 0)
+        self.cover_data = np.where(self.cover_indices < 0, -1.0, 1.0)
+        self.cover_b = np.concatenate([np.full(n_link, -0.0), np.zeros(len(rows) - n_link)])
+        slots = np.array(slots)
+        self.slot_op, self.slot_m, self.slot_p, self.slot_offset = slots.T
+
+        # eq 11 coefficients, zeros left out as compile_standard_form does.
+        alpha = spec.device.alpha
+        coefs = [(i, alpha * spec.fu_cost[k]) for i, k in enumerate(spec.fu_names)]
+        coefs = [(i, coef) for i, coef in coefs if coef != 0.0]
+        self.cap_fu = np.array([i for i, _ in coefs], dtype=np.int64)
+        self.cap_coef = np.array([coef for _, coef in coefs])
+
+    def form(self, assignment: "Dict[str, int]") -> StandardForm:
+        """The leaf MILP of a complete ``{task: partition}`` assignment."""
+        task_part = np.array([assignment[task] for task in self.spec.task_order])
+        used = np.unique(task_part)
+        m = len(used)
+        op_ppos = np.searchsorted(used, task_part)[self.op_task]
+        nx, n_steps, n_fus = self.nx, self.n_steps, self.n_fus
+        n = nx + n_steps * m + m * n_fus
+        u0 = nx + n_steps * m
+
+        cover_indices = self.cover_indices.copy()
+        cover_indices[self.cover_slot] = (
+            nx + self.slot_m * m + self.slot_p * op_ppos[self.slot_op] + self.slot_offset
         )
-    return leaf, x_map, u_map
+        fixed_data, fixed_indices, fixed_indptr = self.fixed_rows
+        n_cap = len(self.cap_fu)
+        # Row blocks in order: (columns, coefficients, row ends within
+        # the block, right-hand sides).
+        blocks = [
+            (fixed_indices, fixed_data, fixed_indptr[1:], np.ones(len(fixed_indptr) - 1)),
+            # Step ownership: sum_p s[j,p] <= 1.
+            (nx + np.arange(n_steps * m), np.ones(n_steps * m),
+             m * np.arange(1, n_steps + 1), np.ones(n_steps)),
+            (cover_indices, self.cover_data, self.cover_indptr[1:], self.cover_b),
+            # Capacity (eq 11) of each used partition.
+            ((u0 + n_fus * np.arange(m)[:, None] + self.cap_fu).ravel(),
+             np.tile(self.cap_coef, m), n_cap * np.arange(1, m + 1),
+             np.full(m, float(self.spec.device.capacity))),
+        ]
+        indices, data, ends, rhs = zip(*blocks)
+        starts = np.cumsum([0] + [len(block) for block in indices])
+        a_ub = sparse.csr_matrix(
+            (
+                np.concatenate(data),
+                np.concatenate(indices).astype(np.int32),
+                np.concatenate([[0]] + [start + end for start, end in zip(starts, ends)]),
+            ),
+            shape=(sum(map(len, rhs)), n),
+        )
+        eq_data, eq_indices, eq_indptr = self.eq_rows
+        a_eq = sparse.csr_matrix((eq_data, eq_indices, eq_indptr), shape=(len(eq_indptr) - 1, n))
+        return StandardForm(
+            c=np.zeros(n),
+            a_ub=a_ub,
+            b_ub=np.concatenate(rhs),
+            a_eq=a_eq,
+            b_eq=np.ones(len(eq_indptr) - 1),
+            lb=np.zeros(n),
+            ub=np.ones(n),
+            integrality=np.ones(n),
+        )
+
+
+def _csr_parts(rows):
+    """(data, indices, indptr) of all-ones rows with the given columns."""
+    indices = np.array([col for row in rows for col in row], dtype=np.int32)
+    indptr = np.concatenate([[0], np.cumsum([len(row) for row in rows], dtype=np.int64)])
+    return np.ones(len(indices)), indices, indptr
 
 
 def _full_values(spec, space, assignment, placements) -> "Dict[int, float]":

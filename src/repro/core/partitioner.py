@@ -187,11 +187,11 @@ class TemporalPartitioner:
         ``"milp"`` for SciPy HiGHS.
     time_limit_s / node_limit:
         Search limits passed to the backend.  The time limit covers
-        the whole :meth:`partition_spec` call: presolve starts no pass
-        after it has run out, and the solver gets what precheck, model
-        build and presolve left of it.  Expiry with an
-        incumbent yields a FEASIBLE outcome carrying the proven bound
-        and gap.
+        the whole :meth:`partition_spec` call: presolve is skipped once
+        it has run out and starts no pass after it, and the solver gets
+        what precheck, model build and presolve left of it.  Expiry
+        with an incumbent yields a FEASIBLE outcome carrying the proven
+        bound and gap.
     plain_search:
         When True, run the branch and bound *without* its SOS1
         propagation and exact leaf sub-solve — the raw 1998-style
@@ -359,7 +359,9 @@ class TemporalPartitioner:
             )
         config = presolved = None
         if self.backend == "bnb":
-            if self.presolve and not self.plain_search:
+            # Past the deadline presolve would still copy the model only
+            # to run no pass.
+            if self.presolve and not self.plain_search and self._time_left(start) != 0.0:
                 # Non-eliminating, so the variable indices the prober,
                 # leaf solver and branching metadata use stay valid.
                 from repro.ilp.analysis.presolve import presolve

@@ -1,13 +1,41 @@
 """Tests for the search accelerators: slot prober and compact leaf solver."""
 
+import dataclasses
+import itertools
+import math
+import random
+
 import numpy as np
+import pytest
+from scipy.optimize import linprog
 
 from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.solution import SolveStatus
 from repro.core.bruteforce import brute_force_optimum
 from repro.core.formulation import build_model
-from repro.core.leafsolve import make_leaf_solver
-from repro.core.probe import make_slot_prober, maximal_feasible_subsets
+from repro.core.leafsolve import LeafArrays, make_leaf_solver
+from repro.core.partitioner import TemporalPartitioner
+from repro.core.probe import (
+    SlotBound,
+    dual_vertices,
+    make_slot_prober,
+    maximal_feasible_subsets,
+)
+from repro.graph.generators import (
+    PAPER_TYPE_WEIGHTS,
+    RandomGraphConfig,
+    paper_graph,
+    random_task_graph,
+)
+from repro.ilp.expr import lin_sum
+from repro.ilp.model import Model
+from repro.ilp.standard_form import compile_standard_form
+from repro.library.catalogs import mix_from_string
+from repro.reporting.experiments import (
+    EXPERIMENT_ROWS,
+    reference_device,
+    reference_memory,
+)
 from tests.conftest import make_spec
 from repro.target.fpga import FPGADevice
 
@@ -112,20 +140,18 @@ class TestSlotProber:
                     ub[space.y[(task, q)].index] = 0.0
         assert prober(lb, ub) is False
 
-    def test_min_steps_lp_is_memoized_per_demand(
-        self, forced_split_graph, monkeypatch
-    ):
-        """A repeated demand vector reuses its LP bound: same verdict, no LP."""
-        import repro.core.probe as probe_mod
+    def test_prober_runs_no_lp(self, forced_split_graph, monkeypatch):
+        """The slot bound is read off dual vertices: no LP per call."""
+        import scipy.optimize
+        import scipy.optimize._linprog
 
-        calls = []
-        real_linprog = probe_mod.linprog
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the prober must not solve an LP")
 
-        def counting_linprog(*args, **kwargs):
-            calls.append(1)
-            return real_linprog(*args, **kwargs)
-
-        monkeypatch.setattr(probe_mod, "linprog", counting_linprog)
+        monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+        # Also the HiGHS call inside linprog, which a name bound by
+        # ``from scipy.optimize import linprog`` at import still reaches.
+        monkeypatch.setattr(scipy.optimize._linprog, "_linprog_highs", no_lp)
         dev = FPGADevice("tight", capacity=125, alpha=0.7)
         spec = make_spec(
             forced_split_graph, mix="1A+1M", device=dev,
@@ -138,9 +164,152 @@ class TestSlotProber:
         for task, p in (("t1", 1), ("t2", 2)):
             lb[space.y[(task, p)].index] = 1.0
         first = prober(lb, ub)
-        assert len(calls) == 2  # one LP per distinct partition demand
         assert prober(lb.copy(), ub) is first
-        assert len(calls) == 2
+
+    def test_uncoverable_type_prunes(self, forced_split_graph):
+        """A type no capacity-feasible subset executes makes the slot LP
+        infeasible; a partition demanding it is pruned, others are not."""
+        spec = make_spec(
+            forced_split_graph, mix="1A+1M",
+            device=FPGADevice("tight", capacity=125, alpha=0.7),
+            memory_size=10, n_partitions=3, relaxation=3,
+        )
+        # ProblemSpec.create refuses an FU that cannot fit on its own;
+        # swap in a device smaller than the multiplier afterwards.
+        spec = dataclasses.replace(
+            spec, device=FPGADevice("sub-mul", capacity=40, alpha=0.7)
+        )
+        assert maximal_feasible_subsets(spec) == [("add16_1",)]
+        bound = SlotBound(spec)
+        assert [t.value for t in bound.types] == ["add", "mul"]
+        steps = bound.min_steps(np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+        assert steps.tolist() == [pytest.approx(3.0), math.inf, 0.0]
+
+        model, space = build_model(spec)
+        prober = make_slot_prober(spec, space)
+        lb = np.array([v.lb for v in model.variables])
+        ub = np.array([v.ub for v in model.variables])
+        adds_only = lb.copy()
+        adds_only[space.y[("t1", 1)].index] = 1.0
+        adds_only[space.y[("t3", 2)].index] = 1.0
+        assert prober(adds_only, ub) is False
+        with_mul = adds_only.copy()
+        with_mul[space.y[("t2", 2)].index] = 1.0
+        assert prober(with_mul, ub) is True
+
+
+#: The specs the bound and leaf tests sweep: the 13 Table 3/4 rows and
+#: the generated-branching benchmark draws, as literal (tasks, ops, N,
+#: L, mix, graph seed).
+PAPER_ROWS = {row.key: row for row in EXPERIMENT_ROWS if row.table in ("t3", "t4")}
+DRAWS = {
+    "gen02": (5, 18, 3, 0, "2A+2M+1S", 179874663),
+    "gen04": (7, 21, 2, 0, "2A+2M+1S", 816938251),
+    "gen11": (7, 21, 2, 0, "2A+2M+1S", 2018579976),
+    "gen13": (7, 25, 3, 0, "2A+2M+2S", 1428444401),
+    "gen18": (5, 17, 3, 0, "2A+2M+1S", 804478983),
+    "gen28": (5, 20, 3, 1, "2A+2M+2S", 2108826827),
+    "gen44": (5, 16, 2, 1, "3A+2M+2S", 2088631029),
+}
+CORPUS = [*PAPER_ROWS, *DRAWS]
+
+
+def corpus_spec(key):
+    tp = TemporalPartitioner(device=reference_device(), memory=reference_memory())
+    if key in PAPER_ROWS:
+        row = PAPER_ROWS[key]
+        graph, mix = paper_graph(row.graph), row.mix
+        n_parts, relax = row.n_partitions, row.relaxation
+    else:
+        n_tasks, n_ops, n_parts, relax, mix, seed = DRAWS[key]
+        graph = random_task_graph(
+            RandomGraphConfig(
+                n_tasks=n_tasks, n_ops=n_ops, seed=seed,
+                type_weights=dict(PAPER_TYPE_WEIGHTS), cluster_skew=0.5,
+            )
+        )
+    return tp.make_spec(
+        graph, mix_from_string(mix), n_partitions=n_parts, relaxation=relax
+    )
+
+
+#: Specs where some of the prober test's 40 random fixings are pruned.
+PRUNED_DRAWS = {"t4-g2-N4-L1", "t4-g4-N3-L0", "t4-g5-N3-L0", "gen02", "gen04", "gen44"}
+
+#: linprog optima by (capacity matrix, demand); specs sharing an
+#: allocation and device share their LPs.
+_SLOT_LP: dict = {}
+
+
+def slot_lp(cap, d):
+    """The slot LP solved by HiGHS, as the prober solved it before."""
+    key = (cap.tobytes(), cap.shape, d.tobytes())
+    if key not in _SLOT_LP:
+        result = linprog(
+            c=np.ones(cap.shape[1]), A_ub=-cap, b_ub=-d,
+            bounds=[(0, None)] * cap.shape[1], method="highs",
+        )
+        assert result.status == 0
+        _SLOT_LP[key] = result.fun
+    return _SLOT_LP[key]
+
+
+class TestSlotBound:
+    @pytest.mark.parametrize("key", CORPUS)
+    def test_bound_equals_the_lp_optimum(self, key):
+        """Every demand vector a partition of the spec can hold."""
+        spec = corpus_spec(key)
+        bound = SlotBound(spec)
+        totals = bound.demand(op for _, op in spec.graph.all_operations())
+        assert not bound.uncoverable.any()
+        demands = np.array(
+            list(itertools.product(*(range(int(t) + 1) for t in totals))),
+            dtype=float,
+        )
+        for d, got in zip(demands, bound.min_steps(demands)):
+            expected = slot_lp(bound.cap, d)
+            assert abs(got - expected) <= 1e-9, (d, got, expected)
+            assert math.ceil(got - 1e-9) == math.ceil(expected - 1e-9)
+
+    @pytest.mark.parametrize("key", CORPUS)
+    def test_prober_verdict_equals_the_lp_sum(self, key):
+        """On random partial fixings the prober prunes exactly when the
+        per-partition LP optima, rounded up, sum past the step budget."""
+        spec = corpus_spec(key)
+        model, space = build_model(spec)
+        prober = make_slot_prober(spec, space)
+        bound = SlotBound(spec)
+        demand = {
+            task: bound.demand(spec.graph.task(task).operations)
+            for task in spec.task_order
+        }
+        lb0 = np.array([v.lb for v in model.variables])
+        ub = np.array([v.ub for v in model.variables])
+        rng = random.Random(key)
+        verdicts = set()
+        for _ in range(40):
+            lb = lb0.copy()
+            loads = {p: np.zeros(len(bound.types)) for p in spec.partitions}
+            for task in spec.task_order:
+                p = rng.choice((None, *spec.partitions))
+                if p is not None:
+                    lb[space.y[(task, p)].index] = 1.0
+                    loads[p] = loads[p] + demand[task]
+            needed = sum(
+                math.ceil(slot_lp(bound.cap, d) - 1e-9) for d in loads.values()
+            )
+            expected = needed > spec.mobility.latency_bound
+            assert prober(lb, ub) is expected
+            verdicts.add(expected)
+        # Both answers are compared on the specs where these draws
+        # reach the budget.
+        assert verdicts == ({True, False} if key in PRUNED_DRAWS else {False})
+
+    def test_dual_vertices_of_a_known_polytope(self):
+        # Subsets {2 adds + 1 mul} and {1 add + 1 mul}: the second is
+        # dominated, so the polytope is {pi >= 0 : 2 a + m <= 1}.
+        vertices = dual_vertices(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        assert sorted(map(tuple, vertices)) == [(0.0, 0.0), (0.0, 1.0), (0.5, 0.0)]
 
 
 class TestLeafSolver:
@@ -226,3 +395,136 @@ class TestAcceleratedSearchEquivalence:
         ).solve()
         assert plain.status == accel.status == SolveStatus.OPTIMAL
         assert plain.objective == accel.objective == 7
+
+
+def reference_leaf_model(spec, assignment):
+    """The leaf MILP written with ``Model``/``lin_sum``, the way the leaf
+    solver once built it for every call; ``LeafArrays`` must compile to
+    the same arrays."""
+    leaf = Model("leaf")
+    x_map = {}
+    for op_id in spec.op_ids:
+        for j in spec.op_steps[op_id]:
+            for k in spec.op_fus[op_id]:
+                x_map[(op_id, j, k)] = leaf.add_binary(f"x[{op_id},{j},{k}]")
+    used_partitions = sorted(set(assignment.values()))
+    s_map = {}
+    for j in spec.steps:
+        for p in used_partitions:
+            s_map[(j, p)] = leaf.add_binary(f"s[{j},{p}]")
+    u_map = {}
+    for p in used_partitions:
+        for k in spec.fu_names:
+            u_map[(p, k)] = leaf.add_binary(f"u[{p},{k}]")
+    for op_id in spec.op_ids:
+        leaf.add(
+            lin_sum(
+                x_map[(op_id, j, k)]
+                for j in spec.op_steps[op_id]
+                for k in spec.op_fus[op_id]
+            )
+            == 1
+        )
+    for j in spec.steps:
+        for k in spec.fu_names:
+            terms = [
+                x_map[(op_id, j, k)]
+                for op_id in spec.ops_at_step(j)
+                if k in spec.op_fus[op_id]
+            ]
+            if len(terms) > 1:
+                leaf.add(lin_sum(terms) <= 1)
+    for (i1, i2) in spec.op_edges():
+        for j1 in spec.op_steps[i1]:
+            late2 = [
+                x_map[(i2, j2, k2)]
+                for j2 in spec.op_steps[i2]
+                if j2 <= j1
+                for k2 in spec.op_fus[i2]
+            ]
+            if late2:
+                placed1 = lin_sum(x_map[(i1, j1, k1)] for k1 in spec.op_fus[i1])
+                leaf.add(placed1 + lin_sum(late2) <= 1)
+    for j in spec.steps:
+        leaf.add(lin_sum(s_map[(j, p)] for p in used_partitions) <= 1)
+    for op_id in spec.op_ids:
+        p = assignment[spec.op_task[op_id]]
+        for j in spec.op_steps[op_id]:
+            leaf.add(
+                lin_sum(x_map[(op_id, j, k)] for k in spec.op_fus[op_id])
+                <= s_map[(j, p)]
+            )
+    for op_id in spec.op_ids:
+        p = assignment[spec.op_task[op_id]]
+        for k in spec.op_fus[op_id]:
+            leaf.add(
+                u_map[(p, k)]
+                >= lin_sum(x_map[(op_id, j, k)] for j in spec.op_steps[op_id])
+            )
+    alpha = spec.device.alpha
+    for p in used_partitions:
+        leaf.add(
+            lin_sum(alpha * spec.fu_cost[k] * u_map[(p, k)] for k in spec.fu_names)
+            <= spec.device.capacity
+        )
+    return leaf, list(x_map)
+
+
+def order_respecting(spec):
+    """Every assignment that keeps each task edge's order."""
+    for parts in itertools.product(spec.partitions, repeat=len(spec.task_order)):
+        assignment = dict(zip(spec.task_order, parts))
+        if all(assignment[t1] <= assignment[t2] for t1, t2 in spec.task_edges):
+            yield assignment
+
+
+def sampled_assignments(spec, rng, count):
+    """``count`` random order-respecting assignments (tasks are in
+    topological order, so each draws at or after its predecessors)."""
+    preds = {task: [t1 for t1, t2 in spec.task_edges if t2 == task]
+             for task in spec.task_order}
+    for _ in range(count):
+        assignment = {}
+        for task in spec.task_order:
+            low = max((assignment[t] for t in preds[task]), default=1)
+            assignment[task] = rng.randint(low, spec.n_partitions)
+        yield assignment
+
+
+@pytest.fixture
+def diamond_spec(diamond_graph, big_device):
+    return make_spec(diamond_graph, mix="2A+1M+1S", device=big_device)
+
+
+class TestLeafArrays:
+    def assert_same_form(self, spec, arrays, assignment):
+        form = arrays.form(assignment)
+        leaf, x_keys = reference_leaf_model(spec, assignment)
+        ref = compile_standard_form(leaf)
+        assert arrays.x_keys == x_keys
+        for name in ("a_ub", "a_eq"):
+            new, old = getattr(form, name), getattr(ref, name)
+            assert new.shape == old.shape
+            assert (new != old).nnz == 0
+            # Same in-row order too: HiGHS receives identical arrays.
+            assert np.array_equal(new.indptr, old.indptr)
+            assert np.array_equal(new.indices, old.indices)
+            assert np.array_equal(new.data, old.data)
+        for name in ("b_ub", "b_eq", "lb", "ub", "integrality", "c"):
+            assert np.array_equal(getattr(form, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("fixture", ["chain3_spec", "forced_spec", "diamond_spec"])
+    def test_every_order_respecting_assignment(self, fixture, request):
+        spec = request.getfixturevalue(fixture)
+        arrays = LeafArrays(spec)
+        assignments = list(order_respecting(spec))
+        assert len(assignments) >= 10
+        for assignment in assignments:
+            self.assert_same_form(spec, arrays, assignment)
+
+    @pytest.mark.parametrize("key", CORPUS)
+    def test_sampled_corpus_assignments(self, key):
+        spec = corpus_spec(key)
+        arrays = LeafArrays(spec)
+        for assignment in sampled_assignments(spec, random.Random(key), 4):
+            self.assert_same_form(spec, arrays, assignment)

@@ -521,6 +521,31 @@ class TestPresolveDeadline:
         assert 0 < result.stats.rows_removed < full.stats.rows_removed
         self.assert_lifts_to_an_optimum(model, result)
 
+    def test_partitioner_skips_presolve_past_its_deadline(
+        self, monkeypatch, chain3_graph, big_device
+    ):
+        from repro.core.partitioner import TemporalPartitioner
+
+        module = importlib.import_module("repro.ilp.analysis.presolve")
+        real, calls = module.presolve, []
+
+        def spy(model, **options):
+            calls.append(options)
+            return real(model, **options)
+
+        monkeypatch.setattr(module, "presolve", spy)
+        expired = TemporalPartitioner(device=big_device, time_limit_s=0).partition(
+            chain3_graph, "1A+1M+1S", n_partitions=3, relaxation=2
+        )
+        assert calls == []
+        assert expired.solve_stats.stop_reason == "time_limit"
+        assert expired.solve_stats.presolve is None
+        # With time left the same spy sees presolve run once.
+        TemporalPartitioner(device=big_device, time_limit_s=60).partition(
+            chain3_graph, "1A+1M+1S", n_partitions=3, relaxation=2
+        )
+        assert len(calls) == 1 and calls[0]["deadline"] is not None
+
 
 # ---------------------------------------------------------------------------
 # structural prechecks (certificates before any model exists)
