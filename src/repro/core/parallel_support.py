@@ -34,7 +34,8 @@ def make_lp_backend(
 ):
     """LP backend for a bnb solve: bare, chaos-wrapped, or armored.
 
-    ``plain_search`` keeps the historical bare SciPy backend, with only
+    ``plain_search`` keeps the bare stateless backend
+    :func:`~repro.ilp.scipy_backend.solve_lp_scipy`, with only
     its primary wrapped in fault injection under ``chaos``.  Otherwise
     the warm-starting incremental kernel heads the chain with the
     stateless backends behind it, a

@@ -1,18 +1,20 @@
 """Warm-started incremental LP kernel for the branch-and-bound hot loop.
 
 Branch-and-bound nodes are thousands of *near-identical* LPs: the same
-matrices with only variable-bound changes.  The historical per-node
-path (:func:`~repro.ilp.scipy_backend.solve_lp_scipy`) paid full model
-construction on every call — Python bound-pair lists, fresh result
-dicts — so LP time dominated nodes/sec.  This module amortizes all of
-that:
+matrices with only variable-bound changes.  The stateless per-node
+path (:func:`~repro.ilp.scipy_backend.solve_lp_scipy`) builds its
+HiGHS model once per form too, but hands it to a fresh ``Highs``
+object on every node, so each solve starts cold.  This module keeps
+one object per form instead:
 
 * **Persistent model** — :class:`IncrementalLPSolver` binds to one
   compiled :class:`~repro.ilp.standard_form.StandardForm` and keeps
   every derived buffer alive across calls.  The HiGHS model is built
   *once* and each node mutates column bounds only, so HiGHS's dual
   simplex warm-starts from the parent basis (the classic B&B re-solve
-  trick).  The bindings come from a standalone ``highspy`` when one is
+  trick).  The model comes from the builder both paths share
+  (:func:`repro.ilp.highs.build_lp`).  The bindings come from a
+  standalone ``highspy`` when one is
   installed and otherwise from the copy SciPy vendors as
   ``scipy.optimize._highspy._core``, so no new dependency is needed.
   A version guard checks every binding method the kernel calls; if
@@ -44,8 +46,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import SolverError, TransientSolverError
+from repro.ilp.highs import build_lp, read_optimal
 from repro.ilp.scipy_backend import solve_lp_scipy
-from repro.ilp.solution import LPResult, SolveStatus, ValueVector
+from repro.ilp.solution import LPResult, SolveStatus
 from repro.ilp.standard_form import StandardForm
 
 #: Module-level names the kernel takes from a HiGHS binding ...
@@ -70,6 +73,7 @@ def _vendored_highs():
     from scipy.optimize._highspy import _core  # noqa: PLC0415
 
     return SimpleNamespace(
+        vendored=True,
         Highs=_core._Highs,
         HighsLp=_core.HighsLp,
         MatrixFormat=_core.MatrixFormat,
@@ -78,15 +82,17 @@ def _vendored_highs():
     )
 
 
+_VENDORED_SOURCE = ("scipy.optimize._highspy", _vendored_highs)
+
 #: Candidate bindings in preference order: a standalone ``highspy``
 #: install, then the copy SciPy vendors (scipy 1.17 ships it).
-_HIGHS_SOURCES = (
-    ("highspy", _import_highspy),
-    ("scipy.optimize._highspy", _vendored_highs),
-)
+_HIGHS_SOURCES = (("highspy", _import_highspy), _VENDORED_SOURCE)
 
 #: ``(binding or None, reason it is None)`` once probed; None before.
 _binding: "Optional[Tuple[object, Optional[str]]]" = None
+#: The same for the vendored copy alone, probed only when a standalone
+#: ``highspy`` heads :data:`_binding`.
+_vendored_binding: "Optional[Tuple[object, Optional[str]]]" = None
 
 
 def _missing_api(module) -> "Optional[str]":
@@ -100,9 +106,9 @@ def _missing_api(module) -> "Optional[str]":
     return None
 
 
-def _probe_highs() -> "Tuple[object, Optional[str]]":
+def _probe_highs(sources) -> "Tuple[object, Optional[str]]":
     reasons = []
-    for source, load in _HIGHS_SOURCES:
+    for source, load in sources:
         try:
             module = load()
         except Exception as exc:
@@ -125,13 +131,31 @@ def _load_highspy():
     """
     global _binding
     if _binding is None:
-        _binding = _probe_highs()
+        _binding = _probe_highs(_HIGHS_SOURCES)
     return _binding[0]
 
 
 def _highs_unavailable_reason() -> "Optional[str]":
     _load_highspy()
     return _binding[1]
+
+
+def _cold_highs():
+    """The binding :func:`~repro.ilp.scipy_backend.solve_lp_scipy`
+    solves through, or None when it must call ``linprog``.
+
+    Always SciPy's vendored copy, the library ``linprog`` itself calls,
+    so a cold per-node solve lands on ``linprog``'s vertex bit for bit.
+    None whenever the kernel's probe found no usable binding: the
+    vendored copy is one of its sources, so it failed too.
+    """
+    global _vendored_binding
+    module = _load_highspy()
+    if module is None or getattr(module, "vendored", False):
+        return module
+    if _vendored_binding is None:
+        _vendored_binding = _probe_highs((_VENDORED_SOURCE,))
+    return _vendored_binding[0]
 
 
 def have_highspy() -> bool:
@@ -196,36 +220,23 @@ class IncrementalLPSolver:
             self._demoted_reason = f"highs model build failed: {exc}"
 
     def _build_highs_model(self, form: StandardForm) -> None:
-        """Compile ``form`` into a persistent HiGHS model (once).
+        """Pass ``form``'s :func:`~repro.ilp.highs.build_lp` model to a
+        persistent ``Highs`` object (once).
 
-        Inequalities get ``(-inf, b_ub]`` row bounds, equalities
-        ``[b_eq, b_eq]``; the simplex solver is pinned so every re-solve
-        after a bounds mutation warm-starts from the retained basis.
+        The simplex solver is pinned so every re-solve after a bounds
+        mutation warm-starts from the retained basis.
         """
         highspy = _load_highspy()
         h = highspy.Highs()
         h.setOptionValue("output_flag", False)
         # Warm starting needs a basis; keep HiGHS on (dual) simplex.
         h.setOptionValue("solver", "simplex")
-        n = form.num_vars
-        indptr, indices, data, row_lower, row_upper = _stack_rows(form)
-        lp = highspy.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = int(row_lower.shape[0])
-        lp.col_cost_ = np.asarray(form.c, dtype=float)
-        lp.col_lower_ = np.asarray(form.lb, dtype=float)
-        lp.col_upper_ = np.asarray(form.ub, dtype=float)
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-        lp.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
-        lp.a_matrix_.start_ = indptr
-        lp.a_matrix_.index_ = indices
-        lp.a_matrix_.value_ = data
+        lp = build_lp(highspy, form)
         status = h.passModel(lp)
         if status != highspy.HighsStatus.kOk:
             raise SolverError(f"highspy passModel returned {status}")
         self._highs = h
-        self._highs_cols = np.arange(n, dtype=np.int32)
+        self._highs_cols = np.arange(form.num_vars, dtype=np.int32)
 
     # ------------------------------------------------------------------
 
@@ -292,31 +303,10 @@ class IncrementalLPSolver:
         model_status = h.getModelStatus()
         if model_status == highspy.HighsModelStatus.kOptimal:
             self._have_basis = True
-            solution = h.getSolution()
-            x = np.asarray(solution.col_value, dtype=float)
-            # Row duals come back stacked in _stack_rows order
-            # (inequalities first, then equalities): split them so
-            # proof logging sees the same (dual_ub, dual_eq) contract
-            # as the linprog path.
-            dual_ub = dual_eq = None
-            row_dual = getattr(solution, "row_dual", None)
-            if row_dual is not None:
-                form = self._form
-                m_ub = int(form.b_ub.shape[0])
-                m_eq = int(form.b_eq.shape[0])
-                stacked = np.asarray(row_dual, dtype=float)
-                if stacked.shape[0] == m_ub + m_eq and np.all(
-                    np.isfinite(stacked)
-                ):
-                    dual_ub = stacked[:m_ub]
-                    dual_eq = stacked[m_ub:]
-            return LPResult(
-                status=SolveStatus.OPTIMAL,
-                objective=float(h.getInfo().objective_function_value),
-                values=ValueVector(x),
-                dual_ub=dual_ub,
-                dual_eq=dual_eq,
-            )
+            # Row duals come back stacked in stack_rows order
+            # (inequalities first, then equalities); the reader splits
+            # them into the (dual_ub, dual_eq) contract of the cold path.
+            return read_optimal(h, self._form)
         if model_status == highspy.HighsModelStatus.kInfeasible:
             self._have_basis = True
             return LPResult(status=SolveStatus.INFEASIBLE)
@@ -344,31 +334,3 @@ class IncrementalLPSolver:
             "demoted": self._demoted_reason,
         }
 
-
-def _stack_rows(form: StandardForm):
-    """Stack a_ub / a_eq into one rowwise CSR triple plus row bounds."""
-    from scipy import sparse
-
-    blocks = []
-    if form.a_ub.shape[0]:
-        blocks.append(form.a_ub)
-    if form.a_eq.shape[0]:
-        blocks.append(form.a_eq)
-    if blocks:
-        stacked = sparse.vstack(blocks, format="csr")
-        indptr = np.asarray(stacked.indptr, dtype=np.int32)
-        indices = np.asarray(stacked.indices, dtype=np.int32)
-        data = np.asarray(stacked.data, dtype=float)
-    else:
-        indptr = np.zeros(1, dtype=np.int32)
-        indices = np.zeros(0, dtype=np.int32)
-        data = np.zeros(0, dtype=float)
-    m_ub = form.a_ub.shape[0]
-    m_eq = form.a_eq.shape[0]
-    row_lower = np.concatenate(
-        [np.full(m_ub, -np.inf), np.asarray(form.b_eq, dtype=float)]
-    )
-    row_upper = np.concatenate(
-        [np.asarray(form.b_ub, dtype=float), np.asarray(form.b_eq, dtype=float)]
-    )
-    return indptr, indices, data, row_lower, row_upper

@@ -1,9 +1,23 @@
-"""LP relaxation solves via SciPy's HiGHS ``linprog``.
+"""LP relaxation solves: one cold HiGHS call per node.
 
-This is the workhorse backend used inside branch and bound: one call
-per node, with per-node variable-bound overrides (the branching
-decisions).  The model matrices are compiled once into a
-:class:`~repro.ilp.standard_form.StandardForm` and reused.
+This is the stateless backend of branch and bound: plain search calls
+it on every node, and the warm incremental kernel
+(:mod:`repro.ilp.incremental`) falls back to it.  Each call takes the
+per-node variable-bound overrides (the branching decisions) and solves
+the form's HiGHS model on a fresh ``Highs`` object of SciPy's vendored
+binding, the library ``linprog(method="highs")`` itself calls, with the
+options ``linprog`` sets.  The model (:func:`repro.ilp.highs.build_lp`)
+is built once per :class:`~repro.ilp.standard_form.StandardForm` and
+cached on it, so a node pays for the bounds, the hand-over and the
+solve, not for ``linprog``'s input cleaning and matrix re-stacking.
+Every node lands on ``linprog``'s vertex bit for bit, and the checks
+``linprog`` made stay: contradictory bounds short-circuit to
+INFEASIBLE, an optimal point outside its bounds or rows by more than
+:data:`~repro.ilp.highs.CHECK_TOL` is numerical trouble, and HiGHS
+statuses map to outcomes as ``linprog`` maps them.
+
+When the vendored binding is missing or fails the kernel's version
+guard, each call goes through ``linprog`` instead.
 """
 
 from __future__ import annotations
@@ -14,6 +28,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from repro.errors import SolverError, TransientSolverError
+from repro.ilp.highs import build_lp, read_optimal
 from repro.ilp.solution import LPResult, SolveStatus, ValueVector
 from repro.ilp.standard_form import StandardForm
 
@@ -49,9 +64,7 @@ def solve_lp_scipy(
     :class:`~repro.ilp.solution.LPResult` whose values mapping is keyed
     by variable index (an array-backed
     :class:`~repro.ilp.solution.ValueVector` — no per-node dict build).
-    Bounds go to ``linprog`` as the form's preallocated ``(n, 2)``
-    array (:meth:`~repro.ilp.standard_form.StandardForm.bounds_pairs`),
-    reused across nodes instead of a fresh per-call list of pairs.
+    OPTIMAL results carry the row duals ``dual_ub`` / ``dual_eq``.
     """
     lb = form.lb if lb_override is None else lb_override
     ub = form.ub if ub_override is None else ub_override
@@ -59,7 +72,69 @@ def solve_lp_scipy(
         # A branching fixation contradicts the bounds: trivially infeasible,
         # no need to call the solver.
         return LPResult(status=SolveStatus.INFEASIBLE)
+    # Imported here: the kernel module imports this one.
+    from repro.ilp.incremental import _cold_highs  # noqa: PLC0415
 
+    highspy = _cold_highs()
+    if highspy is None:
+        return _solve_linprog(form, lb, ub)
+    return _solve_cold(highspy, form, lb, ub)
+
+
+def _solve_cold(highspy, form: StandardForm, lb, ub) -> LPResult:
+    """One fresh ``Highs`` object on the form's cached model."""
+    lp = form.__dict__.get("_highs_lp")
+    if lp is None:
+        lp = build_lp(highspy, form)
+        # Frozen dataclass: cached like ``bounds_pairs``'s buffer.
+        object.__setattr__(form, "_highs_lp", lp)
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    h = highspy.Highs()
+    # What linprog(method="highs") sets: quiet, presolve, dual simplex.
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("presolve", "on")
+    h.setOptionValue("simplex_strategy", 1)
+    error = highspy.HighsStatus.kError
+    if h.passModel(lp) == error:
+        model_status = highspy.HighsModelStatus.kModelError
+    elif h.run() == error:
+        model_status = h.getModelStatus()
+    else:
+        model_status = h.getModelStatus()
+        if model_status == highspy.HighsModelStatus.kOptimal:
+            return read_optimal(h, form, (lb, ub))
+    return _status_outcome(highspy, model_status)
+
+
+def _status_outcome(highspy, model_status) -> LPResult:
+    """A non-OPTIMAL HiGHS model status as ``linprog`` maps it.
+
+    An OPTIMAL status reaching here came from a failed ``run`` with no
+    solution to read, which ``linprog`` reports as numerical trouble.
+    """
+    status = highspy.HighsModelStatus
+    if model_status in (status.kInfeasible, status.kModelError):
+        return LPResult(status=SolveStatus.INFEASIBLE)
+    if model_status == status.kUnbounded:
+        return LPResult(status=SolveStatus.UNBOUNDED)
+    # Time/iteration-limit expiry (raw 1) and numerical trouble (raw 4)
+    # are transient fault classes: a retry, possibly after a fallback,
+    # can legitimately succeed.
+    limits = (status.kTimeLimit, status.kIterationLimit)
+    raise TransientSolverError(
+        f"HiGHS failed with model status {model_status}",
+        backend="scipy-highs",
+        raw_status=1 if model_status in limits else 4,
+    )
+
+
+def _solve_linprog(form: StandardForm, lb, ub) -> LPResult:
+    """The node through ``linprog``, used when no vendored binding loads.
+
+    Bounds go to ``linprog`` as the form's preallocated ``(n, 2)``
+    array (:meth:`~repro.ilp.standard_form.StandardForm.bounds_pairs`).
+    """
     result = linprog(
         c=form.c,
         A_ub=form.a_ub if form.a_ub.shape[0] else None,
