@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.ilp.highs import have_highspy
 from repro.ilp.incremental import IncrementalLPSolver
 from repro.ilp.resilience import (
     FaultInjectingBackend,
@@ -38,7 +39,8 @@ def make_lp_backend(
     :func:`~repro.ilp.scipy_backend.solve_lp_scipy`, with only
     its primary wrapped in fault injection under ``chaos``.  Otherwise
     the warm-starting incremental kernel heads the chain with the
-    stateless backends behind it, a
+    stateless backends behind it (only when SciPy's HiGHS binding
+    passes its version guard), a
     :class:`~repro.ilp.resilience.ResilientLPBackend` wraps the chain,
     and a :class:`~repro.ilp.resilience.FaultPlan`
     additionally wraps the primary (or, with ``targets="all"``, every)
@@ -47,7 +49,7 @@ def make_lp_backend(
     if plain_search and chaos is None:
         return solve_lp_scipy
     chain = default_backend_chain()
-    if not plain_search:
+    if not plain_search and have_highspy():
         chain = [("incremental", IncrementalLPSolver())] + chain
     if chaos is not None:
         wrap_all = chaos.targets == "all"

@@ -141,7 +141,7 @@ class PartitionOutcome:
     def telemetry(self) -> "Dict[str, object]":
         """Per-run solve-telemetry record (see DESIGN.md for the schema)."""
         return {
-            "schema": "repro.solve_telemetry/v11",
+            "schema": "repro.solve_telemetry/v12",
             "graph": self.spec.graph.name,
             "n_partitions": self.spec.n_partitions,
             "relaxation": self.spec.relaxation,

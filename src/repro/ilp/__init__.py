@@ -11,15 +11,16 @@ plays that role here, fully in-repo:
 * :mod:`~repro.ilp.simplex` — a pure-numpy dense two-phase primal
   simplex for LPs (reference implementation, cross-checked against
   scipy in the test suite);
-* :mod:`~repro.ilp.highs` — the HiGHS model of a standard form and
-  the reader of an optimal solve, shared by the two LP paths below;
+* :mod:`~repro.ilp.highs` — SciPy's vendored HiGHS binding behind a
+  version guard, the HiGHS model of a standard form and the reader of
+  an optimal solve, shared by the two LP paths below;
 * :mod:`~repro.ilp.scipy_backend` — stateless LP relaxations: one cold
   call to SciPy's vendored HiGHS per node, on ``linprog``'s vertex bit
   for bit (``scipy.optimize.linprog`` itself when no binding loads);
 * :mod:`~repro.ilp.incremental` — the persistent-model LP kernel for
   the branch-and-bound hot loop: compile once, mutate bounds per node,
-  warm-start HiGHS through SciPy's vendored bindings (or ``highspy``),
-  falling back to ``solve_lp_scipy`` when no binding loads;
+  warm-start HiGHS through the same vendored binding; its faults go to
+  the resilient chain below, which falls through to the cold path;
 * :mod:`~repro.ilp.branch_bound` — a branch-and-bound engine with
   pluggable :mod:`~repro.ilp.branching` rules, including the paper's
   heuristic (branch on ``y`` in topological priority order, 1-branch

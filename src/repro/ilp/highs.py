@@ -1,4 +1,5 @@
-"""One HiGHS model per standard form, and one way to read an optimum back.
+"""SciPy's vendored HiGHS binding, one model per standard form, and
+one way to read an optimum back.
 
 Both LP paths that talk to HiGHS go through here:
 
@@ -9,17 +10,24 @@ Both LP paths that talk to HiGHS go through here:
   :func:`~repro.ilp.scipy_backend.solve_lp_scipy` passes the same model,
   built once per form, to a fresh ``Highs`` object on every node.
 
+Both solve through one binding, :func:`load_highs`: the copy SciPy
+vendors as ``scipy.optimize._highspy._core``, the library
+``linprog(method="highs")`` itself calls, so no new dependency is
+needed and a cold solve lands on ``linprog``'s vertex bit for bit.  A
+version guard checks every name and ``Highs`` method the two paths
+call; a copy that fails it counts as missing.
+
 The model is ``row_lower <= A x <= row_upper`` over the rowwise stack
 of ``a_ub`` on top of ``a_eq``: inequalities get ``(-inf, b_ub]``,
 equalities ``[b_eq, b_eq]``.  :func:`read_optimal` splits the stacked
 row duals back into the ``(dual_ub, dual_eq)`` contract of
-:class:`~repro.ilp.solution.LPResult`.  Every function takes the
-binding module as an argument; which binding loads is decided in
-:mod:`repro.ilp.incremental`.
+:class:`~repro.ilp.solution.LPResult`.  Every model function takes the
+binding as an argument.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -31,6 +39,81 @@ from repro.ilp.standard_form import StandardForm
 #: Post-solve feasibility tolerance of ``linprog``'s ``_check_result``:
 #: ``sqrt(tol) * 10`` at its default ``tol = 1e-9``.
 CHECK_TOL = float(np.sqrt(1e-9) * 10)
+
+#: Module-level names the LP paths take from the binding ...
+_REQUIRED_NAMES = (
+    "Highs", "HighsLp", "MatrixFormat", "HighsStatus", "HighsModelStatus",
+)
+#: ... and every ``Highs`` method they call.
+_REQUIRED_METHODS = (
+    "setOptionValue", "passModel", "changeColsBounds", "run",
+    "getSolution", "getModelStatus", "getInfo",
+)
+
+#: ``(binding or None, reason it is None)`` once probed; None before.
+_binding: "Optional[Tuple[object, Optional[str]]]" = None
+
+
+def _vendored_highs():
+    """SciPy's bundled HiGHS bindings, under the ``highspy`` names."""
+    from scipy.optimize._highspy import _core  # noqa: PLC0415
+
+    return SimpleNamespace(
+        Highs=_core._Highs,
+        HighsLp=_core.HighsLp,
+        MatrixFormat=_core.MatrixFormat,
+        HighsStatus=_core.HighsStatus,
+        HighsModelStatus=_core.HighsModelStatus,
+    )
+
+
+def _missing_api(module) -> "Optional[str]":
+    """The first required name ``module`` lacks, or None if complete."""
+    for name in _REQUIRED_NAMES:
+        if not hasattr(module, name):
+            return name
+    for name in _REQUIRED_METHODS:
+        if not hasattr(module.Highs, name):
+            return f"Highs.{name}"
+    return None
+
+
+def _probe() -> "Tuple[object, Optional[str]]":
+    source = "scipy.optimize._highspy"
+    try:
+        module = _vendored_highs()
+    except Exception as exc:
+        return None, f"no usable HiGHS binding ({source}: {exc})"
+    missing = _missing_api(module)
+    if missing is not None:
+        return None, f"no usable HiGHS binding ({source} lacks {missing})"
+    return module, None
+
+
+def load_highs():
+    """SciPy's vendored HiGHS binding, or None when it fails the guard.
+
+    Probed once per process.  A SciPy release without the private
+    module, or with one missing any name the LP paths call, yields
+    None: the cold path then calls ``linprog`` and the partitioner's
+    chain leaves the warm kernel out.  :func:`highs_unavailable_reason`
+    says why.
+    """
+    global _binding
+    if _binding is None:
+        _binding = _probe()
+    return _binding[0]
+
+
+def highs_unavailable_reason() -> "Optional[str]":
+    """Why :func:`load_highs` returns None; None when it loads."""
+    load_highs()
+    return _binding[1]
+
+
+def have_highspy() -> bool:
+    """Whether the vendored HiGHS binding loads and passes the guard."""
+    return load_highs() is not None
 
 
 def stack_rows(form: StandardForm):

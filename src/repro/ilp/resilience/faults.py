@@ -39,7 +39,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import SolverError, TransientSolverError
 from repro.faultplan import SeededFaultPlan, SeededInjector
-from repro.ilp.solution import LPResult, SolveStatus
+from repro.ilp.solution import LPResult, SolveStatus, ValueVector
 
 #: Every fault class the injector knows, in documentation order.
 FAULT_KINDS: "Tuple[str, ...]" = (
@@ -138,19 +138,18 @@ class FaultInjectingBackend(SeededInjector):
         if result.status is not SolveStatus.OPTIMAL:
             return result  # nothing to corrupt
         assert result.values is not None and result.objective is not None
+        values = result.values.array.copy()
         if kind == "nan":
-            poisoned = dict(result.values)
-            victim = self._rng.choice(sorted(poisoned))
-            poisoned[victim] = float("nan")
+            values[self._rng.choice(range(values.shape[0]))] = float("nan")
             return LPResult(
                 status=SolveStatus.OPTIMAL,
                 objective=float("nan"),
-                values=poisoned,
+                values=ValueVector(values),
             )
         # kind == "perturb": intact values, objective shifted down — a
         # plausible-looking bound that must not survive validation.
         return LPResult(
             status=SolveStatus.OPTIMAL,
             objective=result.objective - self.plan.perturb,
-            values=dict(result.values),
+            values=ValueVector(values),
         )

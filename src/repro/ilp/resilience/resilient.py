@@ -14,8 +14,9 @@ the branch and bound a wrong answer:
 * :class:`~repro.errors.TransientSolverError` faults are retried on
   the same backend with bounded exponential backoff;
 * non-transient faults and repeated validation failures **fall
-  through** the backend chain (SciPy HiGHS first, the in-repo simplex
-  as the dependency-free understudy);
+  through** the backend chain (the warm incremental kernel when the
+  partitioner heads the chain with it, then the cold SciPy HiGHS path,
+  the in-repo simplex as the dependency-free understudy);
 * a backend that keeps failing is **quarantined** for the rest of the
   run so a dead solver does not add its timeout to every node;
 * optionally, INFEASIBLE verdicts are **double-checked** with the next
@@ -30,6 +31,12 @@ then treats the node as unresolvable (branch without pruning), and
 the partitioner eventually degrades to a heuristic baseline.  Every
 fault, retry, fallback, and quarantine lands in a structured log
 surfaced through :meth:`ResilientLPBackend.resilience_telemetry`.
+
+This chain is the only place an LP fault is handled: the warm kernel
+(:mod:`repro.ilp.incremental`) has no fallback of its own and raises
+:class:`~repro.errors.SolverError` for anything it cannot solve.  The
+retry, backoff, tolerance and quarantine settings are the module
+constants below (:data:`MAX_RETRIES` and the rest).
 """
 
 from __future__ import annotations
@@ -51,6 +58,21 @@ from repro.ilp.standard_form import StandardForm
 
 #: Fault-log entries kept per backend instance.
 _LOG_CAP = 1000
+#: Extra attempts per backend after a transient fault or a validation
+#: failure (non-transient faults skip retries).
+MAX_RETRIES = 2
+#: Bounded exponential backoff between retries: the first delay, its
+#: growth factor and its cap.  Deliberately tiny: LP nodes are
+#: milliseconds, and the point of backoff here is to outlive a
+#: *momentary* glitch, not a network partition.
+BACKOFF_S = 0.01
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_S = 0.25
+#: Tolerance of :func:`validate_lp_result`.
+RESIDUAL_TOL = 1e-6
+#: Consecutive failed calls after which a backend is skipped for the
+#: rest of the run (any validated success resets the count).
+QUARANTINE_AFTER = 3
 
 
 def validate_lp_result(
@@ -58,7 +80,7 @@ def validate_lp_result(
     form: StandardForm,
     lb: "np.ndarray",
     ub: "np.ndarray",
-    tol: float = 1e-6,
+    tol: float = RESIDUAL_TOL,
 ) -> "Optional[str]":
     """Check an OPTIMAL LP result against the standard form.
 
@@ -76,11 +98,10 @@ def validate_lp_result(
     if not math.isfinite(result.objective):
         return f"objective is not finite: {result.objective}"
     n = form.num_vars
-    if len(result.values) < n:
-        return f"solution has {len(result.values)} values for {n} variables"
-    x = np.empty(n)
-    for idx in range(n):
-        x[idx] = result.values[idx]
+    x = result.values.array
+    if x.shape[0] < n:
+        return f"solution has {x.shape[0]} values for {n} variables"
+    x = x[:n]
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         return f"solution value for variable {bad} is not finite"
@@ -145,19 +166,6 @@ class ResilientLPBackend:
     backends:
         Ordered ``(name, callable)`` chain; defaults to
         :func:`default_backend_chain`.
-    max_retries:
-        Extra attempts per backend after a transient fault or a
-        validation failure (non-transient faults skip retries).
-    backoff_s / backoff_factor / max_backoff_s:
-        Bounded exponential backoff between retries.  The defaults are
-        deliberately tiny: LP nodes are milliseconds, and the point of
-        backoff here is to outlive a *momentary* glitch, not a network
-        partition.
-    residual_tol:
-        Tolerance for :func:`validate_lp_result`.
-    quarantine_after:
-        Consecutive failed calls after which a backend is skipped for
-        the rest of the run (any validated success resets the count).
     double_check_infeasible:
         Confirm INFEASIBLE verdicts with the next live backend before
         believing them.  Off by default (it doubles the cost of every
@@ -171,12 +179,6 @@ class ResilientLPBackend:
     def __init__(
         self,
         backends: "Optional[Sequence[Tuple[str, Callable[..., LPResult]]]]" = None,
-        max_retries: int = 2,
-        backoff_s: float = 0.01,
-        backoff_factor: float = 2.0,
-        max_backoff_s: float = 0.25,
-        residual_tol: float = 1e-6,
-        quarantine_after: int = 3,
         double_check_infeasible: bool = False,
         sleep: "Callable[[float], None]" = time.sleep,
     ) -> None:
@@ -184,12 +186,6 @@ class ResilientLPBackend:
         if not chain:
             raise ValueError("ResilientLPBackend needs at least one backend")
         self._slots = [_BackendSlot(name, fn) for name, fn in chain]
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.backoff_factor = backoff_factor
-        self.max_backoff_s = max_backoff_s
-        self.residual_tol = residual_tol
-        self.quarantine_after = quarantine_after
         self.double_check_infeasible = double_check_infeasible
         self._sleep = sleep
         # Counters for telemetry.
@@ -218,7 +214,7 @@ class ResilientLPBackend:
         slot.consecutive_failures += 1
         if (
             not slot.quarantined
-            and slot.consecutive_failures >= self.quarantine_after
+            and slot.consecutive_failures >= QUARANTINE_AFTER
         ):
             slot.quarantined = True
             self.quarantines += 1
@@ -261,8 +257,8 @@ class ResilientLPBackend:
 
     def _try_backend(self, slot, form, lb, ub, errors) -> "Optional[LPResult]":
         """Run one backend with retries; None means move down the chain."""
-        delay = self.backoff_s
-        attempts = self.max_retries + 1
+        delay = BACKOFF_S
+        attempts = MAX_RETRIES + 1
         for attempt in range(attempts):
             slot.calls += 1
             try:
@@ -273,7 +269,7 @@ class ResilientLPBackend:
                 if attempt + 1 < attempts:
                     self.retries += 1
                     self._sleep(delay)
-                    delay = min(delay * self.backoff_factor, self.max_backoff_s)
+                    delay = min(delay * BACKOFF_FACTOR, MAX_BACKOFF_S)
                     continue
                 self._mark_failure(slot)
                 return None
@@ -283,7 +279,7 @@ class ResilientLPBackend:
                 errors.append(f"{slot.name}: {exc}")
                 self._mark_failure(slot)
                 return None
-            reason = validate_lp_result(result, form, lb, ub, self.residual_tol)
+            reason = validate_lp_result(result, form, lb, ub)
             if reason is None:
                 slot.consecutive_failures = 0
                 return result
@@ -293,7 +289,7 @@ class ResilientLPBackend:
             if attempt + 1 < attempts:
                 self.retries += 1
                 self._sleep(delay)
-                delay = min(delay * self.backoff_factor, self.max_backoff_s)
+                delay = min(delay * BACKOFF_FACTOR, MAX_BACKOFF_S)
                 continue
         self._mark_failure(slot)
         return None
@@ -319,7 +315,7 @@ class ResilientLPBackend:
             if second.status is SolveStatus.INFEASIBLE:
                 slot.consecutive_failures = 0
                 return verdict
-            reason = validate_lp_result(second, form, lb, ub, self.residual_tol)
+            reason = validate_lp_result(second, form, lb, ub)
             if second.status is SolveStatus.OPTIMAL and reason is None:
                 self.infeasible_overruled += 1
                 self._log(slot.name, "spurious-infeasible",
@@ -333,12 +329,12 @@ class ResilientLPBackend:
     def kernel_telemetry(self) -> "Optional[Dict[str, object]]":
         """Kernel counters of the first chain member exposing them.
 
-        The incremental LP kernel (:mod:`repro.ilp.incremental`) sits at
-        the head of the default chain; this passthrough lets the branch
-        and bound surface its warm-start/cache counters in
-        ``solve.kernel`` even when the kernel is wrapped by the chain —
-        or by a chaos injector (whose ``inner`` attribute is followed).
-        Returns None when no chain member is kernel-aware.
+        The incremental LP kernel (:mod:`repro.ilp.incremental`) heads
+        the partitioner's chain whenever the HiGHS binding loads; this
+        passthrough lets the branch and bound surface its warm-start
+        counters in ``solve.kernel`` even when the kernel is wrapped by
+        the chain — or by a chaos injector (whose ``inner`` attribute is
+        followed).  Returns None when no chain member is kernel-aware.
         """
         for slot in self._slots:
             for candidate in (slot.fn, getattr(slot.fn, "inner", None)):

@@ -1,12 +1,14 @@
 """LP relaxation solves: one cold HiGHS call per node.
 
 This is the stateless backend of branch and bound: plain search calls
-it on every node, and the warm incremental kernel
-(:mod:`repro.ilp.incremental`) falls back to it.  Each call takes the
+it on every node, and the partitioner's resilient chain puts it right
+behind the warm incremental kernel (:mod:`repro.ilp.incremental`), so a
+node the kernel faults on lands here.  Each call takes the
 per-node variable-bound overrides (the branching decisions) and solves
 the form's HiGHS model on a fresh ``Highs`` object of SciPy's vendored
-binding, the library ``linprog(method="highs")`` itself calls, with the
-options ``linprog`` sets.  The model (:func:`repro.ilp.highs.build_lp`)
+binding (:func:`repro.ilp.highs.load_highs`), the library
+``linprog(method="highs")`` itself calls, with the options ``linprog``
+sets.  The model (:func:`repro.ilp.highs.build_lp`)
 is built once per :class:`~repro.ilp.standard_form.StandardForm` and
 cached on it, so a node pays for the bounds, the hand-over and the
 solve, not for ``linprog``'s input cleaning and matrix re-stacking.
@@ -16,8 +18,9 @@ INFEASIBLE, an optimal point outside its bounds or rows by more than
 :data:`~repro.ilp.highs.CHECK_TOL` is numerical trouble, and HiGHS
 statuses map to outcomes as ``linprog`` maps them.
 
-When the vendored binding is missing or fails the kernel's version
-guard, each call goes through ``linprog`` instead.
+When the vendored binding is missing or fails its version guard, each
+call goes through ``linprog`` instead: the only LP path on SciPy
+releases without that private module.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from repro.errors import SolverError, TransientSolverError
-from repro.ilp.highs import build_lp, read_optimal
+from repro.ilp.highs import build_lp, load_highs, read_optimal
 from repro.ilp.solution import LPResult, SolveStatus, ValueVector
 from repro.ilp.standard_form import StandardForm
 
@@ -72,10 +75,7 @@ def solve_lp_scipy(
         # A branching fixation contradicts the bounds: trivially infeasible,
         # no need to call the solver.
         return LPResult(status=SolveStatus.INFEASIBLE)
-    # Imported here: the kernel module imports this one.
-    from repro.ilp.incremental import _cold_highs  # noqa: PLC0415
-
-    highspy = _cold_highs()
+    highspy = load_highs()
     if highspy is None:
         return _solve_linprog(form, lb, ub)
     return _solve_cold(highspy, form, lb, ub)

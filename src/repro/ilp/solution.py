@@ -330,9 +330,10 @@ def plain_values(values: "Optional[Mapping]") -> "Optional[Dict[int, float]]":
 class LPResult:
     """Result of one LP (relaxation) solve.
 
-    ``values`` maps variable index to value (a plain dict or an
-    array-backed :class:`ValueVector`); present only when ``status`` is
-    OPTIMAL.  ``dual_ub`` / ``dual_eq`` are the row duals of the
+    ``values`` maps variable index to value as an array-backed
+    :class:`ValueVector` (every LP backend and the fault injector build
+    one; :func:`~repro.ilp.resilience.validate_lp_result` reads its
+    array); present only when ``status`` is OPTIMAL.  ``dual_ub`` / ``dual_eq`` are the row duals of the
     inequality and equality systems (sign convention: ``dual_ub <= 0``
     for a minimization), the raw material of branch-and-bound proof
     certificates.  Both are excluded from equality comparisons

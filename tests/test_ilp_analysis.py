@@ -699,7 +699,7 @@ class TestSolverIntegration:
         assert outcome.solve_stats.lp_solves == 0
         assert not outcome.hit_limit
         record = outcome.telemetry()
-        assert record["schema"] == "repro.solve_telemetry/v11"
+        assert record["schema"] == "repro.solve_telemetry/v12"
         assert record["certificate"]["code"] == "edge-exceeds-memory"
 
     def test_partitioner_presolve_certificate_short_circuit(

@@ -21,7 +21,7 @@ from repro.core.formulation import build_model
 from repro.core.partitioner import TemporalPartitioner
 from repro.errors import TransientSolverError
 from repro.graph.generators import paper_graph
-from repro.ilp import incremental, scipy_backend
+from repro.ilp import highs, scipy_backend
 from repro.ilp.highs import CHECK_TOL, build_lp, read_optimal, stack_rows
 from repro.ilp.scipy_backend import solve_lp_scipy
 from repro.ilp.solution import SolveStatus
@@ -40,7 +40,7 @@ ROWS = {row.key: row for row in EXPERIMENT_ROWS}
 PLAIN_ROWS = (("t1-g1-N2-L3", False, 49), ("t2-g1-N2-L3", True, 47))
 
 pytestmark = pytest.mark.skipif(
-    incremental._cold_highs() is None,
+    highs.load_highs() is None,
     reason="SciPy's vendored HiGHS binding does not load",
 )
 
@@ -249,7 +249,7 @@ class TestPostSolveCheck:
 
 class TestStatusMapping:
     def _binding(self):
-        return incremental._cold_highs()
+        return highs.load_highs()
 
     def test_each_model_status(self):
         highspy = self._binding()
@@ -358,7 +358,7 @@ class TestStatusMapping:
 class TestLinprogOnlyWithoutBinding:
     def test_without_binding_one_linprog_call_per_node(self, monkeypatch):
         monkeypatch.setattr(
-            incremental, "_binding", (None, "no usable HiGHS binding (stub)")
+            highs, "_binding", (None, "no usable HiGHS binding (stub)")
         )
         linprog_calls = []
         real_linprog = scipy_backend.linprog
@@ -385,19 +385,6 @@ class TestLinprogOnlyWithoutBinding:
         assert (row["status"], row["objective"]) == ("optimal", 0)
         if plain:
             assert row["nodes"] == nodes
-
-    def test_standalone_highspy_keeps_the_cold_path_on_scipys_copy(
-        self, monkeypatch
-    ):
-        standalone = SimpleNamespace(**{
-            k: v for k, v in vars(incremental._vendored_highs()).items()
-            if k != "vendored"
-        })
-        monkeypatch.setattr(incremental, "_binding", (standalone, None))
-        monkeypatch.setattr(incremental, "_vendored_binding", None)
-        cold = incremental._cold_highs()
-        assert cold is not standalone
-        assert cold.vendored
 
 
 def old_kernel_lp_arrays(form):
@@ -443,7 +430,7 @@ class TestSharedBuilder:
         return forms
 
     def test_builder_matches_the_old_kernel_model(self):
-        highspy = incremental._load_highspy()
+        highspy = highs.load_highs()
         for form in self._forms():
             lp = build_lp(highspy, form)
             expected = old_kernel_lp_arrays(form)

@@ -2,9 +2,10 @@
 
 Covers the kernel itself (equivalence with the stateless scipy backend
 over random LPs and random branching-style bound overrides,
-rebind-on-new-form, the warm-started HiGHS path, its version guard and
-the ``solve_lp_scipy`` fallback, re-solving on a resilient retry), the
-array-backed
+rebind-on-new-form, the warm-started HiGHS path, re-solving on a
+resilient retry), the one fallback path (a stale binding leaves the
+kernel out of the partitioner's chain; kernel faults fall through the
+chain and quarantine the kernel), the array-backed
 :class:`~repro.ilp.solution.ValueVector` result values, the simplex
 tableau size guard, and the ``solve.kernel`` telemetry passthroughs.
 """
@@ -16,11 +17,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import parallel_support
+from repro.core.partitioner import TemporalPartitioner
 from repro.errors import SolverError
-from repro.ilp import incremental
+from repro.graph.generators import paper_graph
+from repro.ilp import highs
 from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.expr import lin_sum
-from repro.ilp.incremental import IncrementalLPSolver, have_highspy
+from repro.ilp.highs import have_highspy
+from repro.ilp.incremental import IncrementalLPSolver
 from repro.ilp.model import Model
 from repro.ilp.resilience import ResilientLPBackend, validate_lp_result
 from repro.ilp.scipy_backend import solve_lp_scipy
@@ -32,6 +37,12 @@ from repro.ilp.solution import (
     plain_values,
 )
 from repro.ilp.standard_form import compile_standard_form
+from repro.library.catalogs import mix_from_string
+from repro.reporting.experiments import (
+    EXPERIMENT_ROWS,
+    reference_device,
+    reference_memory,
+)
 
 
 def build_lp_model(c, rows, rhs, senses, ubs, integer=False):
@@ -155,31 +166,6 @@ class TestIncrementalKernel:
         kernel(form_a)
         assert kernel.rebinds == 3
 
-    def test_without_binding_solves_through_scipy(self, monkeypatch):
-        # The loader finds no binding: every node goes to solve_lp_scipy.
-        form = self._form()
-        monkeypatch.setattr(
-            incremental, "_binding", (None, "no usable HiGHS binding (stub)")
-        )
-        calls = []
-
-        def spy(form, lb=None, ub=None):
-            calls.append((lb, ub))
-            return solve_lp_scipy(form, lb, ub)
-
-        monkeypatch.setattr(incremental, "solve_lp_scipy", spy)
-        assert not have_highspy()
-        kernel = IncrementalLPSolver()
-        result = kernel(form)
-        reference = solve_lp_scipy(form)
-        telemetry = kernel.kernel_telemetry()
-        assert len(calls) == 1
-        assert telemetry["name"] == "incremental-linprog"
-        assert telemetry["demoted"] == "no usable HiGHS binding (stub)"
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(reference.objective, abs=1e-9)
-        assert result.dual_ub is not None and result.dual_eq is not None
-
     def test_highs_kernel_warm_starts_every_resolve(self):
         """SciPy's vendored HiGHS drives the kernel; re-solves run warm."""
         form = self._form()
@@ -191,57 +177,12 @@ class TestIncrementalKernel:
             kernel(form, form.lb, ub)
         telemetry = kernel.kernel_telemetry()
         assert telemetry["name"] == "incremental-highs"
-        assert telemetry["demoted"] is None
         assert telemetry["lp_solves"] == 1 + form.num_vars
         assert telemetry["warm_start_hits"] == telemetry["lp_solves"] - 1
         # The stacked HiGHS row duals split into the (ub, eq) contract.
         assert root.dual_ub is not None and root.dual_eq is not None
         assert root.dual_ub.shape == form.b_ub.shape
         assert root.dual_eq.shape == form.b_eq.shape
-
-    def test_version_guard_demotes_to_linprog(self, monkeypatch):
-        """A binding missing a required method is skipped, not crashed on."""
-        form = self._form()
-        warm = IncrementalLPSolver()(form)
-        stale = SimpleNamespace(**vars(incremental._vendored_highs()))
-        stale.Highs = type(
-            "StaleHighs",
-            (),
-            {
-                name: None
-                for name in incremental._REQUIRED_METHODS
-                if name != "changeColsBounds"
-            },
-        )
-        monkeypatch.setattr(
-            incremental, "_HIGHS_SOURCES", (("stale", lambda: stale),)
-        )
-        monkeypatch.setattr(incremental, "_binding", None)
-        kernel = IncrementalLPSolver()
-        result = kernel(form)
-        telemetry = kernel.kernel_telemetry()
-        assert telemetry["name"] == "incremental-linprog"
-        assert "stale lacks Highs.changeColsBounds" in telemetry["demoted"]
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(warm.objective, abs=1e-9)
-
-    def test_mid_run_highs_failure_demotes_to_scipy(self, monkeypatch):
-        """A binding fault re-solves the node through solve_lp_scipy."""
-        form = self._form()
-        kernel = IncrementalLPSolver(form)
-
-        def crash(lb, ub):
-            raise RuntimeError("binding fault")
-
-        monkeypatch.setattr(kernel, "_solve_highs", crash)
-        result = kernel(form)
-        reference = solve_lp_scipy(form)
-        telemetry = kernel.kernel_telemetry()
-        assert telemetry["name"] == "incremental-linprog"
-        assert telemetry["demoted"] == "highs solve failed: binding fault"
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(reference.objective, abs=1e-9)
-        assert result.dual_ub is not None and result.dual_eq is not None
 
     def test_kernel_telemetry_block(self):
         form = self._form()
@@ -250,10 +191,9 @@ class TestIncrementalKernel:
         kernel(form)
         telemetry = kernel.kernel_telemetry()
         assert set(telemetry) == {
-            "name", "highs", "calls", "lp_solves", "warm_start_hits",
-            "rebinds", "demoted",
+            "name", "calls", "lp_solves", "warm_start_hits", "rebinds",
         }
-        assert telemetry["name"] in ("incremental-highs", "incremental-linprog")
+        assert telemetry["name"] == "incremental-highs"
         assert telemetry["calls"] == 2
         assert telemetry["lp_solves"] == 2
         assert telemetry["rebinds"] == 1
@@ -398,6 +338,69 @@ class TestKernelIntegration:
         assert backend.validation_failures == 1
         assert validate_lp_result(result, form, form.lb, form.ub) is None
         assert backend.fallbacks == 0
+
+
+def t3_outcome():
+    """``partition_spec`` on the Table 3 row t3-g1-N3-L1 (optimum 2)."""
+    row = next(r for r in EXPERIMENT_ROWS if r.key == "t3-g1-N3-L1")
+    tp = TemporalPartitioner(device=reference_device(), memory=reference_memory())
+    spec = tp.make_spec(
+        paper_graph(row.graph), mix_from_string(row.mix),
+        n_partitions=row.n_partitions, relaxation=row.relaxation,
+    )
+    outcome = tp.partition_spec(spec)
+    return outcome, (outcome.status, outcome.objective)
+
+
+class TestOneFallbackPath:
+    """The resilient chain is the only place a kernel fault is handled."""
+
+    def test_stale_binding_leaves_the_kernel_out(self, monkeypatch):
+        stale = SimpleNamespace(**vars(highs._vendored_highs()))
+        stale.Highs = type(
+            "StaleHighs",
+            (),
+            {
+                name: None
+                for name in highs._REQUIRED_METHODS
+                if name != "changeColsBounds"
+            },
+        )
+        monkeypatch.setattr(highs, "_vendored_highs", lambda: stale)
+        monkeypatch.setattr(highs, "_binding", None)
+        assert not have_highspy()
+        form = TestIncrementalKernel()._form()
+        with pytest.raises(SolverError, match="lacks Highs.changeColsBounds"):
+            IncrementalLPSolver()(form)
+        backend = parallel_support.make_lp_backend()
+        assert backend.kernel_telemetry() is None
+        assert [b["name"] for b in backend.resilience_telemetry()["backends"]] == [
+            "scipy-highs", "simplex",
+        ]
+        # A cold vertex may change the node count, not the answer.
+        outcome, answer = t3_outcome()
+        assert answer == (SolveStatus.OPTIMAL, 2)
+        assert outcome.solve_stats.kernel is None
+
+    def test_kernel_faults_fall_through_and_quarantine(self, monkeypatch):
+        _, fault_free = t3_outcome()
+        real = IncrementalLPSolver._solve_highs
+        faults = []
+
+        def crash_three_times(self, lb, ub):
+            if len(faults) < 3:
+                faults.append(1)
+                raise RuntimeError("binding fault")
+            return real(self, lb, ub)
+
+        monkeypatch.setattr(IncrementalLPSolver, "_solve_highs", crash_three_times)
+        outcome, answer = t3_outcome()
+        assert answer == fault_free
+        block = outcome.solve_stats.resilience["backend"]
+        assert (block["fallbacks"], block["quarantines"]) == (3, 1)
+        kernel_slot = block["backends"][0]
+        assert kernel_slot["name"] == "incremental"
+        assert kernel_slot["quarantined"] is True
 
 
 class TestSimplexSizeGuard:

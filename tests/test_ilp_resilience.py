@@ -23,6 +23,7 @@ from repro.ilp import branch_bound
 from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.expr import lin_sum
 from repro.ilp.model import Model
+from repro.ilp.resilience import resilient as resilient_module
 from repro.ilp.resilience import (
     FAULT_KINDS,
     FaultInjectingBackend,
@@ -32,7 +33,7 @@ from repro.ilp.resilience import (
 )
 from repro.ilp.scipy_backend import solve_lp_scipy
 from repro.ilp.simplex import solve_lp_simplex
-from repro.ilp.solution import LPResult, SolveStatus
+from repro.ilp.solution import LPResult, SolveStatus, ValueVector
 from repro.ilp.standard_form import compile_standard_form
 
 
@@ -154,7 +155,7 @@ class TestValidateLPResult:
         poisoned = LPResult(
             status=SolveStatus.OPTIMAL,
             objective=float("nan"),
-            values=dict(result.values),
+            values=ValueVector(result.values.array.copy()),
         )
         reason = validate_lp_result(poisoned, form, form.lb, form.ub)
         assert reason is not None and "finite" in reason
@@ -164,19 +165,19 @@ class TestValidateLPResult:
         shifted = LPResult(
             status=SolveStatus.OPTIMAL,
             objective=result.objective - 1.0,
-            values=dict(result.values),
+            values=ValueVector(result.values.array.copy()),
         )
         reason = validate_lp_result(shifted, form, form.lb, form.ub)
         assert reason is not None and "disagrees" in reason
 
     def test_rejects_bound_violation(self):
         form, result = solve_root(solve_lp_scipy)
-        values = dict(result.values)
+        values = result.values.array.copy()
         values[0] = 2.0  # binary variable forced past its upper bound
         bad = LPResult(
             status=SolveStatus.OPTIMAL,
-            objective=float(form.c @ np.array([values[i] for i in range(3)])),
-            values=values,
+            objective=float(form.c @ values),
+            values=ValueVector(values),
         )
         reason = validate_lp_result(bad, form, form.lb, form.ub)
         assert reason is not None and "bounds" in reason
@@ -210,10 +211,11 @@ class TestResilientLPBackend:
         assert armored.status is plain.status
         assert armored.objective == pytest.approx(plain.objective)
 
-    def test_transient_fault_retried_on_same_backend(self):
+    def test_transient_fault_retried_on_same_backend(self, monkeypatch):
+        monkeypatch.setattr(resilient_module, "MAX_RETRIES", 2)
         resilient = ResilientLPBackend(
             backends=[("flaky", _failing(1)), ("never", _dead)],
-            max_retries=2, sleep=lambda s: None,
+            sleep=lambda s: None,
         )
         form, result = solve_root(resilient)
         assert result.status is SolveStatus.OPTIMAL
@@ -228,18 +230,21 @@ class TestResilientLPBackend:
         assert result.status is SolveStatus.OPTIMAL
         assert resilient.fallbacks == 1 and resilient.retries == 0
 
-    def test_chain_exhausted_raises(self):
+    def test_chain_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(resilient_module, "MAX_RETRIES", 1)
         resilient = ResilientLPBackend(
-            backends=[("dead", _dead)], max_retries=1, sleep=lambda s: None,
+            backends=[("dead", _dead)], sleep=lambda s: None,
         )
         form = knapsack_form()
         with pytest.raises(BackendChainExhausted):
             resilient(form, form.lb, form.ub)
 
-    def test_quarantine_after_consecutive_failures(self):
+    def test_quarantine_after_consecutive_failures(self, monkeypatch):
+        monkeypatch.setattr(resilient_module, "MAX_RETRIES", 0)
+        monkeypatch.setattr(resilient_module, "QUARANTINE_AFTER", 2)
         resilient = ResilientLPBackend(
             backends=[("dead", _dead), ("simplex", solve_lp_simplex)],
-            max_retries=0, quarantine_after=2, sleep=lambda s: None,
+            sleep=lambda s: None,
         )
         form = knapsack_form()
         for _ in range(3):
@@ -251,12 +256,13 @@ class TestResilientLPBackend:
         # Call 3 never touched the quarantined backend.
         assert dead["calls"] == 2
 
-    def test_validation_failure_falls_through(self):
+    def test_validation_failure_falls_through(self, monkeypatch):
+        monkeypatch.setattr(resilient_module, "MAX_RETRIES", 0)
         plan = FaultPlan(kinds=("perturb",), rate=1.0)
         lying = FaultInjectingBackend(solve_lp_scipy, plan)
         resilient = ResilientLPBackend(
             backends=[("liar", lying), ("simplex", solve_lp_simplex)],
-            max_retries=0, sleep=lambda s: None,
+            sleep=lambda s: None,
         )
         form, result = solve_root(resilient)
         _, plain = solve_root(solve_lp_scipy)
@@ -335,11 +341,12 @@ def odd_sum_model():
 
 
 class TestBranchAndBoundSurvival:
-    def test_primary_dead_still_optimal_via_fallback(self):
+    def test_primary_dead_still_optimal_via_fallback(self, monkeypatch):
+        monkeypatch.setattr(resilient_module, "MAX_RETRIES", 0)
         config = BranchAndBoundConfig(
             lp_backend=ResilientLPBackend(
                 backends=[("dead", _dead), ("simplex", solve_lp_simplex)],
-                max_retries=0, sleep=lambda s: None,
+                sleep=lambda s: None,
             )
         )
         result = BranchAndBound(knapsack_model(), config=config).solve()
@@ -348,10 +355,10 @@ class TestBranchAndBoundSurvival:
 
     def test_whole_chain_dead_errors_with_lp_failure_limit(self, monkeypatch):
         monkeypatch.setattr(branch_bound, "LP_FAILURE_LIMIT", 5)
+        monkeypatch.setattr(resilient_module, "MAX_RETRIES", 0)
         config = BranchAndBoundConfig(
             lp_backend=ResilientLPBackend(
-                backends=[("dead", _dead)], max_retries=0,
-                sleep=lambda s: None,
+                backends=[("dead", _dead)], sleep=lambda s: None,
             ),
         )
         result = BranchAndBound(knapsack_model(), config=config).solve()
@@ -362,10 +369,10 @@ class TestBranchAndBoundSurvival:
 
     def test_node_accounting_includes_dropped(self, monkeypatch):
         monkeypatch.setattr(branch_bound, "LP_FAILURE_LIMIT", 5)
+        monkeypatch.setattr(resilient_module, "MAX_RETRIES", 0)
         config = BranchAndBoundConfig(
             lp_backend=ResilientLPBackend(
-                backends=[("dead", _dead)], max_retries=0,
-                sleep=lambda s: None,
+                backends=[("dead", _dead)], sleep=lambda s: None,
             ),
         )
         stats = BranchAndBound(knapsack_model(), config=config).solve().stats

@@ -351,7 +351,7 @@ class TestRealSolveThroughWorker:
             tmp_path / "batch.jsonl.scratch" / result.artifacts["telemetry"]
         )
         telemetry = json.loads(telemetry_path.read_text())
-        assert telemetry["schema"] == "repro.solve_telemetry/v11"
+        assert telemetry["schema"] == "repro.solve_telemetry/v12"
 
     def test_invalid_spec_contained(self, tmp_path):
         # Graph 1 needs a 'sub' FU; a 1A+1M allocation cannot host it.

@@ -259,7 +259,7 @@ class TestPipelinePropagation:
         outcome = tp.partition(chain3_graph, "1A+1M+1S", n_partitions=2,
                                relaxation=2)
         record = telemetry_to_dict(outcome)
-        assert record["schema"] == "repro.solve_telemetry/v11"
+        assert record["schema"] == "repro.solve_telemetry/v12"
         assert record["status"] == "optimal"
         assert record["solve"]["nodes_explored"] >= 1
         assert record["solve"]["lp_calls"] >= 1
