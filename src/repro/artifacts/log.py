@@ -47,7 +47,11 @@ class DurableWriter:
     All failures surface as :class:`~repro.errors.ArtifactError` with
     ``cause`` ``"enospc"`` or ``"io"``.  The handle is deliberately
     kept open after a failure: space freed later lets subsequent
-    appends succeed without reopening anything.
+    appends succeed without reopening anything.  The append after a
+    failed one starts with a newline, so a partial line left behind
+    stands alone instead of welding onto the next record.  A disk that
+    reports success for a short write (``torn-line``) cannot be caught
+    here; the reader's parse and CRC checks catch it.
     """
 
     def __init__(
@@ -61,6 +65,7 @@ class DurableWriter:
         self.fsync = fsync
         self.seal = seal
         self._handle: "Optional[IO[bytes]]" = None
+        self._last_failed = False
 
     def open(self, truncate: bool = False) -> "DurableWriter":
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -103,14 +108,19 @@ class DurableWriter:
         if self.seal:
             record = seal_record(dict(record))
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        data = line.encode("utf-8") + b"\n"
+        if self._last_failed:
+            data = b"\n" + data
         ops = fsio.current_ops()
         try:
-            ops.write(self._handle, line.encode("utf-8") + b"\n")
+            ops.write(self._handle, data)
             ops.flush(self._handle)
             if self.fsync:
                 ops.fsync(self._handle)
         except OSError as exc:
+            self._last_failed = True
             raise _artifact_error(exc, self.path, "append to") from exc
+        self._last_failed = False
         return record
 
 
@@ -208,9 +218,10 @@ def truncate_torn_tail(path: "str | Path") -> bool:
     """Drop the crash-torn bytes after the final newline, atomically.
 
     Returns True when something was trimmed.  A file reduced to
-    nothing is removed outright.  This is the shared implementation
-    behind the journal's resume trim and the proof writer's re-open
-    validation — previously two divergent copies.
+    nothing is removed outright.  The one trim behind the journal's
+    recovery (:func:`repro.runner.journal.recover`), the proof
+    writer's re-open validation and the doctor's repair; the torn
+    tail is exactly what :func:`scan_log` reports as ``torn_tail``.
     """
     path = Path(path)
     ops = fsio.current_ops()

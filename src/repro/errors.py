@@ -170,6 +170,14 @@ class JournalWriteError(RunnerError):
         self.cause = cause
 
 
+class JournalHeaderError(RunnerError):
+    """A journal's header line is destroyed: no record can be trusted."""
+
+    def __init__(self, path: object, cause: str) -> None:
+        super().__init__(f"journal {path} header is corrupt ({cause})")
+        self.cause = cause
+
+
 class ArtifactError(ReproError):
     """A durable artifact could not be written or read back intact.
 

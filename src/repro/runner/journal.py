@@ -6,11 +6,13 @@ handler, no "dirty" flag, no recovery protocol beyond **replay**:
 
 * every record is one JSON object on one line, appended and flushed
   before the orchestrator acts on it;
-* a crash mid-append leaves at most one truncated final line, which
-  replay detects (it cannot parse) and discards — the journal is then
-  exactly the state as of the previous record;
-* ``--resume`` replays the journal, keeps every job with a ``finished``
-  record (its result is *taken from the journal*, never re-solved), and
+* a crash mid-append leaves at most a torn tail — the bytes after the
+  final newline.  It is never a record: the journal is exactly the
+  state as of the last complete line;
+* ``--resume`` (and a restarted service) runs :func:`recover`, which
+  quarantines corrupt records, trims the torn tail and checks the
+  header; the batch then keeps every job with a ``finished`` record
+  (its result is *taken from the journal*, never re-solved) and
   re-queues the rest;
 * compaction rewrites header + latest ``finished`` record per job
   through the durable snapshot dance (write temp, fsync it, rename,
@@ -20,8 +22,10 @@ handler, no "dirty" flag, no recovery protocol beyond **replay**:
 Storage mechanics live in :mod:`repro.artifacts`: the writer is an
 :class:`~repro.artifacts.log.DurableWriter` (every record carries a
 CRC-32 ``crc`` self-checksum, so bit rot is detectable — not only torn
-writes), reads go through the artifact seam (so the I/O chaos corpus
-drills this exact path), and corruption recovery is quarantine via
+writes), the one reader is :func:`~repro.artifacts.log.scan_log` (it
+goes through the artifact seam, so the I/O chaos corpus drills this
+exact path; :func:`read_journal` is only its strict view), and
+corruption recovery is quarantine via
 :func:`repro.artifacts.log.repair_log` — replay minus the quarantined
 records, never a guess.
 
@@ -39,10 +43,15 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.artifacts import fsio
-from repro.artifacts.framing import record_checksum_ok
-from repro.artifacts.log import DurableWriter, atomic_rewrite
-from repro.errors import ArtifactError, JournalWriteError, RunnerError
+from repro.artifacts.log import (
+    DurableWriter,
+    LogScan,
+    atomic_rewrite,
+    repair_log,
+    scan_log,
+    truncate_torn_tail,
+)
+from repro.errors import ArtifactError, JournalHeaderError, JournalWriteError, RunnerError
 from repro.runner.jobs import JobResult
 
 #: Journal schema identifier; bump on any incompatible layout change.
@@ -135,102 +144,43 @@ class JournalWriter(DurableWriter):
         self._append(record)
 
 
+def _scan(path: Path) -> LogScan:
+    try:
+        return scan_log(path)
+    except ArtifactError as exc:
+        raise RunnerError(f"cannot read journal {path}: {exc}") from exc
+
+
 def read_journal(
     path: "str | Path",
 ) -> "Tuple[List[Dict[str, object]], bool]":
-    """Parse a journal into ``(records, truncated_tail)``.
+    """Strict view over :func:`~repro.artifacts.log.scan_log`:
+    ``(records, truncated_tail)``.
 
-    A final line that does not parse is the signature of a crash
-    mid-append; it is dropped and reported via ``truncated_tail`` —
-    never an exception, because recovering from exactly this state is
-    the journal's whole job.  A malformed line *before* the final one
-    — or any record whose CRC-32 seal no longer matches its body (bit
-    rot: the line parses, the content lies) — means real corruption
-    and raises :class:`RunnerError`.  Callers that should degrade
-    instead of refuse use :func:`repro.artifacts.log.repair_log` to
-    quarantine the bad records first.
-    """
-    try:
-        raw = fsio.current_ops().read_bytes(Path(path))
-    except OSError as exc:
-        raise RunnerError(f"cannot read journal {path}: {exc}") from exc
-    # Bit rot can destroy UTF-8 validity; a replacement character then
-    # breaks that line's JSON parse, which is exactly the detection we
-    # want (instead of an unhandled UnicodeDecodeError).
-    text = raw.decode("utf-8", errors="replace")
-    records: "List[Dict[str, object]]" = []
-    lines = text.splitlines()
-    truncated = False
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines) - 1:
-                truncated = True
-                break
-            raise RunnerError(
-                f"journal {path} line {lineno + 1} is corrupt "
-                f"(not the final line, so not a crash artifact): {exc}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise RunnerError(
-                f"journal {path} line {lineno + 1}: expected an object"
-            )
-        if "crc" in record and not record_checksum_ok(record):
-            raise RunnerError(
-                f"journal {path} line {lineno + 1} is corrupt "
-                f"(CRC-32 seal mismatch: bit rot, not a crash artifact)"
-            )
-        records.append(record)
-    return records, truncated
-
-
-def discard_torn_tail(path: "str | Path") -> None:
-    """Drop a crash-torn final journal line before appending to it.
-
-    :func:`read_journal` tolerates the torn line at *read* time, but a
-    resumed run reopens the journal in append mode — left in place, the
-    partial line would weld onto the next record and turn into
-    corruption in the *middle* of the file, which replay rightly
-    refuses.  A journal reduced to nothing but its torn line is removed
-    outright so the resumed run starts fresh (with a new header).  The
-    trim itself is atomic and fsynced (temp + rename), so a crash
-    mid-trim cannot make things worse.
+    ``truncated_tail`` is the scan's torn tail (bytes after the final
+    newline: a crash mid-append, never a record).  Any complete line
+    that is not an intact record raises :class:`RunnerError` naming
+    the line and its cause; :func:`recover` quarantines such lines.
     """
     path = Path(path)
-    _, truncated = read_journal(path)
-    if not truncated:
-        return
-    lines = path.read_text(
-        encoding="utf-8", errors="replace"
-    ).splitlines(keepends=True)
-    if len(lines) <= 1:
-        path.unlink()
-        return
-    try:
-        atomic_rewrite(path, "".join(lines[:-1]).encode("utf-8"))
-    except ArtifactError as exc:
-        raise RunnerError(
-            f"cannot trim torn tail of journal {path}: {exc}"
-        ) from exc
+    scan = _scan(path)
+    if scan.bad:
+        first = scan.bad[0]
+        what = (
+            "expected an object" if first.cause == "bad-schema"
+            else f"is corrupt ({first.cause})"
+        )
+        raise RunnerError(f"journal {path} line {first.lineno}: {what}")
+    return [record for _, record in scan.records], scan.torn_tail
 
 
-def replay(
-    path: "str | Path",
+def _check_header(
+    path: Path,
+    records: "List[Dict[str, object]]",
     expected_digest: "Optional[str]" = None,
-) -> "Dict[int, JobResult]":
-    """Replay a journal into ``{job_index: final JobResult}``.
-
-    Validates the header (schema and, when given, the manifest digest
-    — resuming the wrong batch's journal must be refused, not merged).
-    The *last* ``finished`` record per job wins, so a journal that was
-    resumed before replays to the same state.
-    """
-    records, _ = read_journal(path)
+) -> None:
     if not records:
-        return {}
+        return
     header = records[0]
     if header.get("event") != "batch" or header.get("schema") != JOURNAL_SCHEMA:
         raise RunnerError(
@@ -245,8 +195,16 @@ def replay(
                 f"(manifest digest {str(digest)[:12]}..., expected "
                 f"{expected_digest[:12]}...); refusing to resume"
             )
+
+
+def finished_results(
+    path: "str | Path",
+    records: "List[Dict[str, object]]",
+) -> "Dict[int, JobResult]":
+    """``{job_index: JobResult}``; the *last* ``finished`` record per
+    job wins, so a journal resumed before replays to the same state."""
     results: "Dict[int, JobResult]" = {}
-    for record in records[1:]:
+    for record in records:
         if record.get("event") != "finished":
             continue
         try:
@@ -258,6 +216,59 @@ def replay(
             ) from exc
         results[result.index] = result
     return results
+
+
+def recover(
+    path: "str | Path",
+    expected_digest: "Optional[str]" = None,
+) -> "Tuple[List[Dict[str, object]], int]":
+    """Ready a journal for appending: ``(records, quarantined)``.
+
+    Corrupt records are quarantined by
+    :func:`~repro.artifacts.log.repair_log` (which also drops a torn
+    tail); otherwise a torn tail is trimmed by
+    :func:`~repro.artifacts.log.truncate_torn_tail`, since left in
+    place it would weld onto the next record.  The header is checked
+    as in :func:`replay` before anything is touched, so a foreign
+    journal is refused as it was found; a destroyed header line
+    raises :class:`~repro.errors.JournalHeaderError`, and each owner
+    decides whether to refuse or to quarantine the file whole.  No
+    records (a missing, empty or wholly quarantined journal) means the
+    owner starts fresh.
+    """
+    path = Path(path)
+    if not path.exists():
+        return [], 0
+    scan = _scan(path)
+    if scan.lines and scan.lines[0].cause is not None:
+        raise JournalHeaderError(path, scan.lines[0].cause)
+    records = [record for _, record in scan.records]
+    _check_header(path, records, expected_digest)
+    quarantined = 0
+    try:
+        if scan.bad:
+            quarantined = repair_log(path).quarantined
+        elif scan.torn_tail:
+            truncate_torn_tail(path)
+    except ArtifactError as exc:
+        raise RunnerError(f"cannot repair journal {path}: {exc}") from exc
+    return records, quarantined
+
+
+def replay(
+    path: "str | Path",
+    expected_digest: "Optional[str]" = None,
+) -> "Dict[int, JobResult]":
+    """Replay a journal into ``{job_index: final JobResult}``.
+
+    Strict (see :func:`read_journal`); validates the header (schema
+    and, when given, the manifest digest — resuming the wrong batch's
+    journal must be refused, not merged).
+    """
+    path = Path(path)
+    records, _ = read_journal(path)
+    _check_header(path, records, expected_digest)
+    return finished_results(path, records)
 
 
 def compact(path: "str | Path") -> int:

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace as _replace
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.errors import JournalWriteError, RunnerError
+from repro.errors import JournalHeaderError, JournalWriteError, RunnerError
 from repro.runner.jobs import (
     CircuitBreaker,
     JobOutcome,
@@ -58,13 +58,11 @@ from repro.runner.jobs import (
     RetryPolicy,
     manifest_digest,
 )
-from repro.artifacts.log import repair_log as _repair_log
-from repro.artifacts.log import scan_log as _scan_log
 from repro.runner.journal import (
     JOURNAL_SCHEMA,
     JournalWriter,
-    discard_torn_tail as _discard_torn_tail,
-    replay,
+    finished_results,
+    recover,
 )
 from repro.runner.limits import classify_exit, ResourceLimits
 from repro.runner.substrate import Watchdog as _Watchdog
@@ -251,27 +249,21 @@ class BatchRunner:
         """
         from_journal: "Dict[int, JobResult]" = {}
         quarantined = 0
-        if resume and self.journal_path.exists():
-            # Bit rot first: quarantine corrupt records so the rest of
-            # the journal replays (the affected jobs simply re-run),
-            # then trim the ordinary crash-torn tail.  A destroyed
-            # header is not repairable in place — without it the
-            # records cannot be bound to this batch's manifest.
-            scan = _scan_log(self.journal_path)
-            if scan.lines and scan.lines[0].cause is not None:
+        fresh = True
+        if resume:
+            try:
+                records, quarantined = recover(self.journal_path, self.digest)
+            except JournalHeaderError as exc:
+                # Without its header the records cannot be bound to
+                # this batch's manifest: not repairable in place.
                 raise RunnerError(
-                    f"journal {self.journal_path} header is corrupt "
-                    f"({scan.lines[0].cause}); run 'repro doctor --repair' "
-                    f"on the run directory or restart with overwrite"
-                )
-            if scan.bad:
-                report = _repair_log(self.journal_path)
-                quarantined = report.quarantined
+                    f"{exc}; run 'repro doctor --repair' on the run "
+                    f"directory or restart with overwrite"
+                ) from exc
+            if quarantined:
                 self._emit("journal_quarantined", records=quarantined)
-        if resume and self.journal_path.exists():
-            _discard_torn_tail(self.journal_path)
-        if resume and self.journal_path.exists():
-            from_journal = replay(self.journal_path, expected_digest=self.digest)
+            from_journal = finished_results(self.journal_path, records)
+            fresh = not records
         elif self.journal_path.exists() and not overwrite:
             raise RunnerError(
                 f"journal {self.journal_path} already exists; pass "
@@ -281,9 +273,6 @@ class BatchRunner:
             self.journal_path.unlink()
 
         self.scratch_dir.mkdir(parents=True, exist_ok=True)
-        fresh = not (resume and from_journal) and not (
-            resume and self.journal_path.exists()
-        )
 
         breaker = CircuitBreaker(self.config.breaker_threshold)
         finalized: "Dict[int, tuple[JobResult, bool]]" = {

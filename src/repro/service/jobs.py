@@ -17,7 +17,8 @@ slightly different:
 * ``note kind="shed"`` — an accepted job that was explicitly shed
   later (evicted from the queue by a higher-priority newcomer).
 
-Recovery is replay: ``accepted − finished − shed`` is precisely the
+Recovery is the batch's own (:func:`repro.runner.journal.recover`)
+followed by a fold: ``accepted − finished − shed`` is precisely the
 set of jobs the server owes its clients, each re-enqueued **exactly
 once** — a job SIGKILLed mid-solve resumes from its B&B checkpoint
 (the checkpoint path is a pure function of the job id, so the
@@ -37,16 +38,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.artifacts.log import repair_log, scan_log
 from repro.artifacts.quarantine import quarantine_file
-from repro.errors import RunnerError, ServiceError
+from repro.errors import JournalHeaderError, RunnerError, ServiceError
 from repro.runner.jobs import JobResult, JobSpec
-from repro.runner.journal import (
-    JOURNAL_SCHEMA,
-    JournalWriter,
-    discard_torn_tail,
-    read_journal,
-)
+from repro.runner.journal import JournalWriter, finished_results, recover
 from repro.runner.limits import ResourceLimits
 from repro.service.protocol import SolveRequest, parse_solve_request
 
@@ -235,63 +230,40 @@ class RecoveredState:
 def recover_journal(path: "str | Path") -> RecoveredState:
     """Replay a service journal into the state a restarted server needs.
 
-    Tolerates (and trims) a crash-torn final line, exactly like the
-    batch runner's resume path.  Bit rot — a mid-file record whose
-    bytes no longer parse or whose CRC-32 seal fails — is quarantined
-    via :func:`repro.artifacts.log.repair_log` and *counted*: the rest
-    of the journal replays, the server comes up honestly degraded
-    instead of refusing or guessing.  A journal whose header line is
-    destroyed cannot be trusted at all and is quarantined whole (fresh
-    start).  Every surviving acknowledged job comes back exactly once:
-    either its ``finished`` result (served from memory / cache, never
-    re-solved) or a re-enqueued :class:`ServiceJob` (its B&B
-    checkpoint, if the killed worker wrote one, is picked up
-    automatically because the checkpoint path is derived from the job
-    id).  Raises :class:`~repro.errors.RunnerError` on a record that is
-    intact (its seal verifies) but semantically unreadable — that is a
-    writer bug, not disk damage, and must not be papered over.
+    The journal is readied by the batch runner's own recovery,
+    :func:`repro.runner.journal.recover`: bit rot — a mid-file record
+    whose bytes no longer parse or whose CRC-32 seal fails — is
+    quarantined and *counted*, so the rest of the journal replays and
+    the server comes up honestly degraded instead of refusing or
+    guessing; a torn tail (the bytes after the final newline) is
+    trimmed.  A journal whose header line is destroyed cannot be
+    trusted at all and is quarantined whole (fresh start).  Every
+    surviving acknowledged job comes back exactly once: either its
+    ``finished`` result (served from memory / cache, never re-solved)
+    or a re-enqueued :class:`ServiceJob` (its B&B checkpoint, if the
+    killed worker wrote one, is picked up automatically because the
+    checkpoint path is derived from the job id).  Raises
+    :class:`~repro.errors.RunnerError` on a record that is intact (its
+    seal verifies) but semantically unreadable — that is a writer bug,
+    not disk damage, and must not be papered over.
     """
     path = Path(path)
-    if not path.exists():
-        return RecoveredState(finished={}, pending=[], next_index=0, fresh=True)
-    scan = scan_log(path)
-    quarantined = 0
-    if scan.lines and scan.lines[0].cause is not None:
+    try:
+        records, quarantined = recover(path)
+    except JournalHeaderError as exc:
         # The header is gone: no schema, no digest, no trust.  The
         # whole file moves to quarantine and the server starts fresh.
-        quarantine_file(path, scan.lines[0].cause or "bit-rot")
+        quarantine_file(path, exc.cause)
         return RecoveredState(
             finished={}, pending=[], next_index=0, fresh=True, quarantined=1,
         )
-    if scan.bad:
-        report = repair_log(path)
-        quarantined = report.quarantined
-    elif scan.torn_tail:
-        discard_torn_tail(path)
-    if not path.exists():  # journal was nothing but its torn line
-        return RecoveredState(
-            finished={}, pending=[], next_index=0, fresh=True,
-            quarantined=quarantined,
-        )
-    records, _ = read_journal(path)
-    if not records:
-        return RecoveredState(
-            finished={}, pending=[], next_index=0, fresh=True,
-            quarantined=quarantined,
-        )
-    header = records[0]
-    if header.get("event") != "batch" or header.get("schema") != JOURNAL_SCHEMA:
-        raise RunnerError(
-            f"service journal {path} does not start with a "
-            f"{JOURNAL_SCHEMA!r} batch header"
-        )
-    if header.get("manifest_digest") != SERVICE_DIGEST:
+    if records and records[0].get("manifest_digest") != SERVICE_DIGEST:
         raise RunnerError(
             f"journal {path} is a batch journal, not a service journal "
-            f"(manifest digest {header.get('manifest_digest')!r}); refusing"
+            f"(manifest digest {records[0].get('manifest_digest')!r}); "
+            f"refusing"
         )
     accepted: "Dict[int, Dict[str, object]]" = {}
-    finished: "Dict[int, JobResult]" = {}
     shed: set = set()
     for record in records[1:]:
         event = record.get("event")
@@ -299,15 +271,7 @@ def recover_journal(path: "str | Path") -> RecoveredState:
             accepted[int(record["job"])] = record  # type: ignore[arg-type]
         elif event == "note" and record.get("kind") == "shed":
             shed.add(int(record["job"]))  # type: ignore[arg-type]
-        elif event == "finished":
-            try:
-                result = JobResult.from_dict(record["result"])  # type: ignore[arg-type]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RunnerError(
-                    f"journal {path}: unreadable finished record for "
-                    f"job {record.get('job')}: {exc}"
-                ) from exc
-            finished[result.index] = result
+    finished = finished_results(path, records)
     pending: "List[ServiceJob]" = []
     for index in sorted(accepted):
         if index in finished or index in shed:
@@ -342,6 +306,6 @@ def recover_journal(path: "str | Path") -> RecoveredState:
         finished=finished,
         pending=pending,
         next_index=next_index,
-        fresh=False,
+        fresh=not records,
         quarantined=quarantined,
     )

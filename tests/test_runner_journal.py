@@ -1,6 +1,6 @@
 """Crash-only journal tests: append/replay/compact and the recovery
-contract (truncated final line tolerated, earlier corruption fatal,
-foreign-batch journals refused)."""
+contract (a torn tail after the final newline tolerated, any corrupt
+complete line fatal, foreign-batch journals refused)."""
 
 import errno
 import json
@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from repro.artifacts import IOFaultPlan, inject_io_faults, scan_log
 from repro.errors import JournalWriteError, RunnerError
 from repro.runner import (
     JobOutcome,
@@ -90,6 +91,30 @@ class TestDurabilityFailure:
             writer.close()
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_append_after_a_short_write_does_not_weld(self, tmp_path, seed):
+        """A failed append leaves partial bytes behind; the next append
+        must start a fresh line instead of welding onto them."""
+        path = tmp_path / "j.jsonl"
+        plan = IOFaultPlan(kinds=("short-write",), rate=1.0, seed=seed, limit=1)
+        with JournalWriter(path) as writer:
+            writer.header(n_jobs=3, manifest_digest="a" * 64)
+            writer.finished(_result(0))
+            with inject_io_faults(plan) as faulty:
+                with pytest.raises(JournalWriteError):
+                    writer.finished(_result(1))
+                writer.finished(_result(2))
+            assert faulty.injected == 1
+        scan = scan_log(path)
+        assert not scan.torn_tail
+        assert [line.lineno for line in scan.bad] == [3]
+        finished = [
+            record for _, record in scan.records
+            if record.get("event") == "finished"
+        ]
+        assert [record["job"] for record in finished] == [0, 2]
+
+
 class TestWriterAndReplay:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -150,6 +175,17 @@ class TestCrashRecovery:
         lines.insert(1, "{garbage")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(RunnerError, match="corrupt"):
+            read_journal(path)
+
+    def test_complete_but_unparseable_final_line_is_corrupt(self, tmp_path):
+        """Only the bytes after the final newline are a torn tail; a
+        final line that ends in a newline is complete, so failing to
+        parse makes it corruption, not a crash artifact."""
+        path = tmp_path / "j.jsonl"
+        _write(path, [_result(0)])
+        with open(path, "a") as handle:
+            handle.write('{"event": "fini\n')
+        with pytest.raises(RunnerError, match="line 3: is corrupt"):
             read_journal(path)
 
     def test_non_object_line_is_fatal(self, tmp_path):

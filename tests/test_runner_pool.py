@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.artifacts import scan_log
 from repro.errors import RunnerError
 from repro.runner import (
     BatchConfig,
@@ -252,25 +253,43 @@ class TestOrchestratorKillAndResume:
             == json.dumps(batch_summary(clean), sort_keys=True)
         )
 
-    def test_resume_after_torn_tail_keeps_journal_replayable(self, tmp_path):
+    @pytest.mark.parametrize("cut", ["half-line", "newline-only"])
+    def test_resume_after_torn_tail_keeps_journal_replayable(
+        self, tmp_path, cut,
+    ):
         manifest = self.MANIFEST[:3]
         results = _run(tmp_path, manifest, name="torn.jsonl")
         assert all(r.outcome is JobOutcome.OK for r in results)
         journal = tmp_path / "torn.jsonl"
-        # Tear the final record in half, as a SIGKILL mid-append would.
-        lines = journal.read_text().splitlines(keepends=True)
-        journal.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        # Keep the header, job 0 and a torn job 1, as a SIGKILL
+        # mid-append would leave them: half of job 1's line, or all of
+        # it but its newline.
+        lines = journal.read_bytes().splitlines(keepends=True)
+        torn = (
+            lines[2][: len(lines[2]) // 2] if cut == "half-line"
+            else lines[2].rstrip(b"\n")
+        )
+        journal.write_bytes(b"".join(lines[:2]) + torn)
         _, truncated = read_journal(journal)
         assert truncated
 
         jobs = load_manifest(manifest)
         resumed = BatchRunner(jobs, journal_path=journal).run(resume=True)
         assert [r.outcome for r in resumed] == [JobOutcome.OK] * 3
-        # The repaired-and-completed journal must replay with no
-        # corruption mid-file (the torn line was dropped, not welded).
-        records, truncated = read_journal(journal)
-        assert not truncated
+        # Job 0 comes from the journal; job 1, never acknowledged, re-ran.
+        assert resumed[0].as_dict() == results[0].as_dict()
+        assert resumed[1].as_dict() != results[1].as_dict()
+        # The completed journal must scan with no bad line and no torn
+        # tail (the torn bytes were dropped, not welded), so the next
+        # resume has nothing to quarantine.
+        assert scan_log(journal).clean
         assert sorted(replay(journal)) == [0, 1, 2]
+        events = []
+        BatchRunner(
+            jobs, journal_path=journal,
+            on_event=lambda kind, payload: events.append(kind),
+        ).run(resume=True)
+        assert "journal_quarantined" not in events
 
 
 class TestPoolPolicies:
@@ -313,11 +332,23 @@ class TestPoolPolicies:
 
     def test_resume_refuses_foreign_journal(self, tmp_path):
         _run(tmp_path, [{"drill": "ok"}])
+        journal = tmp_path / "batch.jsonl"
+        with open(journal, "ab") as handle:
+            handle.write(b'{"event": "fini')  # torn tail
+        before = journal.read_bytes()
         other = load_manifest([{"drill": "segfault"}])
         with pytest.raises(RunnerError, match="different batch"):
-            BatchRunner(other, journal_path=tmp_path / "batch.jsonl").run(
-                resume=True
-            )
+            BatchRunner(other, journal_path=journal).run(resume=True)
+        # Refused as found: another batch's journal is not trimmed.
+        assert journal.read_bytes() == before
+
+    def test_resume_of_empty_journal_starts_with_a_header(self, tmp_path):
+        # An append that failed on the header leaves an empty file.
+        journal = tmp_path / "batch.jsonl"
+        journal.write_bytes(b"")
+        jobs = load_manifest([{"drill": "ok"}])
+        BatchRunner(jobs, journal_path=journal).run(resume=True)
+        assert sorted(replay(journal)) == [0]
 
     def test_resume_of_complete_journal_relaunches_nothing(self, tmp_path):
         manifest = [{"drill": "ok"}, {"drill": "ok"}]

@@ -134,19 +134,37 @@ class TestRecovery:
         assert recovered.fingerprint == job.fingerprint
         assert recovered.request.solve_fields() == request.solve_fields()
 
-    def test_torn_tail_is_trimmed_not_fatal(self, tmp_path):
+    @pytest.mark.parametrize("cut", ["half-line", "newline-only"])
+    def test_torn_tail_is_trimmed_not_fatal(self, tmp_path, cut):
         path = tmp_path / "svc.jsonl"
         journal = ServiceJournal(path).open(fresh=True)
         journal.accepted(_job(0))
+        journal.accepted(_job(1))
+        journal.finished(_result(0))
         journal.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"event": "note", "kind": "acc')  # crash mid-append
+        # Crash mid-append of the finished record: half of it written,
+        # or all of it but its newline.  Either way it was never
+        # acknowledged, so job 0 is still owed.
+        raw = path.read_bytes()
+        last = raw[: -1].rfind(b"\n") + 1
+        path.write_bytes(
+            raw[: last + (len(raw) - last) // 2] if cut == "half-line"
+            else raw[:-1]
+        )
 
         state = recover_journal(path)
-        assert [job.index for job in state.pending] == [0]
+        assert [job.index for job in state.pending] == [0, 1]
+        assert state.finished == {}
         # And the file itself was trimmed so future appends are clean.
         for line in path.read_text().splitlines():
             json.loads(line)
+
+        journal = ServiceJournal(path).open(fresh=state.fresh)
+        journal.accepted(_job(2))
+        journal.close()
+        again = recover_journal(path)
+        assert [job.index for job in again.pending] == [0, 1, 2]
+        assert again.quarantined == 0
 
     def test_batch_journal_is_refused(self, tmp_path):
         path = tmp_path / "batch.jsonl"
