@@ -25,7 +25,7 @@ Package map
 ``repro.library``    characterized FU models and allocations
 ``repro.target``     FPGA devices, scratch memory, reconfig cost model
 ``repro.schedule``   ASAP/ALAP, list scheduling, segment estimation
-``repro.ilp``        modeling layer, simplex, branch and bound
+``repro.ilp``        modeling layer, LP backends, branch and bound
 ``repro.core``       the paper's formulation, solution flow, verifier
 ``repro.baselines``  heuristic partitioners for comparison
 ``repro.extensions`` multicycle/pipelined FUs, chaining, registers,

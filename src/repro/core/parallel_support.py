@@ -45,6 +45,8 @@ def make_lp_backend(
     and a :class:`~repro.ilp.resilience.FaultPlan`
     additionally wraps the primary (or, with ``targets="all"``, every)
     backend in seeded fault injection with infeasible double-checking.
+    Each wrapped backend draws its own fault stream, named after its
+    slot (``chaos[<slot>]``).
     """
     if plain_search and chaos is None:
         return solve_lp_scipy

@@ -5,8 +5,8 @@ and :class:`~repro.artifacts.chaos.IOFaultPlan` (storage faults) share
 plan validation, the CLI's comma-separated notation, the RNG step, the
 capped fault log and the by-kind telemetry; each layer only says what
 its faults *do*.  The decision sequence is a pure function of
-``(kinds, rate, seed, limit)`` and the operation count, so every
-chaos run replays exactly.
+``(kinds, rate, seed, limit)``, the injector's stream name and the
+operation count, so every chaos run replays exactly.
 """
 
 from __future__ import annotations
@@ -81,16 +81,27 @@ class SeededInjector:
     doing any work, and :meth:`_record` for each fault it injects.
     Extra randomness a fault needs (a victim index, a cut point) comes
     from the same ``_rng``, so it replays with the decisions.
+
+    ``stream`` names an independent decision stream under the same
+    plan: injectors with different names draw different sequences,
+    seeded from the string ``"<seed>/<stream>"`` (string seeds go
+    through SHA-512, so the stream never depends on
+    ``PYTHONHASHSEED``).  Without a name the RNG is seeded with the
+    plan's seed itself.
     """
 
     #: Attribute (and telemetry key) holding the operation count.
     COUNT_KEY: ClassVar[str] = "calls"
 
-    def __init__(self, plan: SeededFaultPlan) -> None:
+    def __init__(
+        self, plan: SeededFaultPlan, stream: "Optional[str]" = None,
+    ) -> None:
         self.plan = plan
         self.injected = 0
         self.log: "List[object]" = []
-        self._rng = random.Random(plan.seed)
+        self._rng = random.Random(
+            plan.seed if stream is None else f"{plan.seed}/{stream}"
+        )
 
     def _roll(self) -> "Optional[str]":
         """This operation's fault kind (or None), advancing the RNG.

@@ -8,9 +8,6 @@ plays that role here, fully in-repo:
   modeling layer (variables, linear expressions, constraints,
   objective) with branching metadata on variables;
 * :mod:`~repro.ilp.standard_form` — compilation to sparse matrix form;
-* :mod:`~repro.ilp.simplex` — a pure-numpy dense two-phase primal
-  simplex for LPs (reference implementation, cross-checked against
-  scipy in the test suite);
 * :mod:`~repro.ilp.highs` — SciPy's vendored HiGHS binding behind a
   version guard, the HiGHS model of a standard form and the reader of
   an optimal solve, shared by the two LP paths below;
@@ -49,7 +46,6 @@ from repro.ilp.solution import (
 )
 from repro.ilp.standard_form import StandardForm, compile_standard_form
 from repro.ilp.scipy_backend import solve_lp_scipy
-from repro.ilp.simplex import solve_lp_simplex
 from repro.ilp.incremental import IncrementalLPSolver
 from repro.ilp.branching import (
     BranchDecision,
@@ -85,7 +81,6 @@ __all__ = [
     "StandardForm",
     "compile_standard_form",
     "solve_lp_scipy",
-    "solve_lp_simplex",
     "IncrementalLPSolver",
     "BranchDecision",
     "BranchingRule",

@@ -138,9 +138,9 @@ class BranchAndBoundConfig:
     objective_is_integral:
         Enables the stronger "must improve by >= 1" pruning threshold.
     lp_backend:
-        LP relaxation solver; default SciPy HiGHS.  The built-in
-        simplex (:func:`repro.ilp.simplex.solve_lp_simplex`) is drop-in
-        compatible.
+        LP relaxation solver; default SciPy HiGHS.  Any callable with
+        the ``(form, lb_override, ub_override) -> LPResult`` contract
+        is drop-in compatible.
     propagate_sos1:
         Fix SOS1 peers to 0 on up-branches (needs groups registered on
         the model; harmless otherwise).

@@ -28,7 +28,11 @@ classes on a configurable fraction of calls:
 
 The same ``(seed, rate, kinds)`` triple always produces the same fault
 sequence across runs, which is what lets the chaos tests assert exact
-objective equality with the fault-free solve.
+objective equality with the fault-free solve.  Injectors with
+different names draw different sequences, so each backend of a
+resilience chain gets its own: were every slot to share one, a
+fallback's n-th call would repeat the primary's n-th fault, and a
+spurious INFEASIBLE would be "confirmed" by an identical one.
 """
 
 from __future__ import annotations
@@ -103,13 +107,14 @@ class FaultInjectingBackend(SeededInjector):
     LPResult`` backend contract.  Whether a call is faulted, and with
     which class, is decided by the plan's RNG *before* the inner solve,
     so the decision sequence is identical no matter how long each
-    underlying solve takes.  :meth:`telemetry` feeds the
-    ``solve.resilience`` block.
+    underlying solve takes.  ``name`` also names the decision stream
+    (see :class:`~repro.faultplan.SeededInjector`).  :meth:`telemetry`
+    feeds the ``solve.resilience`` block.
     """
 
     def __init__(self, inner, plan: "Optional[FaultPlan]" = None,
                  name: str = "chaos") -> None:
-        super().__init__(plan if plan is not None else FaultPlan())
+        super().__init__(plan if plan is not None else FaultPlan(), name)
         self.inner = inner
         self.name = name
         self.calls = 0

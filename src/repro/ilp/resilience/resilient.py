@@ -15,15 +15,15 @@ the branch and bound a wrong answer:
   the same backend with bounded exponential backoff;
 * non-transient faults and repeated validation failures **fall
   through** the backend chain (the warm incremental kernel when the
-  partitioner heads the chain with it, then the cold SciPy HiGHS path,
-  the in-repo simplex as the dependency-free understudy);
+  partitioner heads the chain with it, then the cold SciPy HiGHS
+  path);
 * a backend that keeps failing is **quarantined** for the rest of the
   run so a dead solver does not add its timeout to every node;
 * optionally, INFEASIBLE verdicts are **double-checked** with the next
-  backend — residual validation cannot catch a spurious INFEASIBLE
-  (there is no solution to check), so under fault injection a second
-  opinion is the only defense against silently pruning feasible
-  subtrees.
+  backend, or the same one when none follows — residual validation
+  cannot catch a spurious INFEASIBLE (there is no solution to check),
+  so under fault injection a second opinion is the only defense
+  against silently pruning feasible subtrees.
 
 When the whole chain fails on one call the backend raises
 :class:`~repro.errors.BackendChainExhausted`; the branch and bound
@@ -151,11 +151,14 @@ class _BackendSlot:
 
 
 def default_backend_chain() -> "List[Tuple[str, Callable[..., LPResult]]]":
-    """SciPy HiGHS first, the in-repo simplex as the fallback."""
-    from repro.ilp.scipy_backend import solve_lp_scipy
-    from repro.ilp.simplex import solve_lp_simplex
+    """The cold SciPy HiGHS path alone.
 
-    return [("scipy-highs", solve_lp_scipy), ("simplex", solve_lp_simplex)]
+    The partitioner puts the warm incremental kernel in front of it
+    when SciPy's HiGHS binding passes its version guard.
+    """
+    from repro.ilp.scipy_backend import solve_lp_scipy
+
+    return [("scipy-highs", solve_lp_scipy)]
 
 
 class ResilientLPBackend:
@@ -167,11 +170,11 @@ class ResilientLPBackend:
         Ordered ``(name, callable)`` chain; defaults to
         :func:`default_backend_chain`.
     double_check_infeasible:
-        Confirm INFEASIBLE verdicts with the next live backend before
-        believing them.  Off by default (it doubles the cost of every
-        genuinely infeasible node); the chaos CLI/tests turn it on
-        because the ``infeasible`` fault class is undetectable any
-        other way.
+        Confirm INFEASIBLE verdicts with the next live backend (the
+        same one when none follows) before believing them.  Off by
+        default (it doubles the cost of every genuinely infeasible
+        node); the chaos CLI/tests turn it on because the
+        ``infeasible`` fault class is undetectable any other way.
     sleep:
         Injected for tests; defaults to :func:`time.sleep`.
     """
@@ -248,6 +251,9 @@ class ResilientLPBackend:
                 result = self._confirm_infeasible(
                     result, slot, live[pos + 1:], form, lb, ub
                 )
+                if result is None:
+                    errors.append(f"{slot.name}: INFEASIBLE not confirmed")
+                    continue
             return result
         raise BackendChainExhausted(
             "every LP backend failed: " + "; ".join(errors)
@@ -296,15 +302,20 @@ class ResilientLPBackend:
 
     def _confirm_infeasible(
         self, verdict, slot, rest, form, lb, ub
-    ) -> LPResult:
+    ) -> "Optional[LPResult]":
         """Second-opinion an INFEASIBLE verdict with the next backend.
 
-        A confirming INFEASIBLE (or an unusable second opinion) keeps
-        the verdict; a *validated* solution from the second backend
-        overrules it — the first backend's verdict was spurious, which
-        counts as a failure against its quarantine budget.
+        A confirming INFEASIBLE keeps the verdict; a *validated*
+        solution from the second backend overrules it — the first
+        backend's verdict was spurious, which counts as a failure
+        against its quarantine budget.  When no live backend follows
+        (a one-slot chain, or the verdict came from the last slot), the
+        same backend is asked again: a fault injector draws a fresh
+        decision for the new call.  None means no backend gave a
+        usable opinion, and the caller moves down the chain instead of
+        believing the verdict.
         """
-        for other in rest:
+        for other in rest or [slot]:
             other.calls += 1
             try:
                 second = other.fn(form, lb, ub)
@@ -322,7 +333,7 @@ class ResilientLPBackend:
                           f"overruled by {other.name}")
                 self._mark_failure(slot)
                 return second
-        return verdict
+        return None
 
     # ------------------------------------------------------------------
 

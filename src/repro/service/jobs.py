@@ -243,25 +243,21 @@ def recover_journal(path: "str | Path") -> RecoveredState:
     or a re-enqueued :class:`ServiceJob` (its B&B checkpoint, if the
     killed worker wrote one, is picked up automatically because the
     checkpoint path is derived from the job id).  Raises
-    :class:`~repro.errors.RunnerError` on a record that is intact (its
-    seal verifies) but semantically unreadable — that is a writer bug,
-    not disk damage, and must not be papered over.
+    :class:`~repro.errors.RunnerError` on a journal whose header names
+    another manifest (a batch journal), before anything in the file is
+    touched, and on a record that is intact (its seal verifies) but
+    semantically unreadable — that is a writer bug, not disk damage,
+    and must not be papered over.
     """
     path = Path(path)
     try:
-        records, quarantined = recover(path)
+        records, quarantined = recover(path, expected_digest=SERVICE_DIGEST)
     except JournalHeaderError as exc:
         # The header is gone: no schema, no digest, no trust.  The
         # whole file moves to quarantine and the server starts fresh.
         quarantine_file(path, exc.cause)
         return RecoveredState(
             finished={}, pending=[], next_index=0, fresh=True, quarantined=1,
-        )
-    if records and records[0].get("manifest_digest") != SERVICE_DIGEST:
-        raise RunnerError(
-            f"journal {path} is a batch journal, not a service journal "
-            f"(manifest digest {records[0].get('manifest_digest')!r}); "
-            f"refusing"
         )
     accepted: "Dict[int, Dict[str, object]]" = {}
     shed: set = set()

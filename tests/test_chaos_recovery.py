@@ -5,19 +5,23 @@ it is cheap enough to stay in tier-1 as well.  The properties:
 
 * every fault class, injected into the primary backend, ends at the
   fault-free optimum — the fallback chain absorbs the damage;
-* the fault sequence is a pure function of the seed, so chaos runs are
-  exactly reproducible;
+* the fault sequence is a pure function of the seed and the injector's
+  name, so chaos runs are exactly reproducible and each chain slot
+  draws its own faults;
 * a kill + resume (checkpoint) under chaos still reproduces the
   fault-free optimum;
 * a permanently dead backend chain degrades to a *verified* heuristic
   design with the cause recorded in telemetry v3 — never a crash.
 """
 
+import json
 import os
 
 import pytest
 
-from repro.errors import TransientSolverError
+from repro.cli import main
+from repro.errors import SolverError, TransientSolverError
+from repro.graph.generators import paper_graph
 from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.expr import lin_sum
 from repro.ilp.model import Model
@@ -27,9 +31,10 @@ from repro.ilp.resilience import (
     FaultPlan,
     ResilientLPBackend,
 )
+from repro.ilp import highs
 from repro.ilp.scipy_backend import solve_lp_scipy
-from repro.ilp.simplex import solve_lp_simplex
-from repro.ilp.solution import SolveStatus
+from repro.ilp.solution import LPResult, SolveStatus
+from repro.ilp.standard_form import compile_standard_form
 from repro.core import parallel_support
 from repro.core.partitioner import TemporalPartitioner
 
@@ -52,7 +57,7 @@ def chaos_backend(plan):
     return ResilientLPBackend(
         backends=[
             ("chaos[scipy-highs]", FaultInjectingBackend(solve_lp_scipy, plan)),
-            ("simplex", solve_lp_simplex),
+            ("scipy-highs", solve_lp_scipy),
         ],
         double_check_infeasible=True,
         sleep=lambda s: None,
@@ -99,6 +104,67 @@ class TestChaosDeterminism:
         assert records[0] == records[1]
 
 
+class TestSlotFaultStreams:
+    """Each chain slot draws its own fault sequence, a pure function of
+    (seed, rate, kinds, slot)."""
+
+    def test_stream_is_pinned_per_name(self):
+        plan = FaultPlan(kinds=("infeasible",), rate=0.5, seed=3)
+        calls = {}
+        for name in ("chaos[incremental]", "chaos[scipy-highs]"):
+            chaos = FaultInjectingBackend(
+                lambda form, lb, ub: LPResult(status=SolveStatus.INFEASIBLE),
+                plan, name=name,
+            )
+            for _ in range(12):
+                chaos(None)
+            calls[name] = [record.call for record in chaos.log]
+        # Literal values: string seeds go through SHA-512, so these
+        # hold under every PYTHONHASHSEED.
+        assert calls == {
+            "chaos[incremental]": [4, 6, 9, 12],
+            "chaos[scipy-highs]": [1, 4, 7, 8, 9],
+        }
+
+    @pytest.mark.skipif(
+        not highs.have_highspy(), reason="needs the kernel slot"
+    )
+    def test_every_wrapped_slot_draws_its_own_stream(self):
+        plan = FaultPlan(
+            kinds=FAULT_KINDS, rate=0.5, seed=3, slow_s=0.0, targets="all",
+        )
+        backend = parallel_support.make_lp_backend(chaos=plan)
+        form = compile_standard_form(tree_model())
+        logs = []
+        for slot in backend._slots:
+            for _ in range(30):
+                try:
+                    slot.fn(form, form.lb, form.ub)
+                except SolverError:
+                    pass
+            logs.append([(record.call, record.kind) for record in slot.fn.log])
+        assert len(logs) >= 2
+        assert len({tuple(log) for log in logs}) == len(logs)
+
+    def test_all_backends_chaos_keeps_the_optimum(self, capsys):
+        """Seed 3 once drew the same spurious INFEASIBLE in both slots,
+        and the double-check confirmed it on a spec whose optimum is 0."""
+        spec = ["--paper-graph", "1", "--mix", "2A+2M+1S", "-N", "3",
+                "-L", "1", "--json"]
+        assert main(spec) == 0
+        fault_free = json.loads(capsys.readouterr().out)
+        assert main(spec + [
+            "--chaos-faults", "raise,fatal,nan,perturb,infeasible",
+            "--chaos-rate", "0.3", "--chaos-seed", "3",
+            "--chaos-all-backends",
+        ]) == 0
+        chaotic = json.loads(capsys.readouterr().out)
+        assert (chaotic["status"], chaotic["objective"]) == (
+            fault_free["status"], fault_free["objective"],
+        ) == ("optimal", 0)
+        assert chaotic["degraded"] is False
+
+
 class TestChaosKillAndResume:
     def test_resumed_chaotic_search_reproduces_optimum(self, tmp_path):
         baseline = BranchAndBound(tree_model()).solve()
@@ -135,6 +201,28 @@ class TestPipelineUnderChaos:
             chain3_graph, "1A+1M+1S", n_partitions=2, relaxation=2
         )
         assert chaotic.status is fault_free.status
+        assert chaotic.objective == fault_free.objective
+        assert not chaotic.degraded
+
+    def test_one_slot_chain_without_binding_keeps_the_optimum(
+        self, monkeypatch
+    ):
+        """Without SciPy's HiGHS binding the chain is ``scipy-highs``
+        alone; seed 0 injects spurious INFEASIBLEs that only asking
+        the same slot again can overrule."""
+        fault_free = TemporalPartitioner().partition(
+            paper_graph(1), "2A+2M+1S", n_partitions=3, relaxation=1
+        )
+        monkeypatch.setattr(highs, "_binding", (None, "no binding (stub)"))
+        plan = FaultPlan(
+            kinds=("raise", "fatal", "nan", "perturb", "infeasible"),
+            rate=0.3, seed=0,
+        )
+        chaotic = TemporalPartitioner(chaos=plan).partition(
+            paper_graph(1), "2A+2M+1S", n_partitions=3, relaxation=1
+        )
+        assert chaotic.solve_stats.kernel is None
+        assert chaotic.status is fault_free.status is SolveStatus.OPTIMAL
         assert chaotic.objective == fault_free.objective
         assert not chaotic.degraded
 

@@ -20,7 +20,6 @@ from repro.ilp.branching import (
 from repro.ilp.expr import lin_sum
 from repro.ilp.milp_backend import solve_milp_scipy
 from repro.ilp.model import Model
-from repro.ilp.simplex import solve_lp_simplex
 from repro.ilp.solution import SolveStatus
 
 
@@ -82,12 +81,6 @@ class TestBranchAndBound:
     def test_integral_objective_pruning(self):
         config = BranchAndBoundConfig(objective_is_integral=True)
         result = BranchAndBound(knapsack_model(), config=config).solve()
-        assert result.objective == pytest.approx(-8.0)
-
-    def test_simplex_backend_drop_in(self):
-        config = BranchAndBoundConfig(lp_backend=solve_lp_simplex)
-        result = BranchAndBound(knapsack_model(), config=config).solve()
-        assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(-8.0)
 
     def test_mixed_integer_continuous(self):

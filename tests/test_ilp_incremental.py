@@ -6,8 +6,8 @@ rebind-on-new-form, the warm-started HiGHS path, re-solving on a
 resilient retry), the one fallback path (a stale binding leaves the
 kernel out of the partitioner's chain; kernel faults fall through the
 chain and quarantine the kernel), the array-backed
-:class:`~repro.ilp.solution.ValueVector` result values, the simplex
-tableau size guard, and the ``solve.kernel`` telemetry passthroughs.
+:class:`~repro.ilp.solution.ValueVector` result values, and the
+``solve.kernel`` telemetry passthroughs.
 """
 
 from types import SimpleNamespace
@@ -29,7 +29,6 @@ from repro.ilp.incremental import IncrementalLPSolver
 from repro.ilp.model import Model
 from repro.ilp.resilience import ResilientLPBackend, validate_lp_result
 from repro.ilp.scipy_backend import solve_lp_scipy
-from repro.ilp.simplex import solve_lp_simplex
 from repro.ilp.solution import (
     LPResult,
     SolveStatus,
@@ -375,7 +374,7 @@ class TestOneFallbackPath:
         backend = parallel_support.make_lp_backend()
         assert backend.kernel_telemetry() is None
         assert [b["name"] for b in backend.resilience_telemetry()["backends"]] == [
-            "scipy-highs", "simplex",
+            "scipy-highs",
         ]
         # A cold vertex may change the node count, not the answer.
         outcome, answer = t3_outcome()
@@ -401,28 +400,3 @@ class TestOneFallbackPath:
         kernel_slot = block["backends"][0]
         assert kernel_slot["name"] == "incremental"
         assert kernel_slot["quarantined"] is True
-
-
-class TestSimplexSizeGuard:
-    def test_oversized_model_raises_typed_error(self, monkeypatch):
-        import repro.ilp.simplex as simplex_mod
-
-        monkeypatch.setattr(simplex_mod, "MAX_TABLEAU_ELEMENTS", 10)
-        form = compile_standard_form(
-            build_lp_model(
-                [-1, -1], [[1, 2], [3, 1]], [4, 6], ["<=", "<="], [10, 10]
-            )
-        )
-        with pytest.raises(SolverError, match="MAX_TABLEAU_ELEMENTS"):
-            solve_lp_simplex(form)
-
-    def test_normal_model_still_solves(self):
-        form = compile_standard_form(
-            build_lp_model(
-                [-1, -1], [[1, 2], [3, 1]], [4, 6], ["<=", "<="], [10, 10]
-            )
-        )
-        result = solve_lp_simplex(form)
-        assert result.status is SolveStatus.OPTIMAL
-        assert isinstance(result.values, ValueVector)
-        assert result.objective == pytest.approx(-2.8, abs=1e-7)

@@ -32,7 +32,6 @@ from repro.ilp.resilience import (
     validate_lp_result,
 )
 from repro.ilp.scipy_backend import solve_lp_scipy
-from repro.ilp.simplex import solve_lp_simplex
 from repro.ilp.solution import LPResult, SolveStatus, ValueVector
 from repro.ilp.standard_form import compile_standard_form
 
@@ -92,8 +91,8 @@ class TestFaultInjectingBackend:
 
     def test_same_seed_same_fault_sequence(self):
         plan = FaultPlan(kinds=FAULT_KINDS, rate=0.5, seed=11, slow_s=0.0)
-        a = FaultInjectingBackend(solve_lp_simplex, plan)
-        b = FaultInjectingBackend(solve_lp_simplex, plan)
+        a = FaultInjectingBackend(solve_lp_scipy, plan)
+        b = FaultInjectingBackend(solve_lp_scipy, plan)
         form = knapsack_form()
         for backend in (a, b):
             for _ in range(20):
@@ -223,7 +222,7 @@ class TestResilientLPBackend:
 
     def test_fatal_fault_skips_retries_and_falls_through(self):
         resilient = ResilientLPBackend(
-            backends=[("fatal", _fatal), ("simplex", solve_lp_simplex)],
+            backends=[("fatal", _fatal), ("scipy-highs", solve_lp_scipy)],
             sleep=lambda s: None,
         )
         form, result = solve_root(resilient)
@@ -243,7 +242,7 @@ class TestResilientLPBackend:
         monkeypatch.setattr(resilient_module, "MAX_RETRIES", 0)
         monkeypatch.setattr(resilient_module, "QUARANTINE_AFTER", 2)
         resilient = ResilientLPBackend(
-            backends=[("dead", _dead), ("simplex", solve_lp_simplex)],
+            backends=[("dead", _dead), ("scipy-highs", solve_lp_scipy)],
             sleep=lambda s: None,
         )
         form = knapsack_form()
@@ -261,7 +260,7 @@ class TestResilientLPBackend:
         plan = FaultPlan(kinds=("perturb",), rate=1.0)
         lying = FaultInjectingBackend(solve_lp_scipy, plan)
         resilient = ResilientLPBackend(
-            backends=[("liar", lying), ("simplex", solve_lp_simplex)],
+            backends=[("liar", lying), ("scipy-highs", solve_lp_scipy)],
             sleep=lambda s: None,
         )
         form, result = solve_root(resilient)
@@ -273,12 +272,37 @@ class TestResilientLPBackend:
         plan = FaultPlan(kinds=("infeasible",), rate=1.0)
         lying = FaultInjectingBackend(solve_lp_scipy, plan)
         resilient = ResilientLPBackend(
-            backends=[("liar", lying), ("simplex", solve_lp_simplex)],
+            backends=[("liar", lying), ("scipy-highs", solve_lp_scipy)],
             double_check_infeasible=True, sleep=lambda s: None,
         )
         form, result = solve_root(resilient)
         assert result.status is SolveStatus.OPTIMAL
         assert resilient.infeasible_overruled == 1
+
+    def test_last_slot_infeasible_is_asked_again(self):
+        plan = FaultPlan(kinds=("infeasible",), rate=1.0, limit=1)
+        resilient = ResilientLPBackend(
+            backends=[("liar", FaultInjectingBackend(solve_lp_scipy, plan))],
+            double_check_infeasible=True, sleep=lambda s: None,
+        )
+        form, result = solve_root(resilient)
+        assert result.status is SolveStatus.OPTIMAL
+        assert resilient.infeasible_overruled == 1
+
+    def test_unconfirmed_infeasible_falls_through(self):
+        # The second opinion faults, so the spurious verdict is not
+        # believed: the chain moves on and the next backend answers.
+        plan = FaultPlan(kinds=("infeasible",), rate=1.0, limit=1)
+        resilient = ResilientLPBackend(
+            backends=[
+                ("liar", FaultInjectingBackend(solve_lp_scipy, plan)),
+                ("flaky", _failing(1)),
+            ],
+            double_check_infeasible=True, sleep=lambda s: None,
+        )
+        form, result = solve_root(resilient)
+        assert result.status is SolveStatus.OPTIMAL
+        assert resilient.fallbacks == 1
 
     def test_contradictory_bounds_short_circuit(self):
         resilient = ResilientLPBackend(backends=[("dead", _dead)])
@@ -295,9 +319,7 @@ class TestResilientLPBackend:
         solve_root(resilient)
         record = resilient.resilience_telemetry()
         assert record["calls"] == 1
-        assert [b["name"] for b in record["backends"]] == [
-            "scipy-highs", "simplex",
-        ]
+        assert [b["name"] for b in record["backends"]] == ["scipy-highs"]
 
 
 class TestTransientStatusMapping:
@@ -345,7 +367,7 @@ class TestBranchAndBoundSurvival:
         monkeypatch.setattr(resilient_module, "MAX_RETRIES", 0)
         config = BranchAndBoundConfig(
             lp_backend=ResilientLPBackend(
-                backends=[("dead", _dead), ("simplex", solve_lp_simplex)],
+                backends=[("dead", _dead), ("scipy-highs", solve_lp_scipy)],
                 sleep=lambda s: None,
             )
         )

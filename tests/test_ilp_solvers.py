@@ -1,21 +1,30 @@
-"""Tests for standard-form compilation, the simplex, and LP backends.
+"""Tests for standard-form compilation and the LP backends.
 
-Includes the property-based cross-check: the in-repo dense simplex and
-SciPy's HiGHS must agree (status and optimal value) on random bounded
-LPs — two independent implementations validating each other.
+Every LP answer here is checked by :func:`tests.lp_certify.certify_lp`:
+exact rational dual bounds and Farkas certificates, computed by the
+proof checker's arithmetic instead of a second floating-point solver.
+That includes the property-based sweep over random bounded LPs and
+every node LP of the paper's Table 3/4 rows.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
+from repro.ilp import highs
 from repro.ilp.expr import lin_sum
+from repro.ilp.incremental import IncrementalLPSolver
 from repro.ilp.model import Model
+from repro.ilp.resilience import ResilientLPBackend
 from repro.ilp.scipy_backend import solve_lp_scipy
-from repro.ilp.simplex import solve_lp_simplex
-from repro.ilp.solution import SolveStatus
+from repro.ilp.solution import SolveStatus, ValueVector
 from repro.ilp.standard_form import compile_standard_form
+from repro.reporting.experiments import EXPERIMENT_ROWS, run_row
+from tests.lp_certify import certify_lp
 
 
 def build_small_lp():
@@ -61,14 +70,34 @@ class TestStandardForm:
         assert form.a_eq.shape[0] == 0
 
 
+def backends():
+    """The cold path, and the warm kernel where the binding loads."""
+    out = [solve_lp_scipy]
+    if highs.have_highspy():
+        out.append(IncrementalLPSolver())
+    return out
+
+
+def certified(form, lb=None, ub=None):
+    """Each backend's certified answer on the box ``[lb, ub]``."""
+    results = []
+    for backend in backends():
+        result = backend(form, lb, ub)
+        certify_lp(form, lb, ub, result)
+        results.append(result)
+    return results
+
+
 class TestSimplexBasics:
+    """Basic LPs through HiGHS's dual simplex, cold and warm, each
+    answer certified exactly."""
+
     def test_small_lp_optimum(self):
-        form = compile_standard_form(build_small_lp())
-        result = solve_lp_simplex(form)
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(-2.8, abs=1e-7)
-        assert result.values[0] == pytest.approx(1.6, abs=1e-7)
-        assert result.values[1] == pytest.approx(1.2, abs=1e-7)
+        for result in certified(compile_standard_form(build_small_lp())):
+            assert result.status is SolveStatus.OPTIMAL
+            assert result.objective == pytest.approx(-2.8, abs=1e-7)
+            assert result.values[0] == pytest.approx(1.6, abs=1e-7)
+            assert result.values[1] == pytest.approx(1.2, abs=1e-7)
 
     def test_equality_constraints(self):
         model = Model("m")
@@ -76,49 +105,49 @@ class TestSimplexBasics:
         y = model.add_var("y", 0, 5)
         model.add(x + y == 3)
         model.set_objective(x - 2 * y)
-        result = solve_lp_simplex(compile_standard_form(model))
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.values[1] == pytest.approx(3.0)
+        for result in certified(compile_standard_form(model)):
+            assert result.status is SolveStatus.OPTIMAL
+            assert result.values[1] == pytest.approx(3.0)
 
     def test_infeasible(self):
         model = Model("m")
         x = model.add_var("x", 0, 1)
         model.add(x >= 2)
         model.set_objective(x + 0)
-        result = solve_lp_simplex(compile_standard_form(model))
-        assert result.status is SolveStatus.INFEASIBLE
+        for result in certified(compile_standard_form(model)):
+            assert result.status is SolveStatus.INFEASIBLE
 
     def test_contradictory_bound_overrides(self):
         form = compile_standard_form(build_small_lp())
         lb = form.lb.copy()
         ub = form.ub.copy()
         lb[0], ub[0] = 2.0, 1.0
-        assert (
-            solve_lp_simplex(form, lb, ub).status is SolveStatus.INFEASIBLE
-        )
+        for result in certified(form, lb, ub):
+            assert result.status is SolveStatus.INFEASIBLE
 
     def test_bound_overrides_respected(self):
         form = compile_standard_form(build_small_lp())
         lb = form.lb.copy()
         lb[0] = 1.9  # force x >= 1.9
-        result = solve_lp_simplex(form, lb, form.ub)
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.values[0] >= 1.9 - 1e-9
+        for result in certified(form, lb, form.ub):
+            assert result.status is SolveStatus.OPTIMAL
+            assert result.values[0] >= 1.9 - 1e-9
 
     def test_negative_lower_bounds(self):
         model = Model("m")
         x = model.add_var("x", -5, 5)
         model.add(x >= -3)
         model.set_objective(x + 0)
-        result = solve_lp_simplex(compile_standard_form(model))
-        assert result.objective == pytest.approx(-3.0)
+        for result in certified(compile_standard_form(model)):
+            assert result.objective == pytest.approx(-3.0)
 
     def test_unbounded_detected(self):
         model = Model("m")
         x = model.add_var("x", 0, float("inf"))
         model.set_objective(-1 * x)
-        result = solve_lp_simplex(compile_standard_form(model))
-        assert result.status is SolveStatus.UNBOUNDED
+        form = compile_standard_form(model)
+        for backend in backends():
+            assert backend(form).status is SolveStatus.UNBOUNDED
 
     def test_degenerate_redundant_equalities(self):
         model = Model("m")
@@ -127,28 +156,33 @@ class TestSimplexBasics:
         model.add(x + y == 2)
         model.add(2 * x + 2 * y == 4)  # redundant copy
         model.set_objective(x + 0)
-        result = solve_lp_simplex(compile_standard_form(model))
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(0.0)
+        for result in certified(compile_standard_form(model)):
+            assert result.status is SolveStatus.OPTIMAL
+            assert result.objective == pytest.approx(0.0)
 
 
 class TestScipyBackend:
+    """The cold path without SciPy's vendored binding: ``linprog``."""
+
+    @pytest.fixture(autouse=True)
+    def _no_binding(self, monkeypatch):
+        monkeypatch.setattr(highs, "_binding", (None, "no binding (stub)"))
+
     def test_matches_simplex_on_small_lp(self):
         form = compile_standard_form(build_small_lp())
-        ours = solve_lp_simplex(form)
-        scipys = solve_lp_scipy(form)
-        assert scipys.status is SolveStatus.OPTIMAL
-        assert ours.objective == pytest.approx(scipys.objective, abs=1e-7)
+        result = solve_lp_scipy(form)
+        certify_lp(form, None, None, result)
+        assert result.objective == pytest.approx(-2.8, abs=1e-7)
 
     def test_infeasible(self):
         model = Model("m")
         x = model.add_var("x", 0, 1)
         model.add(x >= 2)
         model.set_objective(x + 0)
-        assert (
-            solve_lp_scipy(compile_standard_form(model)).status
-            is SolveStatus.INFEASIBLE
-        )
+        form = compile_standard_form(model)
+        result = solve_lp_scipy(form)
+        certify_lp(form, None, None, result)
+        assert result.status is SolveStatus.INFEASIBLE
 
 
 @st.composite
@@ -167,7 +201,7 @@ def random_lp(draw):
 
 @given(random_lp())
 @settings(max_examples=120, deadline=None)
-def test_property_simplex_agrees_with_scipy(problem):
+def test_property_scipy_lp_certified_exactly(problem):
     c, rows, rhs, senses, ubs = problem
     model = Model("prop")
     xs = [model.add_var(f"x{i}", 0, ubs[i]) for i in range(len(c))]
@@ -180,14 +214,45 @@ def test_property_simplex_agrees_with_scipy(problem):
         else:
             model.add(expr == b)
     model.set_objective(lin_sum(coef * x for coef, x in zip(c, xs)))
-    form = compile_standard_form(model)
+    results = certified(compile_standard_form(model))
+    assert len({result.status for result in results}) == 1
 
-    ours = solve_lp_simplex(form)
-    scipys = solve_lp_scipy(form)
-    assert ours.status == scipys.status
-    if ours.status is SolveStatus.OPTIMAL:
-        assert ours.objective == pytest.approx(scipys.objective, abs=1e-6)
-        # Our solution must satisfy the model too.
-        assert not model.check_feasible(
-            {i: v for i, v in ours.values.items()}, tol=1e-6
-        )
+
+#: The 13 Table 3/4 rows, solved in the default configuration.
+PAPER_ROWS = [row for row in EXPERIMENT_ROWS if row.table in ("t3", "t4")]
+
+
+def _copy(vector):
+    return None if vector is None else np.array(vector, dtype=float)
+
+
+@pytest.mark.parametrize("row", PAPER_ROWS, ids=lambda row: row.key)
+def test_every_paper_row_node_lp_certifies(monkeypatch, row):
+    """Every LP answer the branch and bound receives on a paper row
+    carries an exact certificate on its node box."""
+    calls = []
+    real = ResilientLPBackend.__call__
+
+    def recording(self, form, lb_override=None, ub_override=None):
+        result = real(self, form, lb_override, ub_override)
+        if result.status is SolveStatus.OPTIMAL:
+            result = dataclasses.replace(
+                result,
+                values=ValueVector(result.values.array.copy()),
+                dual_ub=_copy(result.dual_ub),
+                dual_eq=_copy(result.dual_eq),
+            )
+        calls.append((
+            form,
+            np.array(form.lb if lb_override is None else lb_override),
+            np.array(form.ub if ub_override is None else ub_override),
+            result,
+        ))
+        return result
+
+    monkeypatch.setattr(ResilientLPBackend, "__call__", recording)
+    measured = run_row(row)
+    assert measured["status"] in ("optimal", "infeasible")
+    assert calls
+    for form, lb, ub, result in calls:
+        certify_lp(form, lb, ub, result)

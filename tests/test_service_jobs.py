@@ -170,8 +170,19 @@ class TestRecovery:
         path = tmp_path / "batch.jsonl"
         with JournalWriter(path) as writer:
             writer.header(n_jobs=2, manifest_digest="a" * 64)
-        with pytest.raises(RunnerError, match="not a service journal"):
+        with pytest.raises(RunnerError, match="belongs to a different batch"):
             recover_journal(path)
+
+    def test_batch_journal_with_torn_tail_is_refused_untouched(self, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        with JournalWriter(path) as writer:
+            writer.header(n_jobs=2, manifest_digest="a" * 64)
+        with open(path, "ab") as handle:
+            handle.write(b'{"event":"started","jo')  # killed mid-write
+        before = path.read_bytes()
+        with pytest.raises(RunnerError):
+            recover_journal(path)
+        assert path.read_bytes() == before
 
     def test_semantically_bad_but_sealed_record_is_fatal(self, tmp_path):
         """An intact record (CRC verifies) that cannot be parsed back
